@@ -7,7 +7,13 @@ import sys
 from fractions import Fraction
 
 from quadcert.groups import standard_group
-from quadcert.variety import build_quadrics, genericity_screen, singular_orbit, verify_odp
+from quadcert.variety import (
+    ODPContext,
+    build_quadrics,
+    genericity_screen,
+    singular_orbit,
+    verify_odp,
+)
 
 
 def main(argv=None) -> int:
@@ -27,11 +33,12 @@ def main(argv=None) -> int:
         return 2
 
     orbit = singular_orbit(system, group, y)
+    context = ODPContext.at(system, y)
     print(f"orbit of the distinguished point under {args.group} at y=({args.y})")
     print(f"{len(orbit)} pairwise non-proportional points\n")
     all_pass = True
     for i, point in enumerate(orbit):
-        cert = verify_odp(point.coordinates, system, y)
+        cert = verify_odp(point.coordinates, context)
         all_pass &= cert.passes
         element = point.group_element.to_dict()
         print(

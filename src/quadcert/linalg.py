@@ -82,9 +82,10 @@ class ExactMatrix:
                 acc = _ZERO
                 for k in range(self.cols):
                     a = self.entries[i][k]
-                    if a.is_zero():
+                    b = other.entries[k][j]
+                    if a.is_zero() or b.is_zero():
                         continue
-                    acc = acc + a * other.entries[k][j]
+                    acc = acc + a * b
                 row.append(acc)
             out.append(row)
         return ExactMatrix(out)
@@ -119,12 +120,12 @@ class ExactMatrix:
                 continue
             work[r], work[pivot_row] = work[pivot_row], work[r]
             inv = work[r][c].inverse()
-            work[r] = [v * inv for v in work[r]]
+            work[r] = [v if v.is_zero() else v * inv for v in work[r]]
             for i in range(self.rows):
                 if i == r or work[i][c].is_zero():
                     continue
                 factor = work[i][c]
-                work[i] = [a - factor * b for a, b in zip(work[i], work[r])]
+                work[i] = [a if b.is_zero() else a - factor * b for a, b in zip(work[i], work[r])]
             pivots.append(c)
             r += 1
             if r == self.rows:
@@ -362,6 +363,11 @@ class MonomialMatrix:
     @classmethod
     def from_dict(cls, data: dict) -> "MonomialMatrix":
         try:
-            return cls(data["perm"], data["phases"], data.get("N", 8))
+            perm, phases, N = data["perm"], data["phases"], data.get("N", 8)
         except KeyError as missing:
             raise ValueError(f"monomial matrix serialization missing key {missing}") from None
+        if not (isinstance(perm, (list, tuple)) and isinstance(phases, (list, tuple))) or not all(
+            isinstance(v, int) for v in (*perm, *phases, N)
+        ):
+            raise ValueError(f"monomial matrix needs integer perm, phases and N, got {data!r}")
+        return cls(perm, phases, N)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 from .cyclotomic import CyclotomicNumber, root_of_unity
-from .linalg import ExactMatrix, MonomialMatrix
+from .linalg import MonomialMatrix
 
 X_VARIABLES = tuple(f"x{i}" for i in range(8))
 Y_VARIABLES = ("y1", "y2", "y3")
@@ -383,15 +383,3 @@ def evaluate_at(p: Polynomial, point: Sequence, y: Sequence | None = None) -> Cy
         p = p.specialize(y)
     return p.evaluate(point)
 
-
-def jacobian(system: Sequence[Polynomial], point: Sequence, y: Sequence | None = None) -> ExactMatrix:
-    """Exact Jacobian matrix of the system with respect to its variables,
-    evaluated at the point."""
-    rows = []
-    for p in system:
-        if p.is_parametric():
-            if y is None:
-                raise ValueError("parametric system needs a parameter point")
-            p = p.specialize(y)
-        rows.append([p.partial_derivative(j).evaluate(point) for j in range(len(p.variables))])
-    return ExactMatrix(rows)

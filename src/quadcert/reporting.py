@@ -22,6 +22,8 @@ from .groups import (
 )
 from .linalg import MonomialMatrix
 from .variety import (
+    ODPCertificate,
+    ODPContext,
     QuadricSystem,
     build_quadrics,
     check_freeness,
@@ -203,7 +205,10 @@ def load_custom_group(path: str) -> GroupSelection:
             claim["value"] = {int(k): int(v) for k, v in claim["value"].items()}
         claims.append(claim)
     words = data.get("localization")
-    group = closure(matrices, projective=True, names=tuple(names))
+    try:
+        group = closure(matrices, projective=True, names=tuple(names))
+    except RuntimeError as exc:  # the element cap: the input is unusable, not a failed check
+        raise ValueError(f"{path}: {exc}") from None
     return GroupSelection(
         label=str(data.get("name", "custom")),
         group=group,
@@ -317,21 +322,25 @@ def _orbit_records(
     triples: Sequence[tuple[Fraction, Fraction, Fraction]],
     screened_out: dict,
 ) -> list[CheckRecord]:
-    records = []
-    for sel in selections:
-        for y in triples:
+    """One record per (group, triple), in that order.  Triples run in the
+    outer loop: the groups' orbits at one triple overlap, so each distinct
+    projective point is certified once and its certificate serves every
+    group; only the current triple's certificates are kept."""
+    records = {}
+    for t, y in enumerate(triples):
+        reasons = screened_out.get(y)
+        context = None if reasons is not None else ODPContext.at(system, y)
+        certificates: dict[tuple, ODPCertificate] = {}  # by projective point key
+        for s, sel in enumerate(selections):
             target = f"{sel.label} @ ({_render_triple(y)})"
             start = time.perf_counter()
-            reasons = screened_out.get(y)
             if reasons is not None:
-                records.append(
-                    CheckRecord(
-                        check_id="orbit",
-                        target=target,
-                        verdict="inconclusive",
-                        witnesses=tuple(f"screen: {r}" for r in reasons),
-                        timing=time.perf_counter() - start,
-                    )
+                records[s, t] = CheckRecord(
+                    check_id="orbit",
+                    target=target,
+                    verdict="inconclusive",
+                    witnesses=tuple(f"screen: {r}" for r in reasons),
+                    timing=time.perf_counter() - start,
                 )
                 continue
             witnesses = []
@@ -341,24 +350,26 @@ def _orbit_records(
                     f"{len(orbit)} distinct orbit points, expected {sel.group.order}"
                 )
             for point in orbit:
-                cert = verify_odp(point.coordinates, system, y)
+                cert = certificates.get(point.key)
+                if cert is None:
+                    cert = certificates[point.key] = verify_odp(point.coordinates, context)
                 if not cert.passes:
+                    # rendered from this group's own orbit, whichever group
+                    # computed the certificate
                     witnesses.append(
                         f"point {point.render()}: on_variety={cert.on_variety} "
                         f"jacobian_rank={cert.jacobian_rank} "
                         f"hessian_rank={cert.hessian_restricted_rank}"
                     )
                     break
-            records.append(
-                CheckRecord(
-                    check_id="orbit",
-                    target=target,
-                    verdict="pass" if not witnesses else "fail",
-                    witnesses=tuple(witnesses),
-                    timing=time.perf_counter() - start,
-                )
+            records[s, t] = CheckRecord(
+                check_id="orbit",
+                target=target,
+                verdict="pass" if not witnesses else "fail",
+                witnesses=tuple(witnesses),
+                timing=time.perf_counter() - start,
             )
-    return records
+    return [records[s, t] for s in range(len(selections)) for t in range(len(triples))]
 
 
 def _freeness_records(

@@ -226,6 +226,7 @@ def projective_point_key(coords: Sequence[CyclotomicNumber]) -> tuple:
 class OrbitPoint:
     coordinates: tuple[CyclotomicNumber, ...]
     group_element: ProjectiveElement
+    key: tuple  # projective_point_key(coordinates)
 
     def render(self) -> str:
         return "(" + " : ".join(c.to_text() for c in self.coordinates) + ")"
@@ -243,11 +244,57 @@ def singular_orbit(system: QuadricSystem, group: FiniteGroup, y) -> list[OrbitPo
         key = projective_point_key(coords)
         if key not in seen:
             seen[key] = True
-            out.append(OrbitPoint(coords, g))
+            out.append(OrbitPoint(coords, g, key))
     return out
 
 
 # -- ordinary double point certification --------------------------------------
+
+
+def quadric_hessian(quadric: Polynomial) -> ExactMatrix:
+    """The constant Hessian of a quadratic form, read off its coefficients:
+    c*x_i*x_j puts c at (i, j) and (j, i), and c*x_i^2 puts 2c at (i, i)."""
+    n = len(quadric.variables)
+    rows = [[CyclotomicNumber.zero()] * n for _ in range(n)]
+    for exponents, coeff in quadric.terms.items():
+        i, j = (k for k, e in enumerate(exponents) for _ in range(e))
+        if i == j:
+            rows[i][i] = coeff + coeff
+        else:
+            rows[i][j] = rows[j][i] = coeff
+    return ExactMatrix(rows)
+
+
+@dataclass(frozen=True)
+class ODPContext:
+    """The pencil specialized at one parameter triple, with the constant
+    Hessian H_q of each quadric.  Built once per triple and shared by every
+    point certified there."""
+
+    quadrics: tuple[Polynomial, ...]
+    hessians: tuple[ExactMatrix, ...]
+
+    @classmethod
+    def at(cls, system: QuadricSystem, y) -> "ODPContext":
+        quadrics = system.specialized(y)
+        return cls(quadrics, tuple(quadric_hessian(q) for q in quadrics))
+
+    def jacobian(self, point) -> ExactMatrix:
+        """The 4x8 Jacobian at a point: the gradient of q is H_q * p."""
+        return ExactMatrix([h.apply(point) for h in self.hessians])
+
+    def combined_hessian(self, coeffs) -> ExactMatrix:
+        """The Hessian of sum_k coeffs[k] * q_k, i.e. sum_k coeffs[k] * H_k."""
+        n = self.hessians[0].rows
+        rows = [[CyclotomicNumber.zero()] * n for _ in range(n)]
+        for c, h in zip(coeffs, self.hessians):
+            if c.is_zero():
+                continue
+            for i, row in enumerate(h.entries):
+                for j, v in enumerate(row):
+                    if not v.is_zero():
+                        rows[i][j] = rows[i][j] + c * v
+        return ExactMatrix(rows)
 
 
 @dataclass(frozen=True)
@@ -263,53 +310,34 @@ class ODPCertificate:
         return self.on_variety and self.jacobian_rank == 3 and self.hessian_restricted_rank == 4
 
 
-def _hessian(quadric: Polynomial) -> ExactMatrix:
-    zeros = [CyclotomicNumber.zero()] * 8
-    rows = []
-    for j in range(8):
-        dj = quadric.partial_derivative(j)
-        rows.append([dj.partial_derivative(k).evaluate(zeros) for k in range(8)])
-    return ExactMatrix(rows)
-
-
-def verify_odp(point, system: QuadricSystem, y) -> ODPCertificate:
+def verify_odp(point: Sequence[CyclotomicNumber], context: ODPContext) -> ODPCertificate:
     """Exact ordinary-double-point certificate at one point.
 
     Steps: all four quadrics vanish; the 4x8 Jacobian has rank exactly 3;
     the left-kernel combination of quadrics has a constant Hessian H with
     H*p = 0; and H restricted to the Jacobian kernel (which contains p)
     has rank exactly 4, i.e. the combination cuts a nondegenerate quadric
-    cone transverse to the other three.
+    cone transverse to the other three.  The verdict depends only on the
+    projective point, so one certificate serves every multiple of it.
     """
-    coords = tuple(point.coordinates) if isinstance(point, OrbitPoint) else tuple(point)
-    quadrics = system.specialized(y)
-    on_variety = all(q.evaluate(coords).is_zero() for q in quadrics)
-    if not on_variety:
+    coords = tuple(point)
+    if not all(q.evaluate(coords).is_zero() for q in context.quadrics):
         return ODPCertificate(coords, False, -1, -1, None)
 
-    rows = []
-    for q in quadrics:
-        rows.append([q.partial_derivative(j).evaluate(coords) for j in range(8)])
-    jac = ExactMatrix(rows)
-    j_rank = jac.rank()
+    jac = context.jacobian(coords)
+    tangent = jac.right_kernel()  # one elimination gives the rank too
+    j_rank = jac.cols - len(tangent)
     if j_rank != 3:
         return ODPCertificate(coords, True, j_rank, -1, None)
 
-    kernel = jac.left_kernel()
-    combo = tuple(kernel[0])
-    singular_quadric = Polynomial.zero(X_VARIABLES)
-    for c, q in zip(combo, quadrics):
-        singular_quadric = singular_quadric + q.scale(c)
-    hess = _hessian(singular_quadric)
-    image = hess.apply(list(coords))
-    if any(not v.is_zero() for v in image):
+    combo = tuple(jac.left_kernel()[0])
+    hess = context.combined_hessian(combo)
+    if any(not v.is_zero() for v in hess.apply(coords)):
         return ODPCertificate(coords, True, j_rank, -1, combo)
 
-    tangent = jac.right_kernel()
-    basis = ExactMatrix([[vec[j] for vec in tangent] for j in range(8)])
-    restricted = basis.transpose() * hess * basis
-    h_rank = restricted.rank()
-    return ODPCertificate(coords, True, j_rank, h_rank, combo)
+    basis = ExactMatrix(tangent)  # one kernel vector per row
+    restricted = basis * hess * basis.transpose()
+    return ODPCertificate(coords, True, j_rank, restricted.rank(), combo)
 
 
 # -- ideal invariance ---------------------------------------------------------
@@ -654,10 +682,7 @@ def genericity_screen(y, system: QuadricSystem, group: FiniteGroup) -> ScreenRes
     if len(orbit) != group.order:
         reasons.append(f"orbit has {len(orbit)} distinct points, expected {group.order}")
 
-    quadrics = system.specialized((y1, y2, y3))
-    origin = base_point((y1, y2, y3))
-    rows = [[q.partial_derivative(j).evaluate(origin) for j in range(8)] for q in quadrics]
-    rank = ExactMatrix(rows).rank()
+    rank = ODPContext.at(system, (y1, y2, y3)).jacobian(base_point((y1, y2, y3))).rank()
     if rank != 3:
         reasons.append(f"jacobian rank at base point is {rank}, expected 3")
     return ScreenResult(not reasons, tuple(reasons))

@@ -34,6 +34,7 @@ from quadcert.polynomials import Polynomial
 from quadcert.reporting import VerificationConfig, render_report
 from quadcert.reporting import run as run_campaign
 from quadcert.variety import (
+    ODPContext,
     build_quadrics,
     check_freeness,
     check_ideal_invariance,
@@ -161,8 +162,9 @@ def test_criterion_06_singular_orbit(system, groups, triples):
         with criterion(6, f"64 ordinary double points at y=({label})", bound=60.0):
             orbit = singular_orbit(system, groups["G"], y)
             assert len(orbit) == 64  # pairwise non-proportional by construction
+            context = ODPContext.at(system, y)
             for point in orbit:
-                cert = verify_odp(point.coordinates, system, y)
+                cert = verify_odp(point.coordinates, context)
                 assert cert.on_variety
                 assert cert.jacobian_rank == 3
                 assert cert.hessian_restricted_rank == 4

@@ -12,9 +12,9 @@ from quadcert.polynomials import (
     Polynomial,
     evaluate_at,
     grevlex_key,
-    jacobian,
     s_variables,
 )
+from quadcert.variety import ODPContext, QuadricSystem
 
 ONE = CyclotomicNumber.one()
 
@@ -124,15 +124,24 @@ class TestCalculus:
             assert total == 2 * q
 
     def test_jacobian_small(self):
-        vars2 = ("u", "v")
-        u = Polynomial.variable(vars2, 0)
-        v = Polynomial.variable(vars2, 1)
-        system = [u * u - v, u * v]
-        m = jacobian(system, [Fraction(2), Fraction(3)])
-        assert m.entries[0][0] == 4
-        assert m.entries[0][1] == -1
-        assert m.entries[1][0] == 3
-        assert m.entries[1][1] == 2
+        # gradients by hand: (2*x0 - x1, -x0), (x1, x0), (x3, x2), 10*x7
+        system = QuadricSystem(
+            (
+                xvar(0) ** 2 - xvar(0) * xvar(1),
+                xvar(0) * xvar(1),
+                xvar(2) * xvar(3),
+                5 * xvar(7) ** 2,
+            )
+        )
+        point = [Fraction(v) for v in (2, 3, 1, 4, 0, 0, 0, 1)]
+        m = ODPContext.at(system, (1, 1, 1)).jacobian(point)
+        expected = [
+            [1, -2, 0, 0, 0, 0, 0, 0],
+            [3, 2, 0, 0, 0, 0, 0, 0],
+            [0, 0, 4, 1, 0, 0, 0, 0],
+            [0, 0, 0, 0, 0, 0, 0, 10],
+        ]
+        assert [list(row) for row in m.entries] == expected
 
 
 class TestSubstitution:

@@ -6,18 +6,21 @@ from fractions import Fraction
 
 import pytest
 
+from quadcert import reporting
 from quadcert.cli import assemble_config, build_parser, main, parse_triple
 from quadcert.reporting import (
     CheckRecord,
     VerificationConfig,
     VerificationReport,
+    _orbit_records,
     load_custom_group,
     load_custom_quadrics,
     render_report,
+    resolve_selections,
     run,
     write_report,
 )
-from quadcert.variety import build_quadrics, planted_control_system
+from quadcert.variety import build_quadrics, planted_control_system, singular_orbit
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -315,6 +318,36 @@ class TestRunScenarios:
         assert json.loads(out.read_text())["overall"] == "pass"
 
 
+class TestOrbitRecords:
+    def test_shared_certificate_failures_name_own_orbit_points(self, monkeypatch):
+        calls = []
+        original = reporting.verify_odp
+
+        def counting_verify_odp(point, context):
+            calls.append(point)
+            return original(point, context)
+
+        monkeypatch.setattr(reporting, "verify_odp", counting_verify_odp)
+        selections = resolve_selections(VerificationConfig(checks=("orbit",), group="all"))
+        control = planted_control_system()
+        y = (Fraction(1), Fraction(2), Fraction(3))
+        records = _orbit_records(selections, control, [y], {})
+        assert [r.target for r in records] == ["G @ (1,2,3)", "G1 @ (1,2,3)", "G2 @ (1,2,3)"]
+        # every group's first point is the base point, off the planted
+        # variety; its one certificate serves all three records
+        assert len(calls) == 1
+        for sel, record in zip(selections, records):
+            assert record.verdict == "fail"
+            (witness,) = record.witnesses
+            named = [
+                p
+                for p in singular_orbit(control, sel.group, y)
+                if witness.startswith(f"point {p.render()}: on_variety=False ")
+            ]
+            assert len(named) == 1
+            assert any(not q.evaluate(named[0].coordinates).is_zero() for q in control.quadrics)
+
+
 class TestDeterminism:
     def test_canonical_reports_byte_identical(self):
         config = VerificationConfig(
@@ -374,6 +407,26 @@ class TestCli:
         out = tmp_path / "r.json"
         assert main(["groups", "--group", "G2", "--json", str(out)]) == 0
         assert json.loads(out.read_text())["config"]["group"] == "G2"
+
+    def test_non_integer_phase_exit_two(self, tmp_path, capsys):
+        path = write_custom_group(tmp_path / "g.json", list(range(8)), ["a"] + [0] * 7)
+        assert main(["groups", "--group", "custom", "--custom-group", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("quadcert: ") and err.count("\n") == 1
+        assert "phases" in err
+
+    def test_closure_cap_exit_two(self, tmp_path, capsys):
+        # a transposition and an 8-cycle generate all 40320 permutations
+        path = tmp_path / "g.json"
+        gens = [
+            {"name": "a", "perm": [1, 0, 2, 3, 4, 5, 6, 7], "phases": [0] * 8, "N": 8},
+            {"name": "b", "perm": [1, 2, 3, 4, 5, 6, 7, 0], "phases": [0] * 8, "N": 8},
+        ]
+        path.write_text(json.dumps({"generators": gens}))
+        assert main(["groups", "--group", "custom", "--custom-group", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("quadcert: ") and err.count("\n") == 1
+        assert "cap" in err
 
     def test_scope_all_non_two_group_exit_two(self, tmp_path, capsys):
         # default involutions scope is refused for a 3-cycle; diagnostic, not traceback

@@ -1,0 +1,22 @@
+"""Smoke tests for the scripts under scripts/, run in-process."""
+
+import importlib.util
+import re
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_orbit_summary_default_triple(capsys):
+    assert load_script("orbit_summary").main([]) == 0
+    out = capsys.readouterr().out
+    point_lines = re.findall(r"^\s*\d+  jac rank 3  hess rank 4  perm ", out, re.MULTILINE)
+    assert len(point_lines) == 64
+    assert "all ordinary double points: True" in out

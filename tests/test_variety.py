@@ -3,8 +3,9 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from quadcert.cyclotomic import CyclotomicNumber, root_of_unity
+from quadcert.cyclotomic import CyclotomicNumber, degree_at, root_of_unity
 from quadcert.groups import (
     closure,
     make_sigma,
@@ -18,6 +19,7 @@ from quadcert.linalg import ExactMatrix, MonomialMatrix
 from quadcert.polynomials import Polynomial, X_VARIABLES, Y_VARIABLES
 from quadcert.variety import (
     InvarianceResult,
+    ODPContext,
     ParameterPoint,
     QuadricSystem,
     base_point,
@@ -31,6 +33,7 @@ from quadcert.variety import (
     genericity_screen,
     planted_control_system,
     projective_point_key,
+    quadric_hessian,
     singular_orbit,
     verify_odp,
 )
@@ -243,7 +246,7 @@ def fraction_matrix_rank_by_minors(rows):
 
 class TestODP:
     def test_base_point_certificate(self):
-        cert = verify_odp(base_point(Y123), build_quadrics(), Y123)
+        cert = verify_odp(base_point(Y123), ODPContext.at(build_quadrics(), Y123))
         assert cert.on_variety
         assert cert.jacobian_rank == 3
         assert cert.hessian_restricted_rank == 4
@@ -264,7 +267,7 @@ class TestODP:
         assert fraction_matrix_rank_by_minors(rows) == 3
 
     def test_null_combination_annihilates_jacobian(self):
-        cert = verify_odp(base_point(Y123), build_quadrics(), Y123)
+        cert = verify_odp(base_point(Y123), ODPContext.at(build_quadrics(), Y123))
         quadrics = build_quadrics().specialized(Y123)
         p = base_point(Y123)
         for j in range(8):
@@ -276,13 +279,14 @@ class TestODP:
     def test_all_orbit_points_certify(self):
         system = build_quadrics()
         orbit = singular_orbit(system, standard_group("G"), Y123)
+        context = ODPContext.at(system, Y123)
         for point in orbit:
-            cert = verify_odp(point, system, Y123)
+            cert = verify_odp(point.coordinates, context)
             assert cert.passes, point.render()
 
     def test_off_variety_fails_fast(self):
         ones = tuple(CyclotomicNumber.one() for _ in range(8))
-        cert = verify_odp(ones, build_quadrics(), Y123)
+        cert = verify_odp(ones, ODPContext.at(build_quadrics(), Y123))
         assert not cert.on_variety
         assert not cert.passes
         assert cert.jacobian_rank == -1
@@ -292,18 +296,60 @@ class TestODP:
         group = standard_group("G")
         rng = random.Random(29)
         orbit = singular_orbit(system, group, Y123)
+        context = ODPContext.at(system, Y123)
         for _ in range(5):
             p = rng.choice(orbit)
             g = rng.choice(group.elements)
             image = g.rep.point_matrix().apply(list(p.coordinates))
-            assert verify_odp(image, system, Y123).passes
+            assert verify_odp(image, context).passes
 
     def test_second_specialization(self):
         y = (Fraction(2, 5), Fraction(1, 3), Fraction(-7, 4))
         system = build_quadrics()
         assert genericity_screen(y, system, standard_group("G")).ok
-        cert = verify_odp(base_point(y), system, y)
+        cert = verify_odp(base_point(y), ODPContext.at(system, y))
         assert cert.passes
+
+
+    def test_jacobian_rank_branch_on_planted_control(self):
+        # e0 lies on every x_i*x_{i+4}; the only nonzero gradient entry is
+        # d(x0*x4)/dx4 = x0 = 1, so the Jacobian has rank 1 by hand
+        e0 = [CyclotomicNumber.one()] + [CyclotomicNumber.zero()] * 7
+        cert = verify_odp(e0, ODPContext.at(planted_control_system(), Y123))
+        assert cert.on_variety
+        assert cert.jacobian_rank == 1
+        assert cert.hessian_restricted_rank == -1
+        assert cert.null_combination is None
+        assert not cert.passes
+
+
+@st.composite
+def quadratic_forms(draw):
+    """Quadratic forms in x0..x7 with coefficients in Q(zeta_2^m), m <= 4."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 8))):
+        i, j = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+        level = draw(st.integers(1, 4))
+        coeffs = draw(
+            st.lists(
+                st.fractions(min_value=-3, max_value=3, max_denominator=4),
+                min_size=degree_at(level),
+                max_size=degree_at(level),
+            )
+        )
+        terms[x_pair(i, j)] = CyclotomicNumber(level, coeffs)
+    return Polynomial(X_VARIABLES, terms)
+
+
+@given(quadratic_forms())
+@settings(max_examples=60, deadline=None)
+def test_hessian_read_matches_second_derivatives(q):
+    zeros = [CyclotomicNumber.zero()] * 8
+    expected = [
+        [q.partial_derivative(j).partial_derivative(k).evaluate(zeros) for k in range(8)]
+        for j in range(8)
+    ]
+    assert [list(row) for row in quadric_hessian(q).entries] == expected
 
 
 class TestFixedLoci:
