@@ -7,6 +7,7 @@ diagonal element visibly fixes a point.  Both failures come with witnesses
 that this script re-checks by plain evaluation.
 """
 
+import sys
 from fractions import Fraction
 
 from quadcert.cyclotomic import CyclotomicNumber
@@ -20,7 +21,7 @@ from quadcert.variety import (
 )
 
 
-def main() -> None:
+def main() -> int:
     system = build_quadrics()
     flip = MonomialMatrix.diagonal((0, 0, 0, 0, 4, 4, 4, 4))
     result = check_ideal_invariance(flip, system)
@@ -49,7 +50,8 @@ def main() -> None:
             assert all(v.is_zero() for v in values)
     assert report.verdict == "fixed-point-found"
     print("\nboth controls fail exactly as they should")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -214,16 +214,16 @@ class CyclotomicNumber:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
             return NotImplemented
-        base = self
-        if exponent < 0:
-            base = self.inverse()
-            exponent = -exponent
-        result = CyclotomicNumber.one()
-        while exponent:
-            if exponent & 1:
+        if exponent == 0:
+            return CyclotomicNumber.one()
+        base = self if exponent > 0 else self.inverse()
+        # left-to-right binary powering: start from the base, square once per
+        # remaining bit, so x**1 costs nothing and x**2 one multiplication
+        result = base
+        for bit in bin(abs(exponent))[3:]:
+            result = result * result
+            if bit == "1":
                 result = result * base
-            base = base * base
-            exponent >>= 1
         return result
 
     # -- comparison ---------------------------------------------------------

@@ -76,8 +76,6 @@ def normal_form(p: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     fixed basis list.  Against a Groebner basis the result is the canonical
     normal form and is zero exactly for ideal members.
     """
-    if p.is_parametric():
-        raise ValueError("normal form needs specialized coefficients")
     divisors = [(b, *leading_term(b)) for b in basis if not b.is_zero()]
     work = dict(p.terms)
     remainder: dict[tuple[int, ...], CyclotomicNumber] = {}
@@ -180,8 +178,6 @@ def buchberger(
     for g in gens:
         if g.variables != variables:
             raise ValueError("generators live in different rings")
-        if g.is_parametric():
-            raise ValueError("generators must be specialized first")
 
     basis: list[Polynomial] = []
     for g in gens:
@@ -248,8 +244,6 @@ def projective_zero_set_empty(system: Sequence[Polynomial], check: bool = True) 
     if not polys:
         return False
     for p in polys:
-        if p.is_parametric():
-            raise ValueError("system must be specialized first")
         if not p.is_homogeneous():
             raise ValueError("projective emptiness needs homogeneous polynomials")
     gb = buchberger(polys, check=check)

@@ -92,10 +92,6 @@ class ProjectiveElement:
 GroupElement = Union[ProjectiveElement, MonomialMatrix]
 
 
-def normalize(g: MonomialMatrix) -> ProjectiveElement:
-    return ProjectiveElement(g)
-
-
 def element_order(g: GroupElement, cap: int = DEFAULT_CLOSURE_CAP) -> int:
     power = g
     for k in range(1, cap + 1):

@@ -46,14 +46,6 @@ class ExactMatrix:
         self.cols = width
         self.entries = rows
 
-    @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        return cls([[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls([[_ZERO] * cols for _ in range(rows)])
-
     def __eq__(self, other):
         return (
             isinstance(other, ExactMatrix)

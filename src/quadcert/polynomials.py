@@ -1,11 +1,8 @@
-"""Sparse multivariate polynomials with exact coefficients.
+"""Sparse multivariate polynomials with CyclotomicNumber coefficients.
 
-Two coefficient modes share one class.  In specialized mode coefficients are
-CyclotomicNumber.  In parametric mode the coefficients of an x-polynomial are
-themselves Polynomials in the parameters y1, y2, y3 (with cyclotomic
-coefficients one level down); `specialize` collapses the tower once a
-parameter point is chosen.  Only specialized polynomials can be evaluated or
-fed to the Groebner engine.
+The parametric pencil lives in one flat ring x0..x7, y1..y3
+(`PENCIL_VARIABLES`); `specialize` evaluates y1..y3 at a rational point and
+returns the polynomial in x0..x7.
 
 Monomials are exponent tuples keyed into a dict; the fixed term order is
 graded reverse lexicographic with the variable order given by the tuple of
@@ -15,13 +12,14 @@ names (ascending significance left to right, as usual for grevlex keys).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 from .cyclotomic import CyclotomicNumber, root_of_unity
 from .linalg import MonomialMatrix
 
 X_VARIABLES = tuple(f"x{i}" for i in range(8))
 Y_VARIABLES = ("y1", "y2", "y3")
+PENCIL_VARIABLES = X_VARIABLES + Y_VARIABLES
 
 
 def s_variables(count: int) -> tuple[str, ...]:
@@ -35,27 +33,20 @@ def grevlex_key(exponents: tuple[int, ...]):
     return (sum(exponents), tuple(-e for e in reversed(exponents)))
 
 
-Coefficient = Union[CyclotomicNumber, "Polynomial"]
-
-
-def _coerce_coefficient(value) -> Coefficient:
-    if isinstance(value, (CyclotomicNumber, Polynomial)):
+def _coerce_coefficient(value) -> CyclotomicNumber:
+    if isinstance(value, CyclotomicNumber):
         return value
     if isinstance(value, (int, Fraction)):
         return CyclotomicNumber.from_rational(value)
     raise TypeError(f"bad coefficient type {type(value).__name__}")
 
 
-def _coeff_is_zero(c: Coefficient) -> bool:
-    return c.is_zero()
-
-
 class Polynomial:
     __slots__ = ("variables", "terms")
 
-    def __init__(self, variables: Sequence[str], terms: Mapping[tuple[int, ...], Coefficient] | None = None):
+    def __init__(self, variables: Sequence[str], terms: Mapping | None = None):
         variables = tuple(variables)
-        clean: dict[tuple[int, ...], Coefficient] = {}
+        clean: dict[tuple[int, ...], CyclotomicNumber] = {}
         for exponents, coeff in (terms or {}).items():
             exponents = tuple(int(e) for e in exponents)
             if len(exponents) != len(variables):
@@ -65,10 +56,10 @@ class Polynomial:
             if any(e < 0 for e in exponents):
                 raise ValueError(f"negative exponent in {exponents}")
             coeff = _coerce_coefficient(coeff)
-            if not _coeff_is_zero(coeff):
+            if not coeff.is_zero():
                 if exponents in clean:
                     total = clean[exponents] + coeff
-                    if _coeff_is_zero(total):
+                    if total.is_zero():
                         del clean[exponents]
                     else:
                         clean[exponents] = total
@@ -107,10 +98,7 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_parametric(self) -> bool:
-        return any(isinstance(c, Polynomial) for c in self.terms.values())
-
-    def coefficient(self, exponents: Sequence[int]) -> Coefficient:
+    def coefficient(self, exponents: Sequence[int]) -> CyclotomicNumber:
         exponents = tuple(exponents)
         if exponents in self.terms:
             return self.terms[exponents]
@@ -159,7 +147,7 @@ class Polynomial:
         for exponents, coeff in other.terms.items():
             if exponents in terms:
                 total = terms[exponents] + coeff
-                if _coeff_is_zero(total):
+                if total.is_zero():
                     del terms[exponents]
                 else:
                     terms[exponents] = total
@@ -188,18 +176,18 @@ class Polynomial:
             return NotImplemented
         if self.variables != other.variables:
             raise ValueError(f"variable mismatch {self.variables} vs {other.variables}")
-        terms: dict[tuple[int, ...], Coefficient] = {}
+        terms: dict[tuple[int, ...], CyclotomicNumber] = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
                 key = tuple(i + j for i, j in zip(ea, eb))
                 prod = ca * cb
                 if key in terms:
                     total = terms[key] + prod
-                    if _coeff_is_zero(total):
+                    if total.is_zero():
                         del terms[key]
                     else:
                         terms[key] = total
-                elif not _coeff_is_zero(prod):
+                elif not prod.is_zero():
                     terms[key] = prod
         out = Polynomial.__new__(Polynomial)
         object.__setattr__(out, "variables", self.variables)
@@ -212,12 +200,9 @@ class Polynomial:
         return NotImplemented
 
     def scale(self, factor) -> "Polynomial":
-        """Multiply every coefficient by a scalar (or a coefficient-ring element)."""
-        if isinstance(factor, (int, Fraction)):
-            factor = CyclotomicNumber.from_rational(factor)
-        return Polynomial(
-            self.variables, {e: _coeff_mul(c, factor) for e, c in self.terms.items()}
-        )
+        """Multiply every coefficient by a scalar."""
+        factor = _coerce_coefficient(factor)
+        return Polynomial(self.variables, {e: c * factor for e, c in self.terms.items()})
 
     def __pow__(self, exponent: int) -> "Polynomial":
         if exponent < 0:
@@ -234,14 +219,14 @@ class Polynomial:
     # -- calculus ------------------------------------------------------------
 
     def partial_derivative(self, index: int) -> "Polynomial":
-        terms: dict[tuple[int, ...], Coefficient] = {}
+        terms: dict[tuple[int, ...], CyclotomicNumber] = {}
         for exponents, coeff in self.terms.items():
             e = exponents[index]
             if e == 0:
                 continue
             lowered = list(exponents)
             lowered[index] = e - 1
-            terms[tuple(lowered)] = _coeff_mul(coeff, CyclotomicNumber.from_rational(e))
+            terms[tuple(lowered)] = coeff * e
         return Polynomial(self.variables, terms)
 
     # -- substitution --------------------------------------------------------
@@ -249,26 +234,28 @@ class Polynomial:
     def substitute_linear(self, g: MonomialMatrix) -> "Polynomial":
         """Pullback under the monomial substitution x_j -> zeta^phases[j] x_perm[j].
 
-        Works in either coefficient mode; the picked-up root of unity scales
+        g moves the first g.size variables (x0..x7 of the pencil ring) and
+        leaves the rest (y1..y3) fixed; the picked-up root of unity scales
         the coefficient.
         """
-        if len(self.variables) != g.size:
-            raise ValueError(f"substitution size {g.size} vs {len(self.variables)} variables")
-        terms: dict[tuple[int, ...], Coefficient] = {}
+        n = g.size
+        if len(self.variables) < n:
+            raise ValueError(f"substitution size {n} vs {len(self.variables)} variables")
+        terms: dict[tuple[int, ...], CyclotomicNumber] = {}
         for exponents, coeff in self.terms.items():
-            image = [0] * g.size
+            image = [0] * n
             phase = 0
-            for j, e in enumerate(exponents):
+            for j, e in enumerate(exponents[:n]):
                 if e:
                     image[g.perm[j]] += e
                     phase += g.phases[j] * e
             phase %= g.N
             if phase:
-                coeff = _coeff_mul(coeff, root_of_unity(g.N, phase))
-            key = tuple(image)
+                coeff = coeff * root_of_unity(g.N, phase)
+            key = tuple(image) + exponents[n:]
             if key in terms:
                 total = terms[key] + coeff
-                if _coeff_is_zero(total):
+                if total.is_zero():
                     del terms[key]
                 else:
                     terms[key] = total
@@ -279,9 +266,7 @@ class Polynomial:
     def substitute(self, images: Sequence["Polynomial"]) -> "Polynomial":
         """General composition: replace variable i by images[i].
 
-        All images must share one target ring.  Coefficients multiply through
-        (a parametric coefficient requires the target ring to be the
-        parameter ring itself, as when evaluating at a symbolic point).
+        All images must share one target ring.
         """
         if len(images) != len(self.variables):
             raise ValueError("need one image polynomial per variable")
@@ -291,42 +276,36 @@ class Polynomial:
                 raise ValueError("images live in different rings")
         result = Polynomial.zero(target)
         for exponents, coeff in self.terms.items():
-            term = Polynomial.constant(target, 1)
+            term = Polynomial.constant(target, coeff)
             for i, e in enumerate(exponents):
                 if e:
                     term = term * images[i] ** e
-            if isinstance(coeff, Polynomial):
-                if coeff.variables != target:
-                    raise ValueError(
-                        "parametric coefficient ring does not match substitution target"
-                    )
-                term = term * coeff
-            else:
-                term = term.scale(coeff)
             result = result + term
         return result
 
-    # -- parameter handling --------------------------------------------------
+    # -- evaluation ----------------------------------------------------------
 
     def specialize(self, y: Sequence[Fraction | int]) -> "Polynomial":
-        """Collapse parametric coefficients at a concrete parameter point."""
-        if not self.is_parametric():
-            return self
-        point = [CyclotomicNumber.from_rational(Fraction(v)) for v in y]
-        terms = {}
+        """Evaluate y1..y3 of a pencil-ring polynomial at a rational point;
+        the result is the polynomial in x0..x7."""
+        if self.variables != PENCIL_VARIABLES:
+            raise ValueError("specialize needs a polynomial in x0..x7, y1..y3")
+        point = [Fraction(v) for v in y]
+        if len(point) != len(Y_VARIABLES):
+            raise ValueError("parameter point needs exactly three values")
+        n = len(X_VARIABLES)
+        terms: dict[tuple[int, ...], CyclotomicNumber] = {}
         for exponents, coeff in self.terms.items():
-            value = coeff.evaluate(point) if isinstance(coeff, Polynomial) else coeff
-            if not value.is_zero():
-                terms[exponents] = value
-        return Polynomial(self.variables, terms)
+            scale = Fraction(1)
+            for v, e in zip(point, exponents[n:]):
+                scale *= v ** e
+            value = coeff * scale
+            key = exponents[:n]
+            terms[key] = terms[key] + value if key in terms else value
+        return Polynomial(X_VARIABLES, terms)
 
     def evaluate(self, point: Sequence) -> CyclotomicNumber:
-        """Value at a point with cyclotomic (or rational) coordinates.
-
-        Parametric polynomials must be specialized first.
-        """
-        if self.is_parametric():
-            raise ValueError("cannot evaluate a parametric polynomial; specialize first")
+        """Value at a point with cyclotomic (or rational) coordinates."""
         coords = [
             v if isinstance(v, CyclotomicNumber) else CyclotomicNumber.from_rational(v)
             for v in point
@@ -349,11 +328,7 @@ class Polynomial:
             return "0"
         parts = []
         for exponents in self.sorted_exponents():
-            coeff = self.terms[exponents]
-            if isinstance(coeff, Polynomial):
-                coeff_text = f"({coeff.render()})"
-            else:
-                coeff_text = coeff.to_text()
+            coeff_text = self.terms[exponents].to_text()
             factors = [
                 name if e == 1 else f"{name}^{e}"
                 for name, e in zip(self.variables, exponents)
@@ -361,25 +336,3 @@ class Polynomial:
             ]
             parts.append("*".join([coeff_text] + factors) if factors else coeff_text)
         return " + ".join(parts)
-
-
-def _coeff_mul(coeff: Coefficient, factor) -> Coefficient:
-    """coefficient * scalar, valid in both coefficient modes."""
-    if isinstance(coeff, Polynomial):
-        if isinstance(factor, Polynomial):
-            return coeff * factor
-        return coeff.scale(factor)
-    return coeff * factor
-
-
-# -- systems ----------------------------------------------------------------
-
-
-def evaluate_at(p: Polynomial, point: Sequence, y: Sequence | None = None) -> CyclotomicNumber:
-    """Evaluate p at a point, specializing parameters first when given."""
-    if p.is_parametric():
-        if y is None:
-            raise ValueError("parametric polynomial needs a parameter point")
-        p = p.specialize(y)
-    return p.evaluate(point)
-

@@ -188,9 +188,13 @@ def load_custom_group(path: str) -> GroupSelection:
     """
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: custom group must be a JSON object")
     raw_gens = data.get("generators")
     if not raw_gens:
         raise ValueError(f"{path}: no generators")
+    if not isinstance(raw_gens, list) or not all(isinstance(rec, dict) for rec in raw_gens):
+        raise ValueError(f"{path}: generators must be a list of objects")
     names = []
     matrices = []
     for i, rec in enumerate(raw_gens):
@@ -198,13 +202,23 @@ def load_custom_group(path: str) -> GroupSelection:
         matrices.append(MonomialMatrix.from_dict(rec))
     if len(set(names)) != len(names):
         raise ValueError(f"{path}: duplicate generator names")
+    raw_claims = data.get("claims", [])
+    if not isinstance(raw_claims, list) or not all(isinstance(c, dict) for c in raw_claims):
+        raise ValueError(f"{path}: claims must be a list of objects")
     claims = []
-    for claim in data.get("claims", ()):
+    for claim in raw_claims:
         claim = dict(claim)
         if claim.get("type") in ("spectrum", "spectrum_of_subgroup"):
-            claim["value"] = {int(k): int(v) for k, v in claim["value"].items()}
+            value = claim.get("value")
+            if not isinstance(value, dict) or not all(isinstance(v, int) for v in value.values()):
+                raise ValueError(f"{path}: {claim['type']} claim value must map orders to counts")
+            claim["value"] = {int(k): v for k, v in value.items()}
         claims.append(claim)
     words = data.get("localization")
+    if words is not None and not (
+        isinstance(words, list) and all(isinstance(w, str) for w in words)
+    ):
+        raise ValueError(f"{path}: localization must be a list of words")
     try:
         group = closure(matrices, projective=True, names=tuple(names))
     except RuntimeError as exc:  # the element cap: the input is unusable, not a failed check
@@ -376,29 +390,36 @@ def _freeness_records(
     selections: Sequence[GroupSelection],
     system: QuadricSystem,
     triples: Sequence[tuple[Fraction, Fraction, Fraction]],
+    screened_out: dict,
     scope: str,
     seed: int,
 ) -> list[CheckRecord]:
+    """One record per group.  Triples were screened once by
+    `_resolve_triples`: the ones that passed are examined without a second
+    screen, and each screened-out one makes the record inconclusive."""
     records = []
     cache: dict = {}  # shared across groups: they overlap in involutions
+    passed = [y for y in triples if y not in screened_out]
     for sel in selections:
         start = time.perf_counter()
         report = check_freeness(
             sel.group,
             system,
-            triples,
+            passed,
             scope=scope,
             group_name=sel.label,
             cache=cache,
             witness_seed=seed,
+            screen=False,
         )
+        outcomes = iter(report.specializations)
         witnesses = []
-        for spec_outcome in report.specializations:
-            label = _render_triple(spec_outcome.y)
-            if spec_outcome.status == "inconclusive":
-                witnesses.append(f"({label}) inconclusive: {spec_outcome.reason}")
+        for y in triples:
+            label = _render_triple(y)
+            if y in screened_out:
+                witnesses.append(f"({label}) inconclusive: {'; '.join(screened_out[y])}")
                 continue
-            for element in spec_outcome.elements:
+            for element in next(outcomes).elements:
                 for comp in element.components:
                     if comp.verdict == "fixed-point":
                         coords = ", ".join(comp.witness)
@@ -412,11 +433,10 @@ def _freeness_records(
                             f"eigenvalue {comp.eigenvalue}: nonempty fixed locus, "
                             "no rational witness found"
                         )
-        verdict = {
-            "free": "pass",
-            "fixed-point-found": "fail",
-            "inconclusive": "inconclusive",
-        }[report.verdict]
+        if len(passed) < len(triples):
+            verdict = "inconclusive"  # dominates a found fixed point
+        else:
+            verdict = "fail" if report.verdict == "fixed-point-found" else "pass"
         records.append(
             CheckRecord(
                 check_id="freeness",
@@ -470,10 +490,10 @@ def run(config: VerificationConfig) -> VerificationReport:
             if check == "orbit":
                 records.extend(_orbit_records(selections, system, triples, screened_out))
             else:
-                # screened-out explicit triples reach check_freeness, whose own
-                # screen marks the specialization inconclusive
                 records.extend(
-                    _freeness_records(selections, system, triples, config.scope, config.seed)
+                    _freeness_records(
+                        selections, system, triples, screened_out, config.scope, config.seed
+                    )
                 )
     report = VerificationReport(version=__version__, config=config, checks=tuple(records))
     if config.output_path:

@@ -1,8 +1,9 @@
 """Certifier for the order-64 monomial group actions on a pencil of
 quadric complete intersections in P^7.
 
-The variety is cut out by four quadrics in x0..x7 whose coefficients are
-polynomials in three rational parameters y1, y2, y3.  Everything proved
+The variety is cut out by four quadrics in x0..x7 whose coefficients depend
+on three rational parameters y1, y2, y3; each quadric is one polynomial in
+the flat ring x0..x7, y1..y3 with every term of x-degree 2.  Everything proved
 here is proved exactly: ideal invariance as a polynomial identity in x and
 y, the 64-point singular orbit and its ordinary-double-point certificates
 at chosen rational parameter values, and fixed-point-freeness element by
@@ -20,46 +21,12 @@ from .cyclotomic import CyclotomicNumber, root_of_unity
 from .groups import FiniteGroup, ProjectiveElement, element_order
 from .linalg import EigenspaceComponent, ExactMatrix, MonomialMatrix
 from .groebner import projective_zero_set_empty
-from .polynomials import Polynomial, X_VARIABLES, Y_VARIABLES, s_variables
+from .polynomials import PENCIL_VARIABLES, Polynomial, X_VARIABLES, grevlex_key, s_variables
 
 MAX_SPECIALIZATION_HEIGHT = 97
 
 
-# -- parameter points ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ParameterPoint:
-    """A rational value for (y1, y2, y3), or the symbolic point."""
-
-    values: tuple[Fraction, Fraction, Fraction] | None
-
-    @classmethod
-    def at(cls, y1, y2, y3) -> "ParameterPoint":
-        return cls((Fraction(y1), Fraction(y2), Fraction(y3)))
-
-    @classmethod
-    def symbolic(cls) -> "ParameterPoint":
-        return cls(None)
-
-    @property
-    def is_symbolic(self) -> bool:
-        return self.values is None
-
-    def triple(self) -> tuple[Fraction, Fraction, Fraction]:
-        if self.values is None:
-            raise ValueError("symbolic parameter point has no numeric value")
-        return self.values
-
-    def render(self) -> str:
-        if self.values is None:
-            return "symbolic"
-        return ",".join(str(v) for v in self.values)
-
-
 def _y_triple(y) -> tuple[Fraction, Fraction, Fraction]:
-    if isinstance(y, ParameterPoint):
-        return y.triple()
     values = tuple(Fraction(v) for v in y)
     if len(values) != 3:
         raise ValueError("parameter point needs exactly three values")
@@ -71,74 +38,69 @@ def _y_triple(y) -> tuple[Fraction, Fraction, Fraction]:
 
 @dataclass(frozen=True)
 class QuadricSystem:
-    """Four quadrics in x0..x7 with coefficients in the y-parameter ring
-    (or plain scalars, for custom systems)."""
+    """Four quadrics in the flat ring x0..x7, y1..y3: every term has
+    x-degree 2, and y1..y3 carry the parameters (absent for custom systems
+    with constant coefficients)."""
 
     quadrics: tuple[Polynomial, ...]
 
     def __post_init__(self):
         for q in self.quadrics:
-            if q.variables != X_VARIABLES:
-                raise ValueError("quadrics must live in the x0..x7 ring")
-            if not q.is_homogeneous(2):
-                raise ValueError("quadrics must be homogeneous of degree 2")
+            if q.variables != PENCIL_VARIABLES:
+                raise ValueError("quadrics must live in the x0..x7, y1..y3 ring")
+            if any(sum(e[:8]) != 2 for e in q.terms):
+                raise ValueError("every quadric term must have x-degree 2")
 
     def specialized(self, y) -> tuple[Polynomial, ...]:
         triple = _y_triple(y)
         return tuple(q.specialize(triple) for q in self.quadrics)
 
     def to_records(self) -> list[list[dict]]:
-        out = []
-        for q in self.quadrics:
-            rows = []
-            for exponents in q.sorted_exponents():
-                coeff = q.terms[exponents]
-                if isinstance(coeff, Polynomial):
-                    for y_exp in sorted(coeff.terms, reverse=True):
-                        rows.append(
-                            {
-                                "x_exponents": list(exponents),
-                                "y_exponents": list(y_exp),
-                                "coefficient": coeff.terms[y_exp].to_text(),
-                            }
-                        )
-                else:
-                    rows.append(
-                        {
-                            "x_exponents": list(exponents),
-                            "y_exponents": [0, 0, 0],
-                            "coefficient": coeff.to_text(),
-                        }
-                    )
-            out.append(rows)
-        return out
+        """One row per term: x-monomials in descending grevlex order, then
+        y-monomials in descending lexicographic order."""
+        return [
+            [
+                {
+                    "x_exponents": list(e[:8]),
+                    "y_exponents": list(e[8:]),
+                    "coefficient": q.terms[e].to_text(),
+                }
+                for e in sorted(q.terms, key=lambda m: (grevlex_key(m[:8]), m[8:]), reverse=True)
+            ]
+            for q in self.quadrics
+        ]
 
     @classmethod
     def from_records(cls, records: Sequence[Sequence[dict]]) -> "QuadricSystem":
-        if len(records) != 4:
-            raise ValueError(f"need exactly 4 quadrics, got {len(records)}")
+        if not isinstance(records, list) or len(records) != 4:
+            raise ValueError("need a list of exactly 4 quadrics")
         quadrics = []
         for rows in records:
-            collected: dict[tuple[int, ...], dict] = {}
+            if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
+                raise ValueError("each quadric must be a list of term objects")
+            terms: dict[tuple[int, ...], CyclotomicNumber] = {}
             for row in rows:
-                x_exp = tuple(int(e) for e in row["x_exponents"])
-                y_exp = tuple(int(e) for e in row["y_exponents"])
-                if len(x_exp) != 8 or len(y_exp) != 3:
-                    raise ValueError("records need 8 x-exponents and 3 y-exponents")
-                coeff = CyclotomicNumber.from_text(row["coefficient"])
-                y_terms = collected.setdefault(x_exp, {})
-                y_terms[y_exp] = y_terms.get(y_exp, CyclotomicNumber.zero()) + coeff
-            terms = {}
-            for x_exp, y_terms in collected.items():
-                y_poly = Polynomial(Y_VARIABLES, y_terms)
-                if y_poly.is_zero():
-                    continue
-                if set(y_poly.terms) == {(0, 0, 0)}:
-                    terms[x_exp] = y_poly.terms[(0, 0, 0)]
-                else:
-                    terms[x_exp] = y_poly
-            quadrics.append(Polynomial(X_VARIABLES, terms))
+                x_exp, y_exp = row["x_exponents"], row["y_exponents"]
+                if not (_int_list(x_exp, 8) and _int_list(y_exp, 3)):
+                    raise ValueError("records need lists of 8 x-exponents and 3 y-exponents")
+                coeff = CyclotomicNumber.from_text(str(row["coefficient"]))
+                key = tuple(x_exp + y_exp)
+                terms[key] = terms[key] + coeff if key in terms else coeff
+            quadrics.append(Polynomial(PENCIL_VARIABLES, terms))
         return cls(tuple(quadrics))
+
+
+def _int_list(value, length: int) -> bool:
+    return (
+        isinstance(value, list) and len(value) == length and all(isinstance(v, int) for v in value)
+    )
+
+
+def _pencil_monomial(x_indices, y_exponents=(0, 0, 0)) -> tuple[int, ...]:
+    e = [0] * 8
+    for i in x_indices:
+        e[i % 8] += 1
+    return tuple(e) + tuple(y_exponents)
 
 
 def build_quadrics() -> QuadricSystem:
@@ -150,26 +112,17 @@ def build_quadrics() -> QuadricSystem:
 
     with all x-indices mod 8.
     """
-    square_coeff = Polynomial.monomial(Y_VARIABLES, (1, 0, 1))
-    cross_coeff = -Polynomial.monomial(Y_VARIABLES, (0, 2, 0))
-    mixed_coeff = Polynomial(Y_VARIABLES, {(2, 0, 0): 1, (0, 0, 2): 1})
-
-    def x_pair(i, j):
-        e = [0] * 8
-        e[i % 8] += 1
-        e[j % 8] += 1
-        return tuple(e)
-
     quadrics = []
     for k in range(4):
         terms = {
-            x_pair(k, k): square_coeff,
-            x_pair(k + 4, k + 4): square_coeff,
-            x_pair(k + 1, k + 7): cross_coeff,
-            x_pair(k + 3, k + 5): cross_coeff,
-            x_pair(k + 2, k + 6): mixed_coeff,
+            _pencil_monomial((k, k), (1, 0, 1)): 1,
+            _pencil_monomial((k + 4, k + 4), (1, 0, 1)): 1,
+            _pencil_monomial((k + 1, k + 7), (0, 2, 0)): -1,
+            _pencil_monomial((k + 3, k + 5), (0, 2, 0)): -1,
+            _pencil_monomial((k + 2, k + 6), (2, 0, 0)): 1,
+            _pencil_monomial((k + 2, k + 6), (0, 0, 2)): 1,
         }
-        quadrics.append(Polynomial(X_VARIABLES, terms))
+        quadrics.append(Polynomial(PENCIL_VARIABLES, terms))
     return QuadricSystem(tuple(quadrics))
 
 
@@ -177,39 +130,22 @@ def planted_control_system() -> QuadricSystem:
     """Negative control: the four antipodal coordinate products.  Its zero
     locus contains every coordinate point, so any element fixing one is
     caught by the freeness machinery."""
-    quadrics = []
-    for i in range(4):
-        e = [0] * 8
-        e[i] = 1
-        e[i + 4] = 1
-        quadrics.append(Polynomial.monomial(X_VARIABLES, e))
-    return QuadricSystem(tuple(quadrics))
+    return QuadricSystem(
+        tuple(
+            Polynomial.monomial(PENCIL_VARIABLES, _pencil_monomial((i, i + 4)))
+            for i in range(4)
+        )
+    )
 
 
 # -- base point and orbit -----------------------------------------------------
 
 
-def base_point_symbolic() -> list[Polynomial]:
-    """The distinguished singular point as y-ring expressions:
-    (0, y1, y2, y3, 0, -y3, -y2, -y1)."""
-    y1 = Polynomial.variable(Y_VARIABLES, 0)
-    y2 = Polynomial.variable(Y_VARIABLES, 1)
-    y3 = Polynomial.variable(Y_VARIABLES, 2)
-    zero = Polynomial.zero(Y_VARIABLES)
-    return [zero, y1, y2, y3, zero, -y3, -y2, -y1]
-
-
 def base_point(y) -> tuple[CyclotomicNumber, ...]:
+    """The distinguished singular point (0, y1, y2, y3, 0, -y3, -y2, -y1)."""
     y1, y2, y3 = (CyclotomicNumber.from_rational(v) for v in _y_triple(y))
     zero = CyclotomicNumber.zero()
     return (zero, y1, y2, y3, zero, -y3, -y2, -y1)
-
-
-def base_point_vanishes_symbolically(system: QuadricSystem) -> bool:
-    """All four quadrics vanish at the base point as polynomial identities
-    in y, not merely at chosen specializations."""
-    images = base_point_symbolic()
-    return all(q.substitute(images).is_zero() for q in system.quadrics)
 
 
 def projective_point_key(coords: Sequence[CyclotomicNumber]) -> tuple:
@@ -360,97 +296,45 @@ class InvarianceResult:
         return "*".join(factors) if factors else "1"
 
 
-def _ratio_candidates(pullback: Polynomial, quadrics) -> list[CyclotomicNumber]:
-    """Scalar guess per quadric from the leading-monomial coefficient ratio.
-    Only used to build a readable residual once matching is known to fail."""
-    out = []
-    for q in quadrics:
-        lead = max(q.terms)
-        out.append(_scalar_ratio(pullback.terms.get(lead), q.terms[lead]))
-    return out
-
-
-def _scalar_ratio(target, source) -> CyclotomicNumber:
-    zero = CyclotomicNumber.zero()
-    if target is None:
-        return zero
-    if isinstance(source, Polynomial):
-        if not isinstance(target, Polynomial):
-            return zero
-        lead = max(source.terms)
-        t = target.terms.get(lead)
-        return zero if t is None else t * source.terms[lead].inverse()
-    if isinstance(target, Polynomial):
-        return zero
-    return target * source.inverse()
-
-
-def _coefficient_vector(q: Polynomial, x_monomials, y_monomials) -> list[CyclotomicNumber]:
-    """Flatten an x-polynomial with y-polynomial coefficients into one exact
-    vector indexed by (x-monomial, y-monomial) pairs."""
-    zero = CyclotomicNumber.zero()
-    out = []
-    for xm in x_monomials:
-        coeff = q.terms.get(xm)
-        if coeff is None:
-            out.extend([zero] * len(y_monomials))
-        elif isinstance(coeff, Polynomial):
-            out.extend(coeff.terms.get(ym, zero) for ym in y_monomials)
-        else:
-            out.extend(coeff if ym == (0, 0, 0) else zero for ym in y_monomials)
-    return out
-
-
 def check_ideal_invariance(g: MonomialMatrix, system: QuadricSystem) -> InvarianceResult:
     """Certify that pulling each quadric back through g lands in the span of
     the four quadrics, with scalar (y-independent) coefficients.
 
-    The matching is an identity of polynomials in x and y.  On failure the
-    witness is the leading x-monomial of the unmatchable residual.
+    The matching is an identity of polynomials in x and y.  One elimination
+    of the quadrics' coefficient rows, over their monomials in descending
+    order and augmented with I_4, gives a reduced echelon basis b_i of the
+    span, with pivot monomial m_i and b_i = sum_j T_ij q_j.  Row k of the
+    matrix is sum_i c_i T_i, with c_i the coefficient of m_i in q_k o g, and
+    the residual q_k o g - sum_j M_kj q_j must vanish.  Otherwise the
+    witness is the x-part of the residual's largest monomial: the residual
+    is zero at every pivot and each b_i lives at or below m_i, so every
+    combination of the quadrics leaves a monomial at or above it uncancelled.
     """
     quadrics = system.quadrics
-    pullbacks = [q.substitute_linear(g) for q in quadrics]
-
-    x_monomials = sorted(
-        {xm for q in list(quadrics) + pullbacks for xm in q.terms}, reverse=True
+    monomials = sorted({e for q in quadrics for e in q.terms}, reverse=True)
+    zero, one = CyclotomicNumber.zero(), CyclotomicNumber.one()
+    augmented = ExactMatrix(
+        [q.terms.get(m, zero) for m in monomials] + [one if j == k else zero for j in range(4)]
+        for k, q in enumerate(quadrics)
     )
-    y_monomials = set()
-    for q in list(quadrics) + pullbacks:
-        for coeff in q.terms.values():
-            if isinstance(coeff, Polynomial):
-                y_monomials.update(coeff.terms)
-            else:
-                y_monomials.add((0, 0, 0))
-    y_monomials = sorted(y_monomials, reverse=True)
-
-    columns = [_coefficient_vector(q, x_monomials, y_monomials) for q in quadrics]
+    reduced, pivots = augmented.rref()
+    width = len(monomials)
+    echelon = [(monomials[c], row[width:]) for row, c in zip(reduced, pivots) if c < width]
     matrix_rows = []
-    witness = None
-    for pullback in pullbacks:
-        target = _coefficient_vector(pullback, x_monomials, y_monomials)
-        augmented = ExactMatrix(
-            [[columns[j][r] for j in range(4)] + [target[r]] for r in range(len(target))]
-        )
-        reduced, pivots = augmented.rref()
-        if 4 in pivots:
-            # no exact matching exists; forced ratio candidates leave a
-            # nonzero residual whose largest x-monomial names the failure
-            coeffs = _ratio_candidates(pullback, quadrics)
-            residual = pullback
-            for c, q in zip(coeffs, quadrics):
-                if not c.is_zero():
-                    residual = residual - q.scale(c)
-            return InvarianceResult(False, None, max(residual.terms))
-        solution = [CyclotomicNumber.zero()] * 4
-        for row, pivot in zip(reduced, pivots):
-            solution[pivot] = row[4]
+    for quadric in quadrics:
+        pullback = quadric.substitute_linear(g)
+        row = [zero] * 4
+        for pivot, combination in echelon:
+            c = pullback.terms.get(pivot)
+            if c is not None:
+                row = [r + c * t for r, t in zip(row, combination)]
         residual = pullback
-        for c, q in zip(solution, quadrics):
+        for c, q in zip(row, quadrics):
             if not c.is_zero():
                 residual = residual - q.scale(c)
         if not residual.is_zero():
-            return InvarianceResult(False, None, max(residual.terms))
-        matrix_rows.append(tuple(solution))
+            return InvarianceResult(False, None, max(residual.terms)[:8])
+        matrix_rows.append(tuple(row))
     return InvarianceResult(True, tuple(matrix_rows), None)
 
 

@@ -226,3 +226,37 @@ def test_promotion_is_field_homomorphism(a, level):
 @settings(max_examples=100)
 def test_equality_matches_subtraction(a, b):
     assert (a == b) == (a - b).is_zero()
+
+
+@given(cyclotomics(), st.integers(-3, 6))
+@settings(max_examples=100, deadline=None)
+def test_pow_matches_repeated_product(a, k):
+    # over Q(zeta_16): x**k is the k-fold product, and the |k|-fold product
+    # of the inverse for k < 0
+    if k < 0 and a.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            a ** k
+        return
+    factor = a if k >= 0 else a.inverse()
+    expected = CyclotomicNumber.one()
+    for _ in range(abs(k)):
+        expected = expected * factor
+    assert a ** k == expected
+
+
+def test_pow_multiplication_count(monkeypatch):
+    # left-to-right powering: no multiplication for x**1, one for x**2, and
+    # one square per bit after the leading one plus one product per set bit
+    calls = []
+    original = CyclotomicNumber.__mul__
+
+    def counting_mul(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(CyclotomicNumber, "__mul__", counting_mul)
+    x = zeta(16, 3)
+    for k, expected in ((1, 0), (2, 1), (3, 2), (4, 2), (5, 3), (6, 3)):
+        calls.clear()
+        x ** k
+        assert len(calls) == expected, k

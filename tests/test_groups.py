@@ -22,7 +22,6 @@ from quadcert.groups import (
     make_sigma2,
     make_sigma3,
     make_tau,
-    normalize,
     order_spectrum,
     standard_claims,
     standard_generators,
@@ -41,8 +40,8 @@ def random_matrix(rng):
 class TestNormalization:
     def test_scalar_absorption(self):
         ident = MonomialMatrix.identity()
-        assert normalize(ident) == normalize(ident.scalar_mul(1))
-        assert normalize(ident).is_identity()
+        assert ProjectiveElement(ident) == ProjectiveElement(ident.scalar_mul(1))
+        assert ProjectiveElement(ident).is_identity()
 
     def test_commutator_is_scalar(self):
         # tau*sigma and sigma*tau differ by one global phase unit
@@ -50,15 +49,15 @@ class TestNormalization:
         assert t * s != s * t
         diff = {(a - b) % 8 for a, b in zip((t * s).phases, (s * t).phases)}
         assert len(diff) == 1
-        assert normalize(t * s) == normalize(s * t)
+        assert ProjectiveElement(t * s) == ProjectiveElement(s * t)
 
     def test_normalized_rep_has_zero_first_phase(self):
         rng = random.Random(3)
         for _ in range(30):
             g = random_matrix(rng)
-            rep = normalize(g).rep
+            rep = ProjectiveElement(g).rep
             assert rep.phases[0] == 0
-            assert normalize(rep).rep == rep
+            assert ProjectiveElement(rep).rep == rep
 
     def test_projective_arithmetic(self):
         t = ProjectiveElement(make_tau())
@@ -70,7 +69,7 @@ class TestNormalization:
 @settings(max_examples=80)
 def test_normalize_kills_any_scalar(phase, seed):
     g = random_matrix(random.Random(seed))
-    assert normalize(g.scalar_mul(phase)) == normalize(g)
+    assert ProjectiveElement(g.scalar_mul(phase)) == ProjectiveElement(g)
 
 
 class TestPresets:
@@ -274,9 +273,9 @@ class TestInvolutions:
         sets = [frozenset(involutions(standard_group(n))) for n in ("G", "G1", "G2")]
         assert sets[0] == sets[1] == sets[2]
         expected = {
-            normalize(make_tau() ** 4),
-            normalize(make_sigma() ** 4),
-            normalize(make_tau() ** 4 * make_sigma() ** 4),
+            ProjectiveElement(make_tau() ** 4),
+            ProjectiveElement(make_sigma() ** 4),
+            ProjectiveElement(make_tau() ** 4 * make_sigma() ** 4),
         }
         assert sets[0] == expected
 

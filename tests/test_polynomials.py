@@ -7,14 +7,13 @@ from hypothesis import given, settings, strategies as st
 from quadcert.cyclotomic import CyclotomicNumber, root_of_unity
 from quadcert.linalg import MonomialMatrix
 from quadcert.polynomials import (
+    PENCIL_VARIABLES,
     X_VARIABLES,
-    Y_VARIABLES,
     Polynomial,
-    evaluate_at,
     grevlex_key,
     s_variables,
 )
-from quadcert.variety import ODPContext, QuadricSystem
+from quadcert.variety import ODPContext, QuadricSystem, build_quadrics
 
 ONE = CyclotomicNumber.one()
 
@@ -25,6 +24,11 @@ def zeta(n, k=1):
 
 def xvar(i):
     return Polynomial.variable(X_VARIABLES, i)
+
+
+def pvar(name):
+    """A variable of the pencil ring x0..x7, y1..y3, by name."""
+    return Polynomial.variable(PENCIL_VARIABLES, PENCIL_VARIABLES.index(name))
 
 
 def tau():
@@ -125,14 +129,8 @@ class TestCalculus:
 
     def test_jacobian_small(self):
         # gradients by hand: (2*x0 - x1, -x0), (x1, x0), (x3, x2), 10*x7
-        system = QuadricSystem(
-            (
-                xvar(0) ** 2 - xvar(0) * xvar(1),
-                xvar(0) * xvar(1),
-                xvar(2) * xvar(3),
-                5 * xvar(7) ** 2,
-            )
-        )
+        x0, x1, x2, x3, x7 = (pvar(f"x{i}") for i in (0, 1, 2, 3, 7))
+        system = QuadricSystem((x0 ** 2 - x0 * x1, x0 * x1, x2 * x3, 5 * x7 ** 2))
         point = [Fraction(v) for v in (2, 3, 1, 4, 0, 0, 0, 1)]
         m = ODPContext.at(system, (1, 1, 1)).jacobian(point)
         expected = [
@@ -198,6 +196,11 @@ class TestSubstitution:
             moved = g.inverse().point_matrix().apply(point)
             assert q.substitute_linear(g).evaluate(point) == q.evaluate(moved)
 
+    def test_linear_substitution_leaves_y_fixed(self):
+        q = pvar("y1") * pvar("x0") * pvar("x1") - pvar("y3") ** 2 * pvar("x7") ** 2
+        moved = pvar("y1") * pvar("x1") * pvar("x2") - pvar("y3") ** 2 * pvar("x0") ** 2
+        assert q.substitute_linear(sigma()) == moved
+
     def test_general_substitution(self):
         # restrict x0^2 + x2*x6 to the plane x = s0*e0 + s1*(e2+e6)
         svars = s_variables(2)
@@ -211,23 +214,13 @@ class TestSubstitution:
 
 class TestParametric:
     def make_parametric(self):
-        # (y1*y3) * x0^2 - (y2^2) * x1*x7
-        a = Polynomial.monomial(Y_VARIABLES, (1, 0, 1))
-        b = Polynomial.monomial(Y_VARIABLES, (0, 2, 0))
-        e0 = [0] * 8
-        e0[0] = 2
-        e1 = [0] * 8
-        e1[1] = 1
-        e1[7] = 1
-        return Polynomial(X_VARIABLES, {tuple(e0): a, tuple(e1): -b})
-
-    def test_parametric_flag(self):
-        q = self.make_parametric()
-        assert q.is_parametric()
-        assert not q.specialize((1, 2, 3)).is_parametric()
+        # (y1*y3) * x0^2 - (y2^2) * x1*x7 in the flat pencil ring
+        y1, y2, y3 = pvar("y1"), pvar("y2"), pvar("y3")
+        return y1 * y3 * pvar("x0") ** 2 - y2 ** 2 * pvar("x1") * pvar("x7")
 
     def test_specialize_values(self):
         q = self.make_parametric().specialize((1, 2, 3))
+        assert q.variables == X_VARIABLES
         e0 = [0] * 8
         e0[0] = 2
         assert q.coefficient(e0) == 3
@@ -241,25 +234,29 @@ class TestParametric:
         assert len(q) == 1
 
     def test_evaluate_requires_specialization(self):
+        # a pencil polynomial needs all eleven coordinates; its
+        # specialization takes the eight x-coordinates
         q = self.make_parametric()
-        with pytest.raises(ValueError):
-            q.evaluate([1] * 8)
         point = [1, 1, 0, 0, 0, 0, 0, 1]
-        assert evaluate_at(q, point, (1, 2, 3)) == 3 - 4
+        with pytest.raises(ValueError):
+            q.evaluate(point)
+        assert q.specialize((1, 2, 3)).evaluate(point) == 3 - 4
+        assert q.evaluate(point + [1, 2, 3]) == 3 - 4
 
     def test_substitute_into_parameter_ring(self):
-        # symbolic evaluation: x0 -> y1, x1 -> y2, rest 0 in y-ring
+        # symbolic evaluation: x0 -> y1, x1 -> y2, x7 -> y2, other x -> 0
         q = self.make_parametric()
-        y1 = Polynomial.variable(Y_VARIABLES, 0)
-        y2 = Polynomial.variable(Y_VARIABLES, 1)
-        zero = Polynomial.zero(Y_VARIABLES)
-        images = [y1, y2, zero, zero, zero, zero, zero, y2]
-        value = q.substitute(images)
+        y1, y2, y3 = pvar("y1"), pvar("y2"), pvar("y3")
+        zero = Polynomial.zero(PENCIL_VARIABLES)
+        images = [y1, y2, zero, zero, zero, zero, zero, y2, y1, y2, y3]
         # (y1*y3)*y1^2 - y2^2*(y2*y2)
-        expected = Polynomial(
-            Y_VARIABLES, {(3, 0, 1): 1, (0, 4, 0): -1}
-        )
-        assert value == expected
+        assert q.substitute(images) == y1 ** 3 * y3 - y2 ** 4
+
+    def test_specialize_rejects_other_rings(self):
+        with pytest.raises(ValueError):
+            xvar(0).specialize((1, 2, 3))
+        with pytest.raises(ValueError):
+            self.make_parametric().specialize((1, 2))
 
 
 class TestRender:
@@ -272,11 +269,27 @@ class TestRender:
         assert p.render() == "[1]@2*x0^2 + [1]@2*x1"
 
     def test_parametric_render(self):
-        a = Polynomial.monomial(Y_VARIABLES, (1, 0, 1))
-        e = [0] * 8
-        e[0] = 2
-        q = Polynomial(X_VARIABLES, {tuple(e): a})
-        assert q.render() == "([1]@2*y1*y3)*x0^2"
+        q = pvar("y1") * pvar("y3") * pvar("x0") ** 2
+        assert q.render() == "[1]@2*x0^2*y1*y3"
+
+
+@st.composite
+def pencil_points(draw):
+    """(x, y): x in Q(zeta_8)^8, y a rational triple."""
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+    x = [
+        CyclotomicNumber(3, draw(st.lists(small, min_size=4, max_size=4)))
+        for _ in range(8)
+    ]
+    return x, [draw(small) for _ in range(3)]
+
+
+@given(pencil_points())
+@settings(max_examples=40, deadline=None)
+def test_specialize_then_evaluate_matches_flat_evaluate(point):
+    x, y = point
+    for q in build_quadrics().quadrics:
+        assert q.specialize(y).evaluate(x) == q.evaluate(x + y)
 
 
 # -- randomized ring laws ----------------------------------------------------

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from quadcert import reporting
+from quadcert import reporting, variety
 from quadcert.cli import assemble_config, build_parser, main, parse_triple
 from quadcert.reporting import (
     CheckRecord,
@@ -345,7 +345,53 @@ class TestOrbitRecords:
                 if witness.startswith(f"point {p.render()}: on_variety=False ")
             ]
             assert len(named) == 1
-            assert any(not q.evaluate(named[0].coordinates).is_zero() for q in control.quadrics)
+            assert any(
+                not q.evaluate(named[0].coordinates).is_zero() for q in control.specialized(y)
+            )
+
+
+class TestFreenessRecords:
+    def test_triples_screened_once(self, monkeypatch):
+        calls = []
+        original = variety.genericity_screen
+
+        def counting_screen(*args):
+            calls.append(args[0])
+            return original(*args)
+
+        monkeypatch.setattr(reporting, "genericity_screen", counting_screen)
+        monkeypatch.setattr(variety, "genericity_screen", counting_screen)
+        y_bad = (Fraction(1), Fraction(0), Fraction(3))
+        y_good = (Fraction(1), Fraction(2), Fraction(3))
+        config = VerificationConfig(checks=("freeness",), group="all", y_triples=(y_bad, y_good))
+        report = run(config)
+        assert calls == [y_bad, y_good]  # by _resolve_triples only, not once per group
+        for record in report.checks:
+            assert record.verdict == "inconclusive"
+            assert record.witnesses == ("(1,0,3) inconclusive: coordinate vanishes: y=(1,0,3)",)
+
+    def test_inconclusive_dominates_fixed_point_in_triple_order(self, tmp_path):
+        group_path = write_custom_group(
+            tmp_path / "g.json", list(range(8)), [0, 4, 0, 4, 0, 4, 0, 4], name="t4"
+        )
+        quadrics_path = tmp_path / "q.json"
+        quadrics_path.write_text(json.dumps(planted_control_system().to_records()))
+        config = VerificationConfig(
+            checks=("freeness",),
+            group="custom",
+            custom_group_path=group_path,
+            custom_quadrics_path=str(quadrics_path),
+            y_triples=(
+                (Fraction(1), Fraction(2), Fraction(3)),
+                (Fraction(1), Fraction(0), Fraction(3)),
+            ),
+        )
+        (record,) = run(config).checks
+        assert record.verdict == "inconclusive"
+        labels = [w.split(")")[0] + ")" for w in record.witnesses]
+        assert labels[-1] == "(1,0,3)" and set(labels[:-1]) == {"(1,2,3)"}
+        assert any("fixed point" in w for w in record.witnesses[:-1])
+        assert record.witnesses[-1].startswith("(1,0,3) inconclusive: ")
 
 
 class TestDeterminism:
@@ -427,6 +473,53 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("quadcert: ") and err.count("\n") == 1
         assert "cap" in err
+
+    @pytest.mark.parametrize(
+        "flag, content, message",
+        [
+            ("--custom-group", [{"name": "a"}], "JSON object"),
+            ("--custom-group", {"generators": [1]}, "list of objects"),
+            (
+                "--custom-group",
+                {
+                    "generators": [{"perm": list(range(8)), "phases": [0] * 8}],
+                    "claims": [{"type": "spectrum", "value": [1, 2]}],
+                },
+                "claim value",
+            ),
+            (
+                "--custom-group",
+                {
+                    "generators": [{"perm": list(range(8)), "phases": [0] * 8}],
+                    "claims": [{"type": "spectrum", "value": {"1": [1]}}],
+                },
+                "claim value",
+            ),
+            (
+                "--custom-group",
+                {"generators": [{"perm": list(range(8)), "phases": [0] * 8}], "localization": 5},
+                "localization",
+            ),
+            ("--custom-quadrics", [[1], [], [], []], "term objects"),
+            (
+                "--custom-quadrics",
+                [[{"x_exponents": 5, "y_exponents": [0, 0, 0], "coefficient": "[1]@2"}]]
+                + [[]] * 3,
+                "exponents",
+            ),
+        ],
+    )
+    def test_malformed_input_exit_two(self, tmp_path, capsys, flag, content, message):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(content))
+        if flag == "--custom-group":
+            argv = ["groups", "--group", "custom", "--custom-group", str(path)]
+        else:
+            argv = ["invariance", "--group", "G", "--custom-quadrics", str(path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("quadcert: ") and err.count("\n") == 1
+        assert message in err
 
     def test_scope_all_non_two_group_exit_two(self, tmp_path, capsys):
         # default involutions scope is refused for a 3-cycle; diagnostic, not traceback

@@ -20,3 +20,10 @@ def test_orbit_summary_default_triple(capsys):
     point_lines = re.findall(r"^\s*\d+  jac rank 3  hess rank 4  perm ", out, re.MULTILINE)
     assert len(point_lines) == 64
     assert "all ordinary double points: True" in out
+
+
+def test_show_negative_controls(capsys):
+    assert load_script("show_negative_controls").main() == 0
+    out = capsys.readouterr().out
+    assert "witness monomial: x1*x7" in out
+    assert "verdict: fixed-point-found" in out

@@ -16,15 +16,12 @@ from quadcert.groups import (
     standard_group,
 )
 from quadcert.linalg import ExactMatrix, MonomialMatrix
-from quadcert.polynomials import Polynomial, X_VARIABLES, Y_VARIABLES
+from quadcert.polynomials import PENCIL_VARIABLES, Polynomial, X_VARIABLES, Y_VARIABLES
 from quadcert.variety import (
     InvarianceResult,
     ODPContext,
-    ParameterPoint,
     QuadricSystem,
     base_point,
-    base_point_symbolic,
-    base_point_vanishes_symbolically,
     build_quadrics,
     check_freeness,
     check_ideal_invariance,
@@ -48,34 +45,53 @@ def x_pair(i, j):
     return tuple(e)
 
 
+def y_coefficient(q, x_exponents):
+    """The y-polynomial multiplying one x-monomial of a pencil quadric."""
+    return Polynomial(Y_VARIABLES, {e[8:]: c for e, c in q.terms.items() if e[:8] == x_exponents})
+
+
+def pencil_var(i):
+    return Polynomial.variable(PENCIL_VARIABLES, i)
+
+
+def base_point_images():
+    """The base point (0, y1, y2, y3, 0, -y3, -y2, -y1) as pencil-ring
+    images of x0..x7, with y1..y3 fixed."""
+    zero = Polynomial.zero(PENCIL_VARIABLES)
+    y1, y2, y3 = (pencil_var(8 + k) for k in range(3))
+    return [zero, y1, y2, y3, zero, -y3, -y2, -y1, y1, y2, y3]
+
+
 class TestQuadricSystem:
     def test_shape(self):
         system = build_quadrics()
         assert len(system.quadrics) == 4
         for q in system.quadrics:
-            assert len(q) == 5
-            assert q.is_homogeneous(2)
-            assert q.is_parametric()
+            assert q.variables == PENCIL_VARIABLES
+            assert len(q) == 6  # the mixed coefficient y1^2 + y3^2 is two terms
+            assert all(sum(e[:8]) == 2 for e in q.terms)
 
     def test_landmark_coefficients(self):
         system = build_quadrics()
-        mixed = Polynomial(Y_VARIABLES, {(2, 0, 0): 1, (0, 0, 2): 1})
-        assert system.quadrics[0].coefficient(x_pair(2, 6)) == mixed
-        assert system.quadrics[3].coefficient(x_pair(5, 1)) == mixed
+        landmarks = ((system.quadrics[0], x_pair(2, 6)), (system.quadrics[3], x_pair(5, 1)))
+        for q, x_exponents in landmarks:
+            assert q.coefficient(x_exponents + (2, 0, 0)) == 1
+            assert q.coefficient(x_exponents + (0, 0, 2)) == 1
+            assert q.coefficient(x_exponents + (1, 0, 1)) == 0
 
     def test_sign_pattern(self):
         square = Polynomial.monomial(Y_VARIABLES, (1, 0, 1))
         cross = -Polynomial.monomial(Y_VARIABLES, (0, 2, 0))
         mixed = Polynomial(Y_VARIABLES, {(2, 0, 0): 1, (0, 0, 2): 1})
         for k, q in enumerate(build_quadrics().quadrics):
-            assert q.coefficient(x_pair(k, k)) == square
-            assert q.coefficient(x_pair(k + 4, k + 4)) == square
-            assert q.coefficient(x_pair(k + 1, k + 7)) == cross
-            assert q.coefficient(x_pair(k + 3, k + 5)) == cross
-            assert q.coefficient(x_pair(k + 2, k + 6)) == mixed
+            assert y_coefficient(q, x_pair(k, k)) == square
+            assert y_coefficient(q, x_pair(k + 4, k + 4)) == square
+            assert y_coefficient(q, x_pair(k + 1, k + 7)) == cross
+            assert y_coefficient(q, x_pair(k + 3, k + 5)) == cross
+            assert y_coefficient(q, x_pair(k + 2, k + 6)) == mixed
 
     def test_supports_disjoint(self):
-        monomials = [frozenset(q.terms) for q in build_quadrics().quadrics]
+        monomials = [frozenset(e[:8] for e in q.terms) for q in build_quadrics().quadrics]
         assert sum(len(m) for m in monomials) == 20
         assert len(frozenset.union(*monomials)) == 20
 
@@ -84,25 +100,52 @@ class TestQuadricSystem:
             again = QuadricSystem.from_records(system.to_records())
             assert again.quadrics == system.quadrics
 
+    def test_records_one_row_per_term(self):
+        records = build_quadrics().to_records()
+        assert [len(rows) for rows in records] == [6, 6, 6, 6]
+        # descending grevlex in x, then descending y: x0^2, x4^2, x3*x5,
+        # x2*x6 (y1^2 before y3^2), x1*x7
+        assert [(r["x_exponents"], r["y_exponents"]) for r in records[0]] == [
+            (list(x_pair(0, 0)), [1, 0, 1]),
+            (list(x_pair(4, 4)), [1, 0, 1]),
+            (list(x_pair(3, 5)), [0, 2, 0]),
+            (list(x_pair(2, 6)), [2, 0, 0]),
+            (list(x_pair(2, 6)), [0, 0, 2]),
+            (list(x_pair(1, 7)), [0, 2, 0]),
+        ]
+
     def test_record_validation(self):
         with pytest.raises(ValueError):
             QuadricSystem.from_records([[], [], []])
         bad_row = [{"x_exponents": [1] * 7, "y_exponents": [0, 0, 0], "coefficient": "[1]@2"}]
         with pytest.raises(ValueError):
             QuadricSystem.from_records([bad_row, bad_row, bad_row, bad_row])
+        with pytest.raises(ValueError, match="term objects"):
+            QuadricSystem.from_records([[1], [], [], []])
 
     def test_rejects_inhomogeneous(self):
-        linear = Polynomial.variable(X_VARIABLES, 0)
+        linear = pencil_var(0)
         with pytest.raises(ValueError):
             QuadricSystem((linear, linear, linear, linear))
+        # x-degree decides, not total degree: x0*y1 is linear in x
+        mixed = pencil_var(0) ** 2 + pencil_var(0) * pencil_var(8)
+        with pytest.raises(ValueError, match="x-degree 2"):
+            QuadricSystem((mixed, mixed, mixed, mixed))
+        # quadrics outside the pencil ring are rejected
+        x_only = Polynomial.variable(X_VARIABLES, 0) ** 2
+        with pytest.raises(ValueError, match="ring"):
+            QuadricSystem((x_only, x_only, x_only, x_only))
 
 
 class TestBasePoint:
     def test_symbolic_membership(self):
-        assert base_point_vanishes_symbolically(build_quadrics())
+        # every quadric vanishes at the base point as an identity in y
+        images = base_point_images()
+        assert all(q.substitute(images).is_zero() for q in build_quadrics().quadrics)
 
     def test_planted_control_does_not(self):
-        assert not base_point_vanishes_symbolically(planted_control_system())
+        images = base_point_images()
+        assert not all(q.substitute(images).is_zero() for q in planted_control_system().quadrics)
 
     def test_specialized_membership(self):
         p = base_point(Y123)
@@ -111,19 +154,10 @@ class TestBasePoint:
 
     def test_symbolic_and_specialized_agree(self):
         y = (Fraction(5, 7), Fraction(-2, 3), Fraction(4))
-        images = base_point_symbolic()
-        point = [CyclotomicNumber.from_rational(v) for v in y]
+        point = [Fraction(k) for k in range(8)] + list(y)  # x-values are irrelevant
         direct = base_point(y)
-        for img, coord in zip(images, direct):
+        for img, coord in zip(base_point_images(), direct):
             assert img.evaluate(point) == coord
-
-    def test_parameter_point_wrapper(self):
-        p = ParameterPoint.at(1, 2, 3)
-        assert p.triple() == Y123
-        assert not p.is_symbolic
-        assert ParameterPoint.symbolic().is_symbolic
-        with pytest.raises(ValueError):
-            ParameterPoint.symbolic().triple()
 
 
 def zeta8(k):
@@ -176,6 +210,31 @@ class TestInvariance:
         assert not result.ok
         assert result.witness_monomial == x_pair(1, 7)
         assert result.witness_text() == "x1*x7"
+
+    def test_all_group_elements_by_evaluation(self):
+        # every distinct projective element of G, G1 and G2 passes, and each
+        # matrix row is re-checked by plain evaluation at seeded (x, y):
+        # (q_k o g)(x, y) = q_k(x', y) with x'_j = zeta^phases[j] * x_perm[j]
+        system = build_quadrics()
+        elements = {g: None for name in ("G", "G1", "G2") for g in standard_group(name).elements}
+        assert len(elements) == 128
+        rng = random.Random(31)
+        points = [
+            [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(11)] for _ in range(3)
+        ]
+        values = [[q.evaluate(p) for q in system.quadrics] for p in points]
+        for g in elements:
+            mat = g.rep
+            result = check_ideal_invariance(mat, system)
+            assert result.ok, mat
+            for point, q_values in zip(points, values):
+                x, y = point[:8], point[8:]
+                moved = [zeta8(mat.phases[j]) * x[mat.perm[j]] for j in range(8)]
+                for q, row in zip(system.quadrics, result.matrix):
+                    expected = CyclotomicNumber.zero()
+                    for m, v in zip(row, q_values):
+                        expected = expected + m * v
+                    assert q.evaluate(moved + y) == expected
 
     def test_composition_is_antihomomorphism(self):
         # pullback composes in reverse: M(g*h) = M(h)*M(g), exactly
