@@ -14,7 +14,7 @@ eigenvalues of order-8 monomial matrices with order-8 phases.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 MIN_LEVEL = 1
 MAX_LEVEL = 6
@@ -123,14 +123,6 @@ class CyclotomicNumber:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def is_rational(self) -> bool:
-        return self.level == MIN_LEVEL or not any(self.coeffs[1:])
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
-
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
@@ -180,24 +172,21 @@ class CyclotomicNumber:
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicNumber":
-        """Multiplicative inverse via the extended Euclidean algorithm
-        modulo x^d + 1 (irreducible, so the gcd with any nonzero element
-        is a nonzero constant)."""
+        """Multiplicative inverse down the tower by the norm.
+
+        With sigma the automorphism zeta -> -zeta (odd-index coefficients
+        negated), a * sigma(a) is nonzero and fixed by sigma, so it lies one
+        level down and 1/a = sigma(a) * (a * sigma(a))^-1, recursing to a
+        rational reciprocal at level 1."""
         if self.is_zero():
             raise ZeroDivisionError("cyclotomic inverse of zero")
         me = self._minimal()
-        d = len(me.coeffs)
-        if d == 1:
+        if me.level == MIN_LEVEL:
             return CyclotomicNumber(MIN_LEVEL, (_ONE / me.coeffs[0],))
-        modulus = [_ZERO] * (d + 1)
-        modulus[0] = _ONE
-        modulus[d] = _ONE
-        g, s = _poly_half_xgcd(list(me.coeffs), modulus)
-        # g is a nonzero constant; s / g is the inverse, already of degree < d.
-        scale = _ONE / g[0]
-        inv = [c * scale for c in s]
-        inv.extend([_ZERO] * (d - len(inv)))
-        return CyclotomicNumber(me.level, inv[:d])
+        conj = CyclotomicNumber(
+            me.level, tuple(-c if i & 1 else c for i, c in enumerate(me.coeffs)), _demote=False
+        )
+        return conj * (me * conj).inverse()
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -281,59 +270,6 @@ def _coerce(value):
     if isinstance(value, (int, Fraction)):
         return CyclotomicNumber.from_rational(value)
     return NotImplemented
-
-
-# -- dense rational polynomial helpers for the inverse ----------------------
-
-
-def _poly_trim(p: list) -> list:
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _poly_divmod(a: Sequence[Fraction], b: Sequence[Fraction]):
-    a = list(a)
-    q = [_ZERO] * max(0, len(a) - len(b) + 1)
-    inv_lead = _ONE / b[-1]
-    for k in range(len(a) - len(b), -1, -1):
-        factor = a[k + len(b) - 1] * inv_lead
-        if factor:
-            q[k] = factor
-            for i, bi in enumerate(b):
-                a[k + i] -= factor * bi
-    return q, _poly_trim(a)
-
-
-def _poly_half_xgcd(a: list, b: list):
-    """Return (g, s) with s*a = g modulo b and g = gcd(a, b) (b the modulus)."""
-    r0, r1 = _poly_trim(list(b)), _poly_trim(list(a))
-    s0, s1 = [], [_ONE]
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s_next = _poly_sub(s0, _poly_mul(q, s1))
-        s0, s1 = s1, s_next
-    return r0, s0
-
-
-def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list:
-    if not a or not b:
-        return []
-    acc = [_ZERO] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            acc[i + j] += ai * bj
-    return _poly_trim(acc)
-
-
-def _poly_sub(a: Sequence[Fraction], b: Sequence[Fraction]) -> list:
-    out = list(a) + [_ZERO] * max(0, len(b) - len(a))
-    for i, bi in enumerate(b):
-        out[i] -= bi
-    return _poly_trim(out)
 
 
 # -- roots of unity ---------------------------------------------------------

@@ -272,8 +272,6 @@ class StructureCertificate:
     order: int
     is_abelian: bool
     order_spectrum: dict
-    verified_relations: tuple
-    normal_subgroup_data: tuple | None
     claim_results: tuple
 
     @property
@@ -300,8 +298,6 @@ def certify_structure(group: FiniteGroup, claims: Sequence[dict]) -> StructureCe
     """
     spectrum = order_spectrum(group)
     abelian = is_abelian(group, all_pairs=True)
-    relations: list[tuple[str, bool]] = []
-    normal_data: tuple | None = None
     results: list[ClaimResult] = []
 
     for claim in claims:
@@ -319,7 +315,6 @@ def certify_structure(group: FiniteGroup, claims: Sequence[dict]) -> StructureCe
         elif kind == "relation":
             text = claim["relation"]
             ok = group.verify_relation(text)
-            relations.append((text, ok))
             if not ok:
                 witness = f"sides differ: {text}"
         elif kind == "spectrum":
@@ -338,8 +333,6 @@ def certify_structure(group: FiniteGroup, claims: Sequence[dict]) -> StructureCe
             sub = group.subgroup(claim["subgroup"])
             witness = _normality_witness(group, sub)
             ok = witness is None
-            if ok and normal_data is None:
-                normal_data = (sub.order, group.order // sub.order, None)
         elif kind == "quotient_order":
             sub = group.subgroup(claim["subgroup"])
             if group.order % sub.order:
@@ -386,8 +379,6 @@ def certify_structure(group: FiniteGroup, claims: Sequence[dict]) -> StructureCe
         order=group.order,
         is_abelian=abelian,
         order_spectrum=spectrum,
-        verified_relations=tuple(relations),
-        normal_subgroup_data=normal_data,
         claim_results=tuple(results),
     )
 

@@ -97,12 +97,19 @@ class ExactMatrix:
             out.append(acc)
         return tuple(out)
 
-    def rref(self):
-        """Reduced row echelon form; returns (rows, pivot column indices)."""
-        work = [list(row) for row in self.entries]
+    def rref(self, transform: bool = True) -> "Elimination":
+        """Gauss-Jordan elimination to reduced row echelon form R.  With
+        transform, each row also carries its row of T, starting from the
+        identity, so that T*M = R; rank and right_kernel skip it."""
+        n = self.cols
+        width = self.rows if transform else 0
+        work = [
+            list(row) + [_ONE if j == i else _ZERO for j in range(width)]
+            for i, row in enumerate(self.entries)
+        ]
         pivots = []
         r = 0
-        for c in range(self.cols):
+        for c in range(n):
             pivot_row = None
             for i in range(r, self.rows):
                 if not work[i][c].is_zero():
@@ -122,29 +129,54 @@ class ExactMatrix:
             r += 1
             if r == self.rows:
                 break
-        return [tuple(row) for row in work], pivots
+        return Elimination(
+            tuple(tuple(row[:n]) for row in work),
+            tuple(pivots),
+            tuple(tuple(row[n:]) for row in work) if transform else None,
+        )
 
     def rank(self) -> int:
-        _, pivots = self.rref()
-        return len(pivots)
+        return self.rref(transform=False).rank
+
+    def right_kernel(self) -> list[tuple]:
+        return self.rref(transform=False).right_kernel()
+
+    def left_kernel(self) -> list[tuple]:
+        return self.rref().left_kernel()
+
+
+@dataclass(frozen=True)
+class Elimination:
+    """One elimination of a matrix M: the reduced row echelon form R, its
+    pivot columns, and the invertible transform T with T*M = R (None when
+    the elimination did not record it)."""
+
+    reduced: tuple[tuple[CyclotomicNumber, ...], ...]
+    pivots: tuple[int, ...]
+    transform: tuple[tuple[CyclotomicNumber, ...], ...] | None
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
 
     def right_kernel(self) -> list[tuple]:
         """Basis of {v : M v = 0}, one vector per free column."""
-        reduced, pivots = self.rref()
-        pivot_set = set(pivots)
+        cols = len(self.reduced[0])
         basis = []
-        for free in range(self.cols):
-            if free in pivot_set:
+        for free in range(cols):
+            if free in self.pivots:
                 continue
-            vec = [_ZERO] * self.cols
+            vec = [_ZERO] * cols
             vec[free] = _ONE
-            for i, pc in enumerate(pivots):
-                vec[pc] = -reduced[i][free]
+            for i, pc in enumerate(self.pivots):
+                vec[pc] = -self.reduced[i][free]
             basis.append(tuple(vec))
         return basis
 
     def left_kernel(self) -> list[tuple]:
-        return self.transpose().right_kernel()
+        """Basis of {w : w M = 0}: the rows of T past the rank, whose rows of
+        R are zero."""
+        return list(self.transform[self.rank :])
 
 
 # -- monomial matrices -------------------------------------------------------
@@ -255,12 +287,6 @@ class MonomialMatrix:
             base = base * base
             exponent >>= 1
         return result
-
-    def scalar_mul(self, phase_exponent: int) -> "MonomialMatrix":
-        """Multiply by the scalar zeta_N^phase_exponent."""
-        return MonomialMatrix(
-            self.perm, tuple((p + phase_exponent) % self.N for p in self.phases), self.N
-        )
 
     # -- point action --------------------------------------------------------
 

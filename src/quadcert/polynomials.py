@@ -98,12 +98,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, exponents: Sequence[int]) -> CyclotomicNumber:
-        exponents = tuple(exponents)
-        if exponents in self.terms:
-            return self.terms[exponents]
-        return CyclotomicNumber.zero()
-
     def total_degree(self) -> int:
         """Degree of the zero polynomial is reported as -1."""
         if not self.terms:
@@ -129,6 +123,9 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self.variables == other.variables and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.variables, frozenset(self.terms.items())))
 
     def __repr__(self):
         return f"Polynomial({self.render()})"

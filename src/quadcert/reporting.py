@@ -238,7 +238,10 @@ def load_custom_quadrics(path: str) -> QuadricSystem:
         data = json.load(fh)
     if isinstance(data, dict):
         data = data.get("quadrics", data)
-    return QuadricSystem.from_records(data)
+    try:
+        return QuadricSystem.from_records(data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _standard_selection(name: str) -> GroupSelection:

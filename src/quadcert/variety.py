@@ -80,6 +80,9 @@ class QuadricSystem:
                 raise ValueError("each quadric must be a list of term objects")
             terms: dict[tuple[int, ...], CyclotomicNumber] = {}
             for row in rows:
+                for key in ("x_exponents", "y_exponents", "coefficient"):
+                    if key not in row:
+                        raise ValueError(f"a term row lacks the key {key!r}")
                 x_exp, y_exp = row["x_exponents"], row["y_exponents"]
                 if not (_int_list(x_exp, 8) and _int_list(y_exp, 3)):
                     raise ValueError("records need lists of 8 x-exponents and 3 y-exponents")
@@ -260,20 +263,19 @@ def verify_odp(point: Sequence[CyclotomicNumber], context: ODPContext) -> ODPCer
     if not all(q.evaluate(coords).is_zero() for q in context.quadrics):
         return ODPCertificate(coords, False, -1, -1, None)
 
-    jac = context.jacobian(coords)
-    tangent = jac.right_kernel()  # one elimination gives the rank too
-    j_rank = jac.cols - len(tangent)
-    if j_rank != 3:
-        return ODPCertificate(coords, True, j_rank, -1, None)
+    # one elimination gives the rank, the tangent space and the combination
+    elim = context.jacobian(coords).rref()
+    if elim.rank != 3:
+        return ODPCertificate(coords, True, elim.rank, -1, None)
 
-    combo = tuple(jac.left_kernel()[0])
+    (combo,) = elim.left_kernel()
     hess = context.combined_hessian(combo)
     if any(not v.is_zero() for v in hess.apply(coords)):
-        return ODPCertificate(coords, True, j_rank, -1, combo)
+        return ODPCertificate(coords, True, 3, -1, combo)
 
-    basis = ExactMatrix(tangent)  # one kernel vector per row
+    basis = ExactMatrix(elim.right_kernel())  # one kernel vector per row
     restricted = basis * hess * basis.transpose()
-    return ODPCertificate(coords, True, j_rank, restricted.rank(), combo)
+    return ODPCertificate(coords, True, 3, restricted.rank(), combo)
 
 
 # -- ideal invariance ---------------------------------------------------------
@@ -302,8 +304,8 @@ def check_ideal_invariance(g: MonomialMatrix, system: QuadricSystem) -> Invarian
 
     The matching is an identity of polynomials in x and y.  One elimination
     of the quadrics' coefficient rows, over their monomials in descending
-    order and augmented with I_4, gives a reduced echelon basis b_i of the
-    span, with pivot monomial m_i and b_i = sum_j T_ij q_j.  Row k of the
+    order, gives a reduced echelon basis b_i of the span, with pivot
+    monomial m_i and b_i = sum_j T_ij q_j for its transform T.  Row k of the
     matrix is sum_i c_i T_i, with c_i the coefficient of m_i in q_k o g, and
     the residual q_k o g - sum_j M_kj q_j must vanish.  Otherwise the
     witness is the x-part of the residual's largest monomial: the residual
@@ -312,14 +314,9 @@ def check_ideal_invariance(g: MonomialMatrix, system: QuadricSystem) -> Invarian
     """
     quadrics = system.quadrics
     monomials = sorted({e for q in quadrics for e in q.terms}, reverse=True)
-    zero, one = CyclotomicNumber.zero(), CyclotomicNumber.one()
-    augmented = ExactMatrix(
-        [q.terms.get(m, zero) for m in monomials] + [one if j == k else zero for j in range(4)]
-        for k, q in enumerate(quadrics)
-    )
-    reduced, pivots = augmented.rref()
-    width = len(monomials)
-    echelon = [(monomials[c], row[width:]) for row, c in zip(reduced, pivots) if c < width]
+    zero = CyclotomicNumber.zero()
+    span = ExactMatrix([q.terms.get(m, zero) for m in monomials] for q in quadrics).rref()
+    echelon = [(monomials[c], t) for c, t in zip(span.pivots, span.transform)]
     matrix_rows = []
     for quadric in quadrics:
         pullback = quadric.substitute_linear(g)
@@ -485,8 +482,8 @@ def check_freeness(
     any element is a fixed point of one of its order-2 powers) and is
     rejected for groups with non-2-power element orders; scope "all"
     examines every non-identity element and doubles as a validation of the
-    reduction.  A shared cache maps (element, y) to component outcomes so
-    overlapping groups do not recompute.
+    reduction.  A shared cache maps (system, element, y, witness seed) to
+    component outcomes so overlapping groups do not recompute.
     """
     if scope not in ("involutions", "all"):
         raise ValueError(f"scope must be 'involutions' or 'all', not {scope!r}")
@@ -523,7 +520,7 @@ def check_freeness(
         element_outcomes = []
         for g, order in targets:
             mat = g.rep if isinstance(g, ProjectiveElement) else g
-            key = (mat, triple)
+            key = (system, mat, triple, witness_seed)
             if key in cache:
                 outcomes = cache[key]
             else:

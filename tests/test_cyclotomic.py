@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,12 +23,13 @@ def zeta(n, k=1):
 class TestBasics:
     def test_rational_embedding(self):
         assert CyclotomicNumber.from_rational(3).level == 1
-        assert CyclotomicNumber.from_rational(Fraction(3, 2)).as_fraction() == Fraction(3, 2)
+        assert CyclotomicNumber.from_rational(Fraction(3, 2)).coeffs == (Fraction(3, 2),)
 
     def test_zero_one(self):
         assert CyclotomicNumber.zero().is_zero()
         assert not CyclotomicNumber.one().is_zero()
-        assert CyclotomicNumber.one().as_fraction() == 1
+        assert CyclotomicNumber.one() == Fraction(1)
+        assert CyclotomicNumber.one().coeffs == (Fraction(1),)
 
     def test_coefficient_length_enforced(self):
         with pytest.raises(ValueError):
@@ -211,6 +213,18 @@ def test_inverse_axiom(a):
             a.inverse()
     else:
         assert a * a.inverse() == 1
+
+
+def test_inverse_top_of_tower():
+    # the norm recursion runs from Q(zeta_64) and Q(zeta_32) down to Q
+    rng = random.Random(5)
+    for level in (MAX_LEVEL, MAX_LEVEL - 1):
+        for _ in range(3):
+            a = CyclotomicNumber(
+                level, [Fraction(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(degree_at(level))]
+            )
+            assert a * a.inverse() == 1
+            assert a.promote(MAX_LEVEL).inverse() == a.inverse()
 
 
 @given(cyclotomics(max_level=3), st.integers(4, MAX_LEVEL))

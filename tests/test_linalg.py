@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quadcert.cyclotomic import CyclotomicNumber, root_of_unity
 from quadcert.linalg import EigenspaceComponent, ExactMatrix, MonomialMatrix
@@ -81,6 +82,44 @@ class TestExactMatrix:
             ExactMatrix([[1, 2], [3]])
         with pytest.raises(ValueError):
             ExactMatrix([[1, 2]]) * ExactMatrix([[1, 2]])
+
+
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+zeta8_entries = st.one_of(
+    st.just(ZERO),
+    st.lists(small_fractions, min_size=4, max_size=4).map(lambda c: CyclotomicNumber(3, c)),
+)
+
+
+@st.composite
+def zeta8_matrices(draw):
+    """Small matrices over Q(zeta_8) whose last row is a combination of the
+    others, so both kernels are often nontrivial."""
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    m = [[draw(zeta8_entries) for _ in range(cols)] for _ in range(rows)]
+    scalars = [draw(zeta8_entries) for _ in range(rows)]
+    m.append([sum((s * row[j] for s, row in zip(scalars, m)), ZERO) for j in range(cols)])
+    return ExactMatrix(m)
+
+
+@given(zeta8_matrices())
+@settings(max_examples=60, deadline=None)
+def test_elimination_properties(m):
+    elim = m.rref()
+    assert ExactMatrix(elim.transform) * m == ExactMatrix(elim.reduced)
+    assert ExactMatrix(elim.transform).rank() == m.rows  # T is invertible
+    assert m.rref(transform=False).reduced == elim.reduced
+    for i, c in enumerate(elim.pivots):
+        assert [row[c] for row in elim.reduced] == [ONE if k == i else ZERO for k in range(m.rows)]
+    assert all(v.is_zero() for row in elim.reduced[elim.rank :] for v in row)
+    left = m.left_kernel()
+    assert len(left) == m.rows - m.rank()
+    for w in left:
+        assert all(v.is_zero() for v in m.transpose().apply(w))
+    right = m.right_kernel()
+    assert len(right) == m.cols - m.rank()
+    for v in right:
+        assert all(x.is_zero() for x in m.apply(v))
 
 
 class TestMonomialBasics:

@@ -507,6 +507,11 @@ class TestCli:
                 + [[]] * 3,
                 "exponents",
             ),
+            (
+                "--custom-quadrics",
+                [[{"y_exponents": [0, 0, 0], "coefficient": "[1]@2"}]] + [[]] * 3,
+                "input.json: a term row lacks the key 'x_exponents'",
+            ),
         ],
     )
     def test_malformed_input_exit_two(self, tmp_path, capsys, flag, content, message):

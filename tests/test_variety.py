@@ -75,9 +75,9 @@ class TestQuadricSystem:
         system = build_quadrics()
         landmarks = ((system.quadrics[0], x_pair(2, 6)), (system.quadrics[3], x_pair(5, 1)))
         for q, x_exponents in landmarks:
-            assert q.coefficient(x_exponents + (2, 0, 0)) == 1
-            assert q.coefficient(x_exponents + (0, 0, 2)) == 1
-            assert q.coefficient(x_exponents + (1, 0, 1)) == 0
+            assert q.terms[x_exponents + (2, 0, 0)] == 1
+            assert q.terms[x_exponents + (0, 0, 2)] == 1
+            assert x_exponents + (1, 0, 1) not in q.terms
 
     def test_sign_pattern(self):
         square = Polynomial.monomial(Y_VARIABLES, (1, 0, 1))
@@ -503,6 +503,26 @@ class TestFreeness:
         assert involutions_report.verdict == all_report.verdict == "free"
         (outcome,) = all_report.specializations
         assert len(outcome.elements) == 7
+
+    def test_cache_keyed_on_system_and_seed(self):
+        # one cache shared across systems must not leak the planted control's
+        # fixed points into the standard pencil's verdict
+        flip = closure([make_tau() ** 4])
+        cache = {}
+        for system, verdict in (
+            (planted_control_system(), "fixed-point-found"),
+            (build_quadrics(), "free"),
+        ):
+            report = check_freeness(
+                flip, system, [(1, 2, 3)], scope="all", screen=False, cache=cache
+            )
+            assert report.verdict == verdict
+        assert len(cache) == 2
+        check_freeness(
+            flip, build_quadrics(), [(1, 2, 3)], scope="all", screen=False, cache=cache,
+            witness_seed=1,
+        )
+        assert len(cache) == 3
 
     def test_involution_scope_needs_two_group(self):
         three_cycle = MonomialMatrix((1, 2, 0, 3, 4, 5, 6, 7), (0,) * 8)
