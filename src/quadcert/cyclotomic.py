@@ -41,18 +41,28 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
+def _lift(coeffs: tuple[Fraction, ...], level: int) -> list[Fraction]:
+    """Coefficients of a lower-level element written at `level`.
+
+    The embedding Q(zeta_n) -> Q(zeta_{2n}) sends zeta_n to zeta_{2n}^2, so
+    coefficients move to indices strided by 2**(level difference)."""
+    vec = [_ZERO] * degree_at(level)
+    vec[:: len(vec) // len(coeffs)] = coeffs
+    return vec
+
+
 class CyclotomicNumber:
     """Immutable element of Q(zeta_{2^level}).
 
-    Arithmetic promotes operands to a common level, reduces modulo
-    x^(n/2) + 1, and stores the result at the smallest level that represents
-    it, so equal values at different construction levels compare (and hash)
-    equal and the hot loops stay at low degree.
+    Every number is stored at the smallest level that represents it, so
+    equal values compare (and hash) by level and coefficients alone and the
+    hot loops stay at low degree.  Arithmetic lifts the lower operand's
+    coefficients to the common level and reduces modulo x^(n/2) + 1.
     """
 
     __slots__ = ("level", "coeffs")
 
-    def __init__(self, level: int, coeffs: Iterable[RationalLike], _demote: bool = True):
+    def __init__(self, level: int, coeffs: Iterable[RationalLike]):
         if not MIN_LEVEL <= level <= MAX_LEVEL:
             raise ValueError(f"level must be in [{MIN_LEVEL}, {MAX_LEVEL}], got {level}")
         vec = tuple(_as_fraction(c) for c in coeffs)
@@ -60,12 +70,11 @@ class CyclotomicNumber:
             raise ValueError(
                 f"level {level} needs {degree_at(level)} coefficients, got {len(vec)}"
             )
-        if _demote:
-            # Strip to the minimal level: a value lies in the subfield exactly
-            # when every odd-index coefficient vanishes.
-            while level > MIN_LEVEL and not any(vec[1::2]):
-                vec = vec[0::2]
-                level -= 1
+        # Strip to the minimal level: a value lies in the subfield exactly
+        # when every odd-index coefficient vanishes.
+        while level > MIN_LEVEL and not any(vec[1::2]):
+            vec = vec[0::2]
+            level -= 1
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "coeffs", vec)
 
@@ -88,34 +97,11 @@ class CyclotomicNumber:
 
     # -- representation helpers --------------------------------------------
 
-    def _minimal(self) -> "CyclotomicNumber":
-        """Self at its smallest representing level (identity unless promoted)."""
-        if self.level == MIN_LEVEL or any(self.coeffs[1::2]):
-            return self
-        return CyclotomicNumber(self.level, self.coeffs)
-
-    def promote(self, level: int) -> "CyclotomicNumber":
-        """The same field element written at a higher level.
-
-        The embedding Q(zeta_n) -> Q(zeta_{2n}) sends zeta_n to zeta_{2n}^2,
-        so coefficients move to indices strided by 2**(level difference).
-        """
-        if level < self.level:
-            raise ValueError(f"cannot promote level {self.level} down to {level}")
-        if level > MAX_LEVEL:
-            raise ValueError(f"level must be at most {MAX_LEVEL}, got {level}")
-        if level == self.level:
-            return self
-        stride = 1 << (level - self.level)
-        vec = [_ZERO] * degree_at(level)
-        for i, c in enumerate(self.coeffs):
-            vec[i * stride] = c
-        return CyclotomicNumber(level, vec, _demote=False)
-
     def _common(self, other: "CyclotomicNumber"):
+        """The larger level and both coefficient tuples written at it."""
         level = max(self.level, other.level)
-        a = self.promote(level).coeffs if self.level < level else self.coeffs
-        b = other.promote(level).coeffs if other.level < level else other.coeffs
+        a = self.coeffs if self.level == level else _lift(self.coeffs, level)
+        b = other.coeffs if other.level == level else _lift(other.coeffs, level)
         return level, a, b
 
     # -- predicates ---------------------------------------------------------
@@ -135,7 +121,7 @@ class CyclotomicNumber:
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicNumber(self.level, tuple(-c for c in self.coeffs), _demote=False)
+        return CyclotomicNumber(self.level, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -180,13 +166,12 @@ class CyclotomicNumber:
         rational reciprocal at level 1."""
         if self.is_zero():
             raise ZeroDivisionError("cyclotomic inverse of zero")
-        me = self._minimal()
-        if me.level == MIN_LEVEL:
-            return CyclotomicNumber(MIN_LEVEL, (_ONE / me.coeffs[0],))
+        if self.level == MIN_LEVEL:
+            return CyclotomicNumber(MIN_LEVEL, (_ONE / self.coeffs[0],))
         conj = CyclotomicNumber(
-            me.level, tuple(-c if i & 1 else c for i, c in enumerate(me.coeffs)), _demote=False
+            self.level, tuple(-c if i & 1 else c for i, c in enumerate(self.coeffs))
         )
-        return conj * (me * conj).inverse()
+        return conj * (self * conj).inverse()
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -221,19 +206,14 @@ class CyclotomicNumber:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.level == other.level:
-            return self.coeffs == other.coeffs
-        _, a, b = self._common(other)
-        return a == b
+        return self.level == other.level and self.coeffs == other.coeffs
 
     def __hash__(self):
-        me = self._minimal()
-        return hash((me.level, me.coeffs))
+        return hash((self.level, self.coeffs))
 
     def sort_key(self):
         """Deterministic total order key (by minimal level, then coefficients)."""
-        me = self._minimal()
-        return (me.level, tuple((c.numerator, c.denominator) for c in me.coeffs))
+        return (self.level, tuple((c.numerator, c.denominator) for c in self.coeffs))
 
     # -- text form ----------------------------------------------------------
 
@@ -251,11 +231,14 @@ class CyclotomicNumber:
         body = body.strip()
         if not (body.startswith("[") and body.endswith("]")):
             raise ValueError(f"malformed cyclotomic literal: {text!r}")
-        n = int(order)
+        inner = body[1:-1].strip()
+        try:
+            n = int(order)
+            coeffs = [Fraction(part.strip()) for part in inner.split(",")] if inner else []
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"malformed cyclotomic literal: {text!r}") from None
         if n not in SUPPORTED_ORDERS:
             raise ValueError(f"unsupported root-of-unity order {n}")
-        inner = body[1:-1].strip()
-        coeffs = [Fraction(part.strip()) for part in inner.split(",")] if inner else []
         return cls(n.bit_length() - 1, coeffs)
 
     def __repr__(self):
@@ -270,6 +253,14 @@ def _coerce(value):
     if isinstance(value, (int, Fraction)):
         return CyclotomicNumber.from_rational(value)
     return NotImplemented
+
+
+def as_cyclotomic(value) -> CyclotomicNumber:
+    """An exact scalar as a field element: int and Fraction land at level 1."""
+    lifted = _coerce(value)
+    if lifted is NotImplemented:
+        raise TypeError(f"expected an exact number, got {type(value).__name__}")
+    return lifted
 
 
 # -- roots of unity ---------------------------------------------------------

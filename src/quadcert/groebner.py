@@ -7,9 +7,9 @@ systems this package produces (a handful of variables, quadratic
 generators), so the classic Buchberger loop with the product and chain
 criteria is enough; no attempt is made at F4-style batching.
 
-With check=True (the default) every emitted basis is post-verified: all
-S-polynomials of the reduced basis reduce to zero against it, and so does
-every input generator.  A failure raises instead of returning a bad basis.
+Every emitted basis is post-verified: all S-polynomials of the reduced
+basis reduce to zero against it, and so does every input generator.  A
+failure raises instead of returning a bad basis.
 """
 
 from __future__ import annotations
@@ -19,6 +19,9 @@ from typing import Iterable, Sequence
 
 from .cyclotomic import CyclotomicNumber
 from .polynomials import Polynomial, grevlex_key
+
+#: Largest basis buchberger builds before giving up on a system.
+MAX_BASIS = 200
 
 
 def _exp_divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
@@ -45,18 +48,11 @@ def leading_term(p: Polynomial) -> tuple[tuple[int, ...], CyclotomicNumber]:
     return lm, p.terms[lm]
 
 
-def _make(variables: tuple[str, ...], terms: dict) -> Polynomial:
-    out = Polynomial.__new__(Polynomial)
-    object.__setattr__(out, "variables", variables)
-    object.__setattr__(out, "terms", terms)
-    return out
-
-
 def _monomial_times(p: Polynomial, shift: tuple[int, ...], factor: CyclotomicNumber) -> Polynomial:
     terms = {}
     for e, c in p.terms.items():
         terms[tuple(i + j for i, j in zip(e, shift))] = c * factor
-    return _make(p.variables, terms)
+    return Polynomial._unchecked(p.variables, terms)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -99,7 +95,7 @@ def normal_form(p: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
                 break
         else:
             remainder[lm] = lc
-    return _make(p.variables, remainder)
+    return Polynomial._unchecked(p.variables, remainder)
 
 
 def _interreduce(basis: list[Polynomial]) -> list[Polynomial]:
@@ -160,16 +156,14 @@ class GroebnerBasis:
         return self.pure_power_variables() == frozenset(range(len(self.variables)))
 
 
-def buchberger(
-    generators: Iterable[Polynomial], check: bool = True, max_basis: int = 200
-) -> GroebnerBasis:
+def buchberger(generators: Iterable[Polynomial]) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal spanned by the generators.
 
     Pair selection is the normal strategy: smallest lcm in grevlex first,
     index pair as tie break.  Pairs with disjoint leading supports are
     dropped (product criterion), as are pairs covered by an already treated
-    third element (chain criterion); the check=True post-verification makes
-    the result independent of any subtlety in those discards.
+    third element (chain criterion); the post-verification makes the
+    result independent of any subtlety in those discards.
     """
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
@@ -206,16 +200,15 @@ def buchberger(
         h = normal_form(s_polynomial(basis[i], basis[j]), basis)
         if h.is_zero():
             continue
-        if len(basis) >= max_basis:
-            raise RuntimeError(f"basis exceeded {max_basis} elements; system too large")
+        if len(basis) >= MAX_BASIS:
+            raise RuntimeError(f"basis exceeded {MAX_BASIS} elements; system too large")
         m = len(basis)
         basis.append(h)
         pending.update((t, m) for t in range(m))
 
     reduced = _interreduce(basis)
     gb = GroebnerBasis(variables, tuple(reduced))
-    if check:
-        _verify_basis(gb, gens)
+    _verify_basis(gb, gens)
     return gb
 
 
@@ -230,7 +223,7 @@ def _verify_basis(gb: GroebnerBasis, gens: Sequence[Polynomial]) -> None:
             raise ArithmeticError(f"input generator {n} does not reduce to zero")
 
 
-def projective_zero_set_empty(system: Sequence[Polynomial], check: bool = True) -> bool:
+def projective_zero_set_empty(system: Sequence[Polynomial]) -> bool:
     """Whether a homogeneous system has no projective solution over any
     extension field.
 
@@ -246,7 +239,7 @@ def projective_zero_set_empty(system: Sequence[Polynomial], check: bool = True) 
     for p in polys:
         if not p.is_homogeneous():
             raise ValueError("projective emptiness needs homogeneous polynomials")
-    gb = buchberger(polys, check=check)
+    gb = buchberger(polys)
     if gb.is_trivial():
         return True
     return gb.covers_all_variables()

@@ -26,7 +26,7 @@ from __future__ import annotations
 import re
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 from .linalg import MonomialMatrix
 
@@ -35,70 +35,25 @@ DEFAULT_CLOSURE_CAP = 10000
 GROUP_NAMES = ("G", "G1", "G2")
 
 
-class ProjectiveElement:
-    """A monomial matrix up to scalar: the stored representative has phase 0
-    in slot 0, which absorbs exactly the root-of-unity scalars."""
+class ProjectiveElement(MonomialMatrix):
+    """A monomial matrix up to scalar: the phases are shifted to put 0 in
+    slot 0, which absorbs exactly the root-of-unity scalars.  Products,
+    inverses and powers are built through this constructor, so they stay
+    normalized."""
 
-    __slots__ = ("rep",)
+    __slots__ = ()
 
-    def __init__(self, matrix: MonomialMatrix):
-        shift = matrix.phases[0]
-        if shift:
-            matrix = MonomialMatrix(
-                matrix.perm, tuple((p - shift) % matrix.N for p in matrix.phases), matrix.N
-            )
-        object.__setattr__(self, "rep", matrix)
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("ProjectiveElement is immutable")
-
-    @property
-    def size(self) -> int:
-        return self.rep.size
-
-    @property
-    def N(self) -> int:
-        return self.rep.N
-
-    def __mul__(self, other):
-        if not isinstance(other, ProjectiveElement):
-            return NotImplemented
-        return ProjectiveElement(self.rep * other.rep)
-
-    def inverse(self) -> "ProjectiveElement":
-        return ProjectiveElement(self.rep.inverse())
-
-    def __pow__(self, exponent: int) -> "ProjectiveElement":
-        return ProjectiveElement(self.rep ** exponent)
-
-    def is_identity(self) -> bool:
-        return self.rep.is_identity()
-
-    def __eq__(self, other):
-        if not isinstance(other, ProjectiveElement):
-            return NotImplemented
-        return self.rep == other.rep
-
-    def __hash__(self):
-        return hash((ProjectiveElement, self.rep))
-
-    def __repr__(self):
-        return f"ProjectiveElement({self.rep!r})"
-
-    def to_dict(self) -> dict:
-        return self.rep.to_dict()
+    def __init__(self, perm: Sequence[int], phases: Sequence[int], N: int = 8):
+        super().__init__(perm, [p - phases[0] for p in phases], N)
 
 
-GroupElement = Union[ProjectiveElement, MonomialMatrix]
-
-
-def element_order(g: GroupElement, cap: int = DEFAULT_CLOSURE_CAP) -> int:
+def element_order(g: MonomialMatrix) -> int:
     power = g
-    for k in range(1, cap + 1):
+    for k in range(1, DEFAULT_CLOSURE_CAP + 1):
         if power.is_identity():
             return k
         power = power * g
-    raise RuntimeError(f"no identity power within {cap} steps")
+    raise RuntimeError(f"no identity power within {DEFAULT_CLOSURE_CAP} steps")
 
 
 @dataclass(frozen=True)
@@ -107,8 +62,8 @@ class FiniteGroup:
 
     projective: bool
     names: tuple[str, ...]
-    generators: tuple[GroupElement, ...]
-    elements: tuple[GroupElement, ...]
+    generators: tuple[MonomialMatrix, ...]
+    elements: tuple[MonomialMatrix, ...]
     element_set: frozenset
 
     @property
@@ -118,31 +73,30 @@ class FiniteGroup:
     def __len__(self):
         return len(self.elements)
 
-    def __contains__(self, g: GroupElement) -> bool:
+    def __contains__(self, g: MonomialMatrix) -> bool:
         return g in self.element_set
 
-    def identity(self) -> GroupElement:
+    def identity(self) -> MonomialMatrix:
         return self.elements[0]
 
-    def generator_map(self) -> dict[str, GroupElement]:
+    def generator_map(self) -> dict[str, MonomialMatrix]:
         return dict(zip(self.names, self.generators))
 
-    def evaluate_word(self, word: str) -> GroupElement:
+    def evaluate_word(self, word: str) -> MonomialMatrix:
         return evaluate_word(word, self.generator_map(), self.identity())
 
     def verify_relation(self, relation: str) -> bool:
         return verify_relation(relation, self.generator_map(), self.identity())
 
-    def subgroup(self, words: Sequence[str], cap: int = DEFAULT_CLOSURE_CAP) -> "FiniteGroup":
+    def subgroup(self, words: Sequence[str]) -> "FiniteGroup":
         """Closure of word values inside the same group, names kept as the
         word texts."""
         gens = [self.evaluate_word(w) for w in words]
-        mats = [g.rep if isinstance(g, ProjectiveElement) else g for g in gens]
-        return closure(mats, projective=self.projective, cap=cap, names=tuple(words))
+        return closure(gens, projective=self.projective, names=tuple(words))
 
 
 def closure(
-    generators: Sequence[MonomialMatrix | ProjectiveElement],
+    generators: Sequence[MonomialMatrix],
     projective: bool = True,
     cap: int = DEFAULT_CLOSURE_CAP,
     names: Sequence[str] | None = None,
@@ -153,24 +107,21 @@ def closure(
     inverses are needed.  The cap bounds the element count and raising past
     it signals a non-finite configuration (typically a wrong phase modulus).
     """
-    mats = [g.rep if isinstance(g, ProjectiveElement) else g for g in generators]
-    if not mats:
+    kind = ProjectiveElement if projective else MonomialMatrix
+    gens = [kind(m.perm, m.phases, m.N) for m in generators]
+    if not gens:
         raise ValueError("need at least one generator")
-    size, N = mats[0].size, mats[0].N
-    for m in mats:
-        if m.size != size or m.N != N:
+    size, N = gens[0].size, gens[0].N
+    for g in gens:
+        if g.size != size or g.N != N:
             raise ValueError("generators must share size and phase modulus")
     if names is None:
-        names = tuple(f"g{i}" for i in range(len(mats)))
+        names = tuple(f"g{i}" for i in range(len(gens)))
     names = tuple(names)
-    if len(names) != len(mats):
+    if len(names) != len(gens):
         raise ValueError("one name per generator")
 
-    def wrap(m: MonomialMatrix) -> GroupElement:
-        return ProjectiveElement(m) if projective else m
-
-    gens = [wrap(m) for m in mats]
-    ident = wrap(MonomialMatrix.identity(size, N))
+    ident = kind.identity(size, N)
     seen = {ident}
     ordered = [ident]
     queue = deque([ident])
@@ -195,18 +146,17 @@ def order_spectrum(group: FiniteGroup) -> dict[int, int]:
     return spectrum
 
 
-def is_abelian(group: FiniteGroup, all_pairs: bool = False) -> bool:
-    """Generator pairs commuting already decides it; all_pairs recomputes
-    over the full element list as a cross-check."""
-    pool = group.elements if all_pairs else group.generators
-    for i, a in enumerate(pool):
-        for b in pool[i + 1 :]:
+def is_abelian(group: FiniteGroup) -> bool:
+    """Generator pairs commuting would decide it; every element pair is
+    checked instead, as a cross-check of the closure."""
+    for i, a in enumerate(group.elements):
+        for b in group.elements[i + 1 :]:
             if a * b != b * a:
                 return False
     return True
 
 
-def involutions(group: FiniteGroup) -> tuple[GroupElement, ...]:
+def involutions(group: FiniteGroup) -> tuple[MonomialMatrix, ...]:
     return tuple(g for g in group.elements if element_order(g) == 2)
 
 
@@ -216,7 +166,7 @@ _TOKEN = re.compile(r"^([A-Za-z][A-Za-z0-9_]*)(?:\^(-?\d+))?$")
 _IDENTITY_TOKENS = {"identity", "e", "1"}
 
 
-def evaluate_word(word: str, generators: Mapping[str, GroupElement], identity: GroupElement) -> GroupElement:
+def evaluate_word(word: str, generators: Mapping[str, MonomialMatrix], identity: MonomialMatrix) -> MonomialMatrix:
     """Evaluate a whitespace-separated word like "s1 t s1^-1" left to right."""
     result = identity
     for token in word.split():
@@ -235,7 +185,7 @@ def evaluate_word(word: str, generators: Mapping[str, GroupElement], identity: G
     return result
 
 
-def verify_relation(relation: str, generators: Mapping[str, GroupElement], identity: GroupElement) -> bool:
+def verify_relation(relation: str, generators: Mapping[str, MonomialMatrix], identity: MonomialMatrix) -> bool:
     """Check an equation "word = word"; comparison is projective whenever the
     elements themselves are."""
     sides = relation.split("=")
@@ -246,7 +196,7 @@ def verify_relation(relation: str, generators: Mapping[str, GroupElement], ident
     return left == right
 
 
-def conjugation_exponent(g: GroupElement, t: GroupElement, identity: GroupElement) -> int | None:
+def conjugation_exponent(g: MonomialMatrix, t: MonomialMatrix, identity: MonomialMatrix) -> int | None:
     """The exponent a with g t g^-1 = t^a, if one exists."""
     conj = g * t * g.inverse()
     power = identity
@@ -289,15 +239,30 @@ def _normality_witness(group: FiniteGroup, sub: FiniteGroup) -> str | None:
     return None
 
 
+#: The keys certify_structure reads from each claim type; semidirect_exponent
+#: may also state a value, and contained_in a subgroup.
+CLAIM_KEYS = {
+    "order": ("value",),
+    "abelian": ("value",),
+    "relation": ("relation",),
+    "spectrum": ("value",),
+    "spectrum_of_subgroup": ("subgroup", "value"),
+    "normal_subgroup": ("subgroup",),
+    "quotient_order": ("subgroup", "value"),
+    "semidirect_exponent": ("normal_generator", "conjugator"),
+    "involutions_in_subgroup": ("subgroup",),
+    "contained_in": ("ambient_generators",),
+}
+
+
 def certify_structure(group: FiniteGroup, claims: Sequence[dict]) -> StructureCertificate:
     """Check a list of tagged claim records against the group by enumeration.
 
-    Claim types: order, abelian, relation, spectrum, normal_subgroup,
-    quotient_order, semidirect_exponent, involutions_in_subgroup,
-    contained_in.  Failures are reported with witnesses, never raised.
+    Claim types are those of CLAIM_KEYS; an unknown type fails with a
+    witness.  Failures are reported with witnesses, never raised.
     """
     spectrum = order_spectrum(group)
-    abelian = is_abelian(group, all_pairs=True)
+    abelian = is_abelian(group)
     results: list[ClaimResult] = []
 
     for claim in claims:

@@ -9,25 +9,17 @@ Jacobians and Hessians, where exact Gaussian elimination is the whole point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .cyclotomic import (
     SUPPORTED_ORDERS,
     CyclotomicNumber,
+    as_cyclotomic,
     root_of_unity,
 )
 
 _ZERO = CyclotomicNumber.zero()
 _ONE = CyclotomicNumber.one()
-
-
-def _entry(value) -> CyclotomicNumber:
-    if isinstance(value, CyclotomicNumber):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return CyclotomicNumber.from_rational(value)
-    raise TypeError(f"matrix entries must be exact, got {type(value).__name__}")
 
 
 class ExactMatrix:
@@ -36,7 +28,7 @@ class ExactMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries: Iterable[Iterable]):
-        rows = tuple(tuple(_entry(v) for v in row) for row in entries)
+        rows = tuple(tuple(as_cyclotomic(v) for v in row) for row in entries)
         if not rows:
             raise ValueError("matrix needs at least one row")
         width = len(rows[0])
@@ -83,7 +75,7 @@ class ExactMatrix:
         return ExactMatrix(out)
 
     def apply(self, vector: Sequence) -> tuple:
-        vec = [_entry(v) for v in vector]
+        vec = [as_cyclotomic(v) for v in vector]
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
         out = []
@@ -202,7 +194,8 @@ class MonomialMatrix:
     Matrix reading (action on column vectors, used by apply/eigenspaces):
         e_j  ->  zeta_N^phases[j] * e_perm[j]
     The product g * h composes substitutions with h applied first, which in
-    the matrix reading is the ordinary matrix product.
+    the matrix reading is the ordinary matrix product.  Products, inverses
+    and powers are built as type(self), so a subclass's normalization holds.
     """
 
     __slots__ = ("size", "perm", "phases", "N")
@@ -249,7 +242,7 @@ class MonomialMatrix:
         return hash((self.size, self.N, self.perm, self.phases))
 
     def __repr__(self):
-        return f"MonomialMatrix(perm={self.perm}, phases={self.phases}, N={self.N})"
+        return f"{type(self).__name__}(perm={self.perm}, phases={self.phases}, N={self.N})"
 
     def _check_compatible(self, other: "MonomialMatrix"):
         if self.size != other.size:
@@ -268,19 +261,19 @@ class MonomialMatrix:
             (other.phases[j] + self.phases[other.perm[j]]) % self.N
             for j in range(self.size)
         )
-        return MonomialMatrix(perm, phases, self.N)
+        return type(self)(perm, phases, self.N)
 
     def inverse(self) -> "MonomialMatrix":
         inv_perm = [0] * self.size
         for j, image in enumerate(self.perm):
             inv_perm[image] = j
         phases = tuple(-self.phases[inv_perm[j]] % self.N for j in range(self.size))
-        return MonomialMatrix(tuple(inv_perm), phases, self.N)
+        return type(self)(tuple(inv_perm), phases, self.N)
 
     def __pow__(self, exponent: int) -> "MonomialMatrix":
         base = self if exponent >= 0 else self.inverse()
         exponent = abs(exponent)
-        result = MonomialMatrix.identity(self.size, self.N)
+        result = type(self).identity(self.size, self.N)
         while exponent:
             if exponent & 1:
                 result = result * base
@@ -299,7 +292,7 @@ class MonomialMatrix:
 
     def apply(self, point: Sequence) -> tuple:
         """Matrix reading applied to a coordinate vector."""
-        vec = [_entry(v) for v in point]
+        vec = [as_cyclotomic(v) for v in point]
         if len(vec) != self.size:
             raise ValueError("point length mismatch")
         out = [_ZERO] * self.size

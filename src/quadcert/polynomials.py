@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .cyclotomic import CyclotomicNumber, root_of_unity
+from .cyclotomic import CyclotomicNumber, as_cyclotomic, root_of_unity
 from .linalg import MonomialMatrix
 
 X_VARIABLES = tuple(f"x{i}" for i in range(8))
@@ -33,12 +33,13 @@ def grevlex_key(exponents: tuple[int, ...]):
     return (sum(exponents), tuple(-e for e in reversed(exponents)))
 
 
-def _coerce_coefficient(value) -> CyclotomicNumber:
-    if isinstance(value, CyclotomicNumber):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return CyclotomicNumber.from_rational(value)
-    raise TypeError(f"bad coefficient type {type(value).__name__}")
+def _add_term(terms: dict, exponents: tuple[int, ...], coeff: CyclotomicNumber) -> None:
+    """Add coeff to the term at exponents, dropping the term if it is zero."""
+    total = terms[exponents] + coeff if exponents in terms else coeff
+    if total.is_zero():
+        terms.pop(exponents, None)
+    else:
+        terms[exponents] = total
 
 
 class Polynomial:
@@ -55,16 +56,7 @@ class Polynomial:
                 )
             if any(e < 0 for e in exponents):
                 raise ValueError(f"negative exponent in {exponents}")
-            coeff = _coerce_coefficient(coeff)
-            if not coeff.is_zero():
-                if exponents in clean:
-                    total = clean[exponents] + coeff
-                    if total.is_zero():
-                        del clean[exponents]
-                    else:
-                        clean[exponents] = total
-                else:
-                    clean[exponents] = coeff
+            _add_term(clean, exponents, as_cyclotomic(coeff))
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "terms", clean)
 
@@ -72,6 +64,15 @@ class Polynomial:
         raise AttributeError("Polynomial is immutable")
 
     # -- constructors -------------------------------------------------------
+
+    @classmethod
+    def _unchecked(cls, variables: tuple[str, ...], terms: dict) -> "Polynomial":
+        """Wrap terms that already have matching exponent tuples and nonzero
+        CyclotomicNumber coefficients, skipping the constructor's checks."""
+        out = cls.__new__(cls)
+        object.__setattr__(out, "variables", variables)
+        object.__setattr__(out, "terms", terms)
+        return out
 
     @classmethod
     def zero(cls, variables: Sequence[str]) -> "Polynomial":
@@ -142,24 +143,11 @@ class Polynomial:
         self._check_same_ring(other)
         terms = dict(self.terms)
         for exponents, coeff in other.terms.items():
-            if exponents in terms:
-                total = terms[exponents] + coeff
-                if total.is_zero():
-                    del terms[exponents]
-                else:
-                    terms[exponents] = total
-            else:
-                terms[exponents] = coeff
-        out = Polynomial.__new__(Polynomial)
-        object.__setattr__(out, "variables", self.variables)
-        object.__setattr__(out, "terms", terms)
-        return out
+            _add_term(terms, exponents, coeff)
+        return Polynomial._unchecked(self.variables, terms)
 
     def __neg__(self):
-        out = Polynomial.__new__(Polynomial)
-        object.__setattr__(out, "variables", self.variables)
-        object.__setattr__(out, "terms", {e: -c for e, c in self.terms.items()})
-        return out
+        return Polynomial._unchecked(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
@@ -176,20 +164,8 @@ class Polynomial:
         terms: dict[tuple[int, ...], CyclotomicNumber] = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
-                key = tuple(i + j for i, j in zip(ea, eb))
-                prod = ca * cb
-                if key in terms:
-                    total = terms[key] + prod
-                    if total.is_zero():
-                        del terms[key]
-                    else:
-                        terms[key] = total
-                elif not prod.is_zero():
-                    terms[key] = prod
-        out = Polynomial.__new__(Polynomial)
-        object.__setattr__(out, "variables", self.variables)
-        object.__setattr__(out, "terms", terms)
-        return out
+                _add_term(terms, tuple(i + j for i, j in zip(ea, eb)), ca * cb)
+        return Polynomial._unchecked(self.variables, terms)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, CyclotomicNumber)):
@@ -198,7 +174,7 @@ class Polynomial:
 
     def scale(self, factor) -> "Polynomial":
         """Multiply every coefficient by a scalar."""
-        factor = _coerce_coefficient(factor)
+        factor = as_cyclotomic(factor)
         return Polynomial(self.variables, {e: c * factor for e, c in self.terms.items()})
 
     def __pow__(self, exponent: int) -> "Polynomial":
@@ -249,15 +225,7 @@ class Polynomial:
             phase %= g.N
             if phase:
                 coeff = coeff * root_of_unity(g.N, phase)
-            key = tuple(image) + exponents[n:]
-            if key in terms:
-                total = terms[key] + coeff
-                if total.is_zero():
-                    del terms[key]
-                else:
-                    terms[key] = total
-            else:
-                terms[key] = coeff
+            _add_term(terms, tuple(image) + exponents[n:], coeff)
         return Polynomial(self.variables, terms)
 
     def substitute(self, images: Sequence["Polynomial"]) -> "Polynomial":
@@ -303,10 +271,7 @@ class Polynomial:
 
     def evaluate(self, point: Sequence) -> CyclotomicNumber:
         """Value at a point with cyclotomic (or rational) coordinates."""
-        coords = [
-            v if isinstance(v, CyclotomicNumber) else CyclotomicNumber.from_rational(v)
-            for v in point
-        ]
+        coords = [as_cyclotomic(v) for v in point]
         if len(coords) != len(self.variables):
             raise ValueError("point length mismatch")
         total = CyclotomicNumber.zero()

@@ -11,6 +11,7 @@ from typing import Sequence
 
 from . import __version__
 from .groups import (
+    CLAIM_KEYS,
     FiniteGroup,
     certify_structure,
     closure,
@@ -208,10 +209,14 @@ def load_custom_group(path: str) -> GroupSelection:
     claims = []
     for claim in raw_claims:
         claim = dict(claim)
-        if claim.get("type") in ("spectrum", "spectrum_of_subgroup"):
+        kind = claim.get("type")
+        for key in CLAIM_KEYS.get(kind, ()) if isinstance(kind, str) else ():
+            if key not in claim:
+                raise ValueError(f"{path}: {kind} claim lacks the key {key!r}")
+        if kind in ("spectrum", "spectrum_of_subgroup"):
             value = claim.get("value")
             if not isinstance(value, dict) or not all(isinstance(v, int) for v in value.values()):
-                raise ValueError(f"{path}: {claim['type']} claim value must map orders to counts")
+                raise ValueError(f"{path}: {kind} claim value must map orders to counts")
             claim["value"] = {int(k): v for k, v in value.items()}
         claims.append(claim)
     words = data.get("localization")

@@ -18,12 +18,14 @@ from fractions import Fraction
 from typing import Sequence
 
 from .cyclotomic import CyclotomicNumber, root_of_unity
-from .groups import FiniteGroup, ProjectiveElement, element_order
+from .groups import FiniteGroup, element_order
 from .linalg import EigenspaceComponent, ExactMatrix, MonomialMatrix
 from .groebner import projective_zero_set_empty
 from .polynomials import PENCIL_VARIABLES, Polynomial, X_VARIABLES, grevlex_key, s_variables
 
 MAX_SPECIALIZATION_HEIGHT = 97
+#: Candidate triples draw_specializations screens before giving up.
+MAX_DRAWS = 500
 
 
 def _y_triple(y) -> tuple[Fraction, Fraction, Fraction]:
@@ -164,7 +166,7 @@ def projective_point_key(coords: Sequence[CyclotomicNumber]) -> tuple:
 @dataclass(frozen=True)
 class OrbitPoint:
     coordinates: tuple[CyclotomicNumber, ...]
-    group_element: ProjectiveElement
+    group_element: MonomialMatrix
     key: tuple  # projective_point_key(coordinates)
 
     def render(self) -> str:
@@ -178,8 +180,7 @@ def singular_orbit(system: QuadricSystem, group: FiniteGroup, y) -> list[OrbitPo
     seen = {}
     out = []
     for g in group.elements:
-        mat = g.rep if isinstance(g, ProjectiveElement) else g
-        coords = tuple(mat.point_matrix().apply(origin))
+        coords = tuple(g.point_matrix().apply(origin))
         key = projective_point_key(coords)
         if key not in seen:
             seen[key] = True
@@ -338,13 +339,12 @@ def check_ideal_invariance(g: MonomialMatrix, system: QuadricSystem) -> Invarian
 # -- fixed loci and freeness --------------------------------------------------
 
 
-def fixed_locus_components(g: ProjectiveElement | MonomialMatrix) -> list[EigenspaceComponent]:
+def fixed_locus_components(g: MonomialMatrix) -> list[EigenspaceComponent]:
     """Candidate fixed-locus pieces of g on P^7: the projectivized
     eigenspaces of its inverse-transpose (point) matrix."""
-    mat = g.rep if isinstance(g, ProjectiveElement) else g
-    if mat.is_identity():
+    if g.is_identity():
         raise ValueError("identity fixes everything; no component analysis")
-    return mat.point_matrix().eigenspaces()
+    return g.point_matrix().eigenspaces()
 
 
 @dataclass(frozen=True)
@@ -519,8 +519,7 @@ def check_freeness(
         quadrics = system.specialized(triple)
         element_outcomes = []
         for g, order in targets:
-            mat = g.rep if isinstance(g, ProjectiveElement) else g
-            key = (system, mat, triple, witness_seed)
+            key = (system, g, triple, witness_seed)
             if key in cache:
                 outcomes = cache[key]
             else:
@@ -529,7 +528,7 @@ def check_freeness(
                     for component in fixed_locus_components(g)
                 )
                 cache[key] = outcomes
-            element_outcomes.append(ElementOutcome(mat.to_dict(), order, outcomes))
+            element_outcomes.append(ElementOutcome(g.to_dict(), order, outcomes))
         spec_outcomes.append(
             SpecializationOutcome(triple, "complete", None, tuple(element_outcomes))
         )
@@ -574,13 +573,13 @@ def draw_specializations(
     seed: int,
     system: QuadricSystem,
     group: FiniteGroup,
-    max_tries: int = 500,
 ) -> list[tuple[Fraction, Fraction, Fraction]]:
     """Seeded random rational parameter triples passing the screen, with
-    numerators and denominators bounded by 97."""
+    numerators and denominators bounded by 97.  Too few passing triples make
+    the input unusable, a ValueError."""
     rng = random.Random(seed)
     out: list[tuple[Fraction, Fraction, Fraction]] = []
-    for _ in range(max_tries):
+    for _ in range(MAX_DRAWS):
         if len(out) == count:
             break
         candidate = tuple(
@@ -595,5 +594,5 @@ def draw_specializations(
         if genericity_screen(candidate, system, group).ok:
             out.append(candidate)
     if len(out) < count:
-        raise RuntimeError(f"only {len(out)} of {count} specializations passed the screen")
+        raise ValueError(f"{len(out)} of {MAX_DRAWS} drawn triples passed the screen, {count} needed")
     return out

@@ -1,9 +1,12 @@
-"""The benchmark's tracer (bench/tracer.py) wraps quadcert functions by name.
-Every name it lists must resolve, or a traced benchmark run fails.  The
-tracer is parsed, not imported, so this test does not install its hooks."""
+"""The benchmark calls into quadcert by name.  Its tracer (bench/tracer.py)
+wraps quadcert functions by name: every name it lists must resolve, or a
+traced benchmark run fails.  The tracer is parsed, not imported, so these
+tests do not install its hooks.  The sweep workload (bench/sweep.py) calls
+the public checks in-process and reads their report trees."""
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
@@ -41,3 +44,20 @@ def test_tracer_hook_names_resolve():
         if not found:
             unresolved.append(f"{module}.{attr}")
     assert not unresolved, f"bench/tracer.py names missing from quadcert: {unresolved}"
+
+
+def test_sweep_runs_in_process(monkeypatch):
+    # bench/sweep.py calls quadcert in-process: standard_group, MonomialMatrix,
+    # check_ideal_invariance, planted_control_system and check_freeness, and
+    # reads the freeness report tree; run it unchanged at seed 0
+    bench = TRACER.parent
+    monkeypatch.syspath_prepend(str(bench))
+    spec = importlib.util.spec_from_file_location("bench_sweep", bench / "sweep.py")
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    ops = sweep.run(0)
+    assert [op["error"] for op in ops if op["error"]] == []
+    planted = [op for op in ops if op["kind"] == "planted"]
+    assert [op["verdict"] for op in planted] == ["fixed-point-found"] * 3
+    (stock,) = [op for op in ops if op["kind"] == "stock"]
+    assert stock["witness"] == "x1*x7"

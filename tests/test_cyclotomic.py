@@ -9,6 +9,7 @@ from quadcert.cyclotomic import (
     MIN_LEVEL,
     SUPPORTED_ORDERS,
     CyclotomicNumber,
+    _lift,
     degree_at,
     root_of_unity,
 )
@@ -136,26 +137,16 @@ class TestInverse:
         assert 1 / ZETA8 == zeta(8, 7)
 
 
-class TestPromotion:
-    def test_promote_stride(self):
-        up = ZETA8.promote(6)
-        assert up.level == 6
-        assert up.coeffs[8] == 1
-        assert sum(1 for c in up.coeffs if c) == 1
-
-    def test_promote_round_trip(self):
-        assert ZETA8.promote(6) == ZETA8
-        assert hash(ZETA8.promote(6)) == hash(ZETA8)
-
-    def test_promote_down_raises(self):
-        with pytest.raises(ValueError):
-            zeta(64, 1).promote(3)
-
-    def test_promote_respects_arithmetic(self):
-        a = 1 + zeta(8, 3)
-        b = zeta(16, 5)
-        assert a.promote(5) * b == a * b
-        assert a.promote(6) + b.promote(6) == a + b
+class TestLift:
+    def test_lift_stride(self):
+        # zeta_8 -> zeta_64^8: index 1 moves to index 8 of 32
+        up = _lift(ZETA8.coeffs, 6)
+        assert len(up) == 32
+        assert up[8] == 1
+        assert sum(1 for c in up if c) == 1
+        # built from the lifted coefficients, the number is stored at level 3
+        assert CyclotomicNumber(6, up).level == 3
+        assert CyclotomicNumber(6, up) == ZETA8
 
 
 class TestText:
@@ -224,16 +215,38 @@ def test_inverse_top_of_tower():
                 level, [Fraction(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(degree_at(level))]
             )
             assert a * a.inverse() == 1
-            assert a.promote(MAX_LEVEL).inverse() == a.inverse()
+            assert a.inverse().level == a.level
 
 
-@given(cyclotomics(max_level=3), st.integers(4, MAX_LEVEL))
-@settings(max_examples=80)
-def test_promotion_is_field_homomorphism(a, level):
-    b = a.promote(level)
-    assert b == a
-    assert b * b == a * a
-    assert b + b == a + a
+@st.composite
+def lifted_cyclotomics(draw):
+    """A number of a drawn level, its coefficients written at a drawn level
+    at or above it."""
+    level = draw(st.integers(MIN_LEVEL, MAX_LEVEL))
+    written = draw(st.integers(level, MAX_LEVEL))
+    coeffs = draw(
+        st.lists(small_fractions, min_size=degree_at(level), max_size=degree_at(level))
+    )
+    return CyclotomicNumber(written, _lift(tuple(coeffs), written))
+
+
+def is_minimal(x):
+    return x.level == MIN_LEVEL or any(x.coeffs[1::2])
+
+
+@given(lifted_cyclotomics(), lifted_cyclotomics())
+@settings(max_examples=60, deadline=None)
+def test_mixed_level_results_are_minimal(a, b):
+    results = [a, b, a + b, a - b, b - a, a * b, -a, (a + b) - b]
+    if not b.is_zero():
+        results += [b.inverse(), a * b * b.inverse()]
+    for r in results:
+        assert is_minimal(r)
+    for r in results:
+        for s in results:
+            if r == s:
+                assert hash(r) == hash(s)
+                assert r.sort_key() == s.sort_key()
 
 
 @given(cyclotomics(), cyclotomics())

@@ -512,6 +512,20 @@ class TestCli:
                 [[{"y_exponents": [0, 0, 0], "coefficient": "[1]@2"}]] + [[]] * 3,
                 "input.json: a term row lacks the key 'x_exponents'",
             ),
+            (
+                "--custom-quadrics",
+                [[{"x_exponents": [2] + [0] * 7, "y_exponents": [0] * 3, "coefficient": "[1/0]@2"}]]
+                + [[]] * 3,
+                "malformed cyclotomic literal: '[1/0]@2'",
+            ),
+            (
+                "--custom-group",
+                {
+                    "generators": [{"perm": list(range(8)), "phases": [0] * 8}],
+                    "claims": [{"type": "order"}],
+                },
+                "input.json: order claim lacks the key 'value'",
+            ),
         ],
     )
     def test_malformed_input_exit_two(self, tmp_path, capsys, flag, content, message):
@@ -525,6 +539,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("quadcert: ") and err.count("\n") == 1
         assert message in err
+
+    def test_no_usable_triple_exit_two(self, tmp_path, capsys, monkeypatch):
+        # four copies of x0^2 leave no generic triple; rejecting every triple
+        # in the screen gets there without drawing 500 orbits
+        row = {"x_exponents": [2] + [0] * 7, "y_exponents": [0, 0, 0], "coefficient": "[1]@2"}
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps([[row]] * 4))
+        monkeypatch.setattr(
+            variety, "genericity_screen", lambda *args: variety.ScreenResult(False, ("rejected",))
+        )
+        assert main(["orbit", "--group", "G", "--custom-quadrics", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("quadcert: ") and err.count("\n") == 1
+        assert "0 of 500 drawn triples passed the screen, 3 needed" in err
 
     def test_scope_all_non_two_group_exit_two(self, tmp_path, capsys):
         # default involutions scope is refused for a 3-cycle; diagnostic, not traceback

@@ -223,8 +223,7 @@ class TestInvariance:
             [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(11)] for _ in range(3)
         ]
         values = [[q.evaluate(p) for q in system.quadrics] for p in points]
-        for g in elements:
-            mat = g.rep
+        for mat in elements:
             result = check_ideal_invariance(mat, system)
             assert result.ok, mat
             for point, q_values in zip(points, values):
@@ -270,7 +269,7 @@ class TestOrbit:
         group = standard_group("G")
         orbit = singular_orbit(build_quadrics(), group, Y123)
         keys = {projective_point_key(p.coordinates) for p in orbit}
-        mover = group.elements[13].rep.point_matrix()
+        mover = group.elements[13].point_matrix()
         for p in orbit:
             image = mover.apply(list(p.coordinates))
             assert projective_point_key(image) in keys
@@ -359,7 +358,7 @@ class TestODP:
         for _ in range(5):
             p = rng.choice(orbit)
             g = rng.choice(group.elements)
-            image = g.rep.point_matrix().apply(list(p.coordinates))
+            image = g.point_matrix().apply(list(p.coordinates))
             assert verify_odp(image, context).passes
 
     def test_second_specialization(self):
