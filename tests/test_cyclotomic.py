@@ -137,16 +137,29 @@ class TestInverse:
         assert 1 / ZETA8 == zeta(8, 7)
 
 
-class TestLift:
-    def test_lift_stride(self):
+def promote(x, level):
+    """`x` written at `level` via `_lift`; the constructor stores it minimal."""
+    return CyclotomicNumber(level, _lift(x.coeffs, level))
+
+
+class TestPromotion:
+    def test_promote_stride(self):
         # zeta_8 -> zeta_64^8: index 1 moves to index 8 of 32
         up = _lift(ZETA8.coeffs, 6)
         assert len(up) == 32
         assert up[8] == 1
         assert sum(1 for c in up if c) == 1
-        # built from the lifted coefficients, the number is stored at level 3
-        assert CyclotomicNumber(6, up).level == 3
-        assert CyclotomicNumber(6, up) == ZETA8
+
+    def test_promote_round_trip(self):
+        assert promote(ZETA8, 6).level == 3
+        assert promote(ZETA8, 6) == ZETA8
+        assert hash(promote(ZETA8, 6)) == hash(ZETA8)
+
+    def test_promote_respects_arithmetic(self):
+        a = 1 + zeta(8, 3)
+        b = zeta(16, 5)
+        assert promote(a, 5) * b == a * b
+        assert promote(a, 6) + promote(b, 6) == a + b
 
 
 class TestText:
@@ -216,6 +229,15 @@ def test_inverse_top_of_tower():
             )
             assert a * a.inverse() == 1
             assert a.inverse().level == a.level
+
+
+@given(cyclotomics(max_level=3), st.integers(4, MAX_LEVEL))
+@settings(max_examples=80)
+def test_promotion_is_field_homomorphism(a, level):
+    b = promote(a, level)
+    assert b == a
+    assert b * b == a * a
+    assert b + b == a + a
 
 
 @st.composite
