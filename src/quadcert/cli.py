@@ -12,13 +12,8 @@ import json
 import sys
 from fractions import Fraction
 
-from .reporting import (
-    CHECK_IDS,
-    GROUP_CHOICES,
-    VerificationConfig,
-    render_report,
-    run,
-)
+from . import reporting
+from .reporting import CHECK_IDS, GROUP_CHOICES, VerificationConfig, render_report
 
 _SUBCOMMANDS = (
     ("groups", "certify group orders, structure claims, and involution localization"),
@@ -132,10 +127,14 @@ def main(argv=None) -> int:
         print(f"quadcert: bad configuration: {exc}", file=sys.stderr)
         return 2
     try:
-        report = run(config)
+        report = reporting.run(config)
     except (OSError, ValueError, json.JSONDecodeError, KeyError) as exc:
         print(f"quadcert: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a crash is never a verdict: 1 means a certified failure
+        print(f"quadcert: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        sys.__excepthook__(type(exc), exc, exc.__traceback__)
+        return 3
     print(render_report(report, "text"), end="")
     return report.exit_code
 

@@ -239,19 +239,24 @@ def _normality_witness(group: FiniteGroup, sub: FiniteGroup) -> str | None:
     return None
 
 
-#: The keys certify_structure reads from each claim type; semidirect_exponent
-#: may also state a value, and contained_in a subgroup.
+#: The keys certify_structure reads from each claim type, with the type of
+#: each value: a word is a str, a subgroup a list of words, a spectrum maps
+#: orders to counts.  OPTIONAL_CLAIM_KEYS may be left out.
 CLAIM_KEYS = {
-    "order": ("value",),
-    "abelian": ("value",),
-    "relation": ("relation",),
-    "spectrum": ("value",),
-    "spectrum_of_subgroup": ("subgroup", "value"),
-    "normal_subgroup": ("subgroup",),
-    "quotient_order": ("subgroup", "value"),
-    "semidirect_exponent": ("normal_generator", "conjugator"),
-    "involutions_in_subgroup": ("subgroup",),
-    "contained_in": ("ambient_generators",),
+    "order": {"value": int},
+    "abelian": {"value": bool},
+    "relation": {"relation": str},
+    "spectrum": {"value": dict},
+    "spectrum_of_subgroup": {"subgroup": list[str], "value": dict},
+    "normal_subgroup": {"subgroup": list[str]},
+    "quotient_order": {"subgroup": list[str], "value": int},
+    "semidirect_exponent": {"normal_generator": str, "conjugator": str},
+    "involutions_in_subgroup": {"subgroup": list[str]},
+    "contained_in": {"ambient_generators": list[dict]},
+}
+OPTIONAL_CLAIM_KEYS = {
+    "semidirect_exponent": {"value": int},
+    "contained_in": {"subgroup": list[str]},
 }
 
 

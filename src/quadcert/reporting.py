@@ -7,11 +7,12 @@ import json
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Sequence, get_args, get_origin
 
 from . import __version__
 from .groups import (
     CLAIM_KEYS,
+    OPTIONAL_CLAIM_KEYS,
     FiniteGroup,
     certify_structure,
     closure,
@@ -25,12 +26,16 @@ from .linalg import MonomialMatrix
 from .variety import (
     ODPCertificate,
     ODPContext,
+    OrbitPoint,
     QuadricSystem,
+    base_point,
     build_quadrics,
     check_freeness,
     check_ideal_invariance,
     draw_specializations,
     genericity_screen,
+    orbit_size,
+    projective_point_key,
     singular_orbit,
     verify_odp,
 )
@@ -179,6 +184,27 @@ class GroupSelection:
     localization_words: tuple[str, ...] | None
 
 
+_TYPE_NAMES = {
+    int: "an integer",
+    bool: "true or false",
+    str: "a string",
+    dict: "an object mapping orders to counts",
+    list[str]: "a list of words",
+    list[dict]: "a list of objects",
+}
+
+
+def _has_type(value, expected) -> bool:
+    """isinstance for the value types of CLAIM_KEYS: list[T] checks every
+    item, and a bool is not an int."""
+    if get_origin(expected) is list:
+        (item,) = get_args(expected)
+        return isinstance(value, list) and all(_has_type(v, item) for v in value)
+    if expected is int and isinstance(value, bool):
+        return False
+    return isinstance(value, expected)
+
+
 def load_custom_group(path: str) -> GroupSelection:
     """Read a group description: generator matrices plus optional claims.
 
@@ -210,12 +236,19 @@ def load_custom_group(path: str) -> GroupSelection:
     for claim in raw_claims:
         claim = dict(claim)
         kind = claim.get("type")
-        for key in CLAIM_KEYS.get(kind, ()) if isinstance(kind, str) else ():
-            if key not in claim:
-                raise ValueError(f"{path}: {kind} claim lacks the key {key!r}")
+        if isinstance(kind, str):  # other types fail in certify_structure
+            required = CLAIM_KEYS.get(kind, {})
+            for key in required:
+                if key not in claim:
+                    raise ValueError(f"{path}: {kind} claim lacks the key {key!r}")
+            for key, expected in {**required, **OPTIONAL_CLAIM_KEYS.get(kind, {})}.items():
+                if key in claim and not _has_type(claim[key], expected):
+                    raise ValueError(
+                        f"{path}: {kind} claim value of {key!r} must be {_TYPE_NAMES[expected]}"
+                    )
         if kind in ("spectrum", "spectrum_of_subgroup"):
-            value = claim.get("value")
-            if not isinstance(value, dict) or not all(isinstance(v, int) for v in value.values()):
+            value = claim["value"]
+            if not all(str(k).isdigit() and _has_type(v, int) for k, v in value.items()):
                 raise ValueError(f"{path}: {kind} claim value must map orders to counts")
             claim["value"] = {int(k): v for k, v in value.items()}
         claims.append(claim)
@@ -344,14 +377,26 @@ def _orbit_records(
     triples: Sequence[tuple[Fraction, Fraction, Fraction]],
     screened_out: dict,
 ) -> list[CheckRecord]:
-    """One record per (group, triple), in that order.  Triples run in the
-    outer loop: the groups' orbits at one triple overlap, so each distinct
-    projective point is certified once and its certificate serves every
-    group; only the current triple's certificates are kept."""
+    """One record per (group, triple), in that order.
+
+    When every generator of a group passes `check_ideal_invariance`, the
+    group preserves the variety and maps ordinary double points to ordinary
+    double points (README gives the argument), so only the base point is
+    certified and the orbit is counted by its stabilizer.  A group with a
+    failing generator certifies every point of `singular_orbit` instead.
+    Invariance is an identity in x and y: it is proved once per generator
+    matrix, inside the first record that needs it.  Triples run in the outer
+    loop, so each distinct projective point is certified once per triple and
+    its certificate serves every group; only the current triple's
+    certificates are kept."""
+    invariant: dict[MonomialMatrix, bool] = {}
     records = {}
     for t, y in enumerate(triples):
         reasons = screened_out.get(y)
-        context = None if reasons is not None else ODPContext.at(system, y)
+        if reasons is None:
+            context = ODPContext.at(system, y)
+            base = base_point(y)
+            base_key = projective_point_key(base)
         certificates: dict[tuple, ODPCertificate] = {}  # by projective point key
         for s, sel in enumerate(selections):
             target = f"{sel.label} @ ({_render_triple(y)})"
@@ -365,13 +410,19 @@ def _orbit_records(
                     timing=time.perf_counter() - start,
                 )
                 continue
+            for g in sel.generator_matrices:
+                if g not in invariant:
+                    invariant[g] = check_ideal_invariance(g, system).ok
+            if all(invariant[g] for g in sel.generator_matrices):
+                size = orbit_size(sel.group, base)
+                points = [OrbitPoint(base, sel.group.identity(), base_key)]
+            else:
+                points = singular_orbit(system, sel.group, y)
+                size = len(points)
             witnesses = []
-            orbit = singular_orbit(system, sel.group, y)
-            if len(orbit) != sel.group.order:
-                witnesses.append(
-                    f"{len(orbit)} distinct orbit points, expected {sel.group.order}"
-                )
-            for point in orbit:
+            if size != sel.group.order:
+                witnesses.append(f"{size} distinct orbit points, expected {sel.group.order}")
+            for point in points:
                 cert = certificates.get(point.key)
                 if cert is None:
                     cert = certificates[point.key] = verify_odp(point.coordinates, context)

@@ -173,6 +173,22 @@ class OrbitPoint:
         return "(" + " : ".join(c.to_text() for c in self.coordinates) + ")"
 
 
+def orbit_size(group: FiniteGroup, point: Sequence[CyclotomicNumber]) -> int:
+    """The number of distinct projective points g.p, by the orbit-stabilizer
+    theorem: the group order over the count of g with g.p proportional to p.
+    Proportionality is tested by cross-multiplying against p's first nonzero
+    coordinate, so no field inverse is taken."""
+    k = next((i for i, c in enumerate(point) if not c.is_zero()), None)
+    if k is None:
+        raise ValueError("projective point cannot be the zero vector")
+    stabilizer = 0
+    for g in group.elements:
+        image = g.point_matrix().apply(point)
+        if all(a * point[k] == b * image[k] for a, b in zip(image, point)):
+            stabilizer += 1
+    return group.order // stabilizer
+
+
 def singular_orbit(system: QuadricSystem, group: FiniteGroup, y) -> list[OrbitPoint]:
     """Images of the base point under the inverse-transpose action of every
     group element, deduplicated projectively, in group discovery order."""
@@ -558,11 +574,12 @@ def genericity_screen(y, system: QuadricSystem, group: FiniteGroup) -> ScreenRes
     if reasons:
         return ScreenResult(False, tuple(reasons))
 
-    orbit = singular_orbit(system, group, (y1, y2, y3))
-    if len(orbit) != group.order:
-        reasons.append(f"orbit has {len(orbit)} distinct points, expected {group.order}")
+    base = base_point((y1, y2, y3))
+    size = orbit_size(group, base)
+    if size != group.order:
+        reasons.append(f"orbit has {size} distinct points, expected {group.order}")
 
-    rank = ODPContext.at(system, (y1, y2, y3)).jacobian(base_point((y1, y2, y3))).rank()
+    rank = ODPContext.at(system, (y1, y2, y3)).jacobian(base).rank()
     if rank != 3:
         reasons.append(f"jacobian rank at base point is {rank}, expected 3")
     return ScreenResult(not reasons, tuple(reasons))

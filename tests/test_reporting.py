@@ -10,6 +10,7 @@ from quadcert import reporting, variety
 from quadcert.cli import assemble_config, build_parser, main, parse_triple
 from quadcert.reporting import (
     CheckRecord,
+    GroupSelection,
     VerificationConfig,
     VerificationReport,
     _orbit_records,
@@ -20,7 +21,15 @@ from quadcert.reporting import (
     run,
     write_report,
 )
-from quadcert.variety import build_quadrics, planted_control_system, singular_orbit
+from quadcert.groups import closure, make_sigma, make_tau
+from quadcert.linalg import MonomialMatrix
+from quadcert.variety import (
+    base_point,
+    build_quadrics,
+    draw_specializations,
+    planted_control_system,
+    singular_orbit,
+)
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -350,6 +359,48 @@ class TestOrbitRecords:
             )
 
 
+    @pytest.fixture
+    def odp_calls(self, monkeypatch):
+        calls = []
+        original = reporting.verify_odp
+
+        def counting_verify_odp(point, context):
+            calls.append(point)
+            return original(point, context)
+
+        monkeypatch.setattr(reporting, "verify_odp", counting_verify_odp)
+        return calls
+
+    def test_invariant_groups_certify_base_point_once_per_triple(self, odp_calls):
+        # every generator of G, G1 and G2 preserves the stock ideal, so each
+        # triple's base point certificate transfers to all 64 points of
+        # every group
+        selections = resolve_selections(VerificationConfig(checks=("orbit",), group="all"))
+        system = build_quadrics()
+        triples = draw_specializations(3, 0, system, selections[0].group)
+        records = _orbit_records(selections, system, triples, {})
+        assert [r.verdict for r in records] == ["pass"] * 9
+        assert odp_calls == [base_point(y) for y in triples]
+
+    def test_non_invariant_generator_certifies_every_orbit_point(self, odp_calls):
+        # diag(1,1,1,1,-1,-1,-1,-1) fails invariance (witness x1*x7), so the
+        # record falls back to the per-point loop: the base point is an
+        # ordinary double point, and the witness is a later orbit point off
+        # the variety, which a base-point transfer would miss
+        gens = (make_tau(), make_sigma(), MonomialMatrix.diagonal((0, 0, 0, 0, 4, 4, 4, 4)))
+        names = ("t", "s", "d")
+        probe = GroupSelection("probe", closure(gens, names=names), (), names, gens, None)
+        y = (Fraction(3, 7), Fraction(-5, 11), Fraction(13, 2))
+        (record,) = _orbit_records([probe], build_quadrics(), [y], {})
+        assert record.verdict == "fail"
+        assert record.witnesses == (
+            "256 distinct orbit points, expected 512",
+            "point ([0]@2 : [3/7]@2 : [-5/11]@2 : [13/2]@2 : [0]@2 : [13/2]@2 : [-5/11]@2 "
+            ": [3/7]@2): on_variety=False jacobian_rank=-1 hessian_rank=-1",
+        )
+        assert len(odp_calls) > 1 and odp_calls[0] == base_point(y)
+
+
 class TestFreenessRecords:
     def test_triples_screened_once(self, monkeypatch):
         calls = []
@@ -526,6 +577,31 @@ class TestCli:
                 },
                 "input.json: order claim lacks the key 'value'",
             ),
+            (
+                "--custom-group",
+                {
+                    "generators": [{"perm": list(range(8)), "phases": [0] * 8}],
+                    "claims": [{"type": "relation", "relation": 5}],
+                },
+                "input.json: relation claim value of 'relation' must be a string",
+            ),
+            (
+                "--custom-group",
+                {
+                    "generators": [{"perm": list(range(8)), "phases": [0] * 8}],
+                    "claims": [{"type": "normal_subgroup", "subgroup": 5}],
+                },
+                "input.json: normal_subgroup claim value of 'subgroup' must be a list of words",
+            ),
+            (
+                "--custom-group",
+                {
+                    "generators": [{"perm": list(range(8)), "phases": [0] * 8}],
+                    "claims": [{"type": "contained_in", "ambient_generators": [5]}],
+                },
+                "input.json: contained_in claim value of 'ambient_generators' must be a list "
+                "of objects",
+            ),
         ],
     )
     def test_malformed_input_exit_two(self, tmp_path, capsys, flag, content, message):
@@ -553,6 +629,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("quadcert: ") and err.count("\n") == 1
         assert "0 of 500 drawn triples passed the screen, 3 needed" in err
+
+    def test_internal_error_exit_three(self, capsys, monkeypatch):
+        # a crash must not read as a certified failure (exit 1)
+        def crash(config):
+            raise RuntimeError("basis grew past MAX_BASIS")
+
+        monkeypatch.setattr(reporting, "run", crash)
+        assert main(["groups", "--group", "G"]) == 3
+        err = capsys.readouterr().err
+        first, rest = err.split("\n", 1)
+        assert first == "quadcert: internal error: RuntimeError: basis grew past MAX_BASIS"
+        assert rest.startswith("Traceback (most recent call last):")
 
     def test_scope_all_non_two_group_exit_two(self, tmp_path, capsys):
         # default involutions scope is refused for a 3-cycle; diagnostic, not traceback

@@ -28,6 +28,7 @@ from quadcert.variety import (
     draw_specializations,
     fixed_locus_components,
     genericity_screen,
+    orbit_size,
     planted_control_system,
     projective_point_key,
     quadric_hessian,
@@ -277,6 +278,23 @@ class TestOrbit:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             projective_point_key([CyclotomicNumber.zero()] * 8)
+        with pytest.raises(ValueError):
+            orbit_size(standard_group("G"), [CyclotomicNumber.zero()] * 8)
+
+    @pytest.mark.parametrize(
+        "y",
+        [(Fraction(3, 7), Fraction(-5, 11), Fraction(13, 2)), (1, 2, 1), (1, 1, 1)],
+        ids=["generic", "degenerate-121", "degenerate-111"],
+    )
+    def test_orbit_size_by_stabilizer_counts_distinct_points(self, y):
+        # (1,2,1) and (1,1,1) have a nontrivial stabilizer; the 512-element
+        # probe group adds diag(1,1,1,1,-1,-1,-1,-1), which breaks invariance
+        probe = closure(
+            [make_tau(), make_sigma(), MonomialMatrix.diagonal((0, 0, 0, 0, 4, 4, 4, 4))]
+        )
+        system = build_quadrics()
+        for group in (*(standard_group(n) for n in ("G", "G1", "G2")), probe):
+            assert orbit_size(group, base_point(y)) == len(singular_orbit(system, group, y))
 
 
 def fraction_matrix_rank_by_minors(rows):
