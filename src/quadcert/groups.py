@@ -263,8 +263,9 @@ OPTIONAL_CLAIM_KEYS = {
 def certify_structure(group: FiniteGroup, claims: Sequence[dict]) -> StructureCertificate:
     """Check a list of tagged claim records against the group by enumeration.
 
-    Claim types are those of CLAIM_KEYS; an unknown type fails with a
-    witness.  Failures are reported with witnesses, never raised.
+    Claim types are those of CLAIM_KEYS (custom group files with any other
+    type are rejected on loading); a claim of another type does not pass.
+    Failures are reported with witnesses, never raised.
     """
     spectrum = order_spectrum(group)
     abelian = is_abelian(group)
@@ -341,8 +342,6 @@ def certify_structure(group: FiniteGroup, claims: Sequence[dict]) -> StructureCe
             ok = not outside
             if not ok:
                 witness = f"element outside ambient group: {outside[0].to_dict()}"
-        else:
-            witness = f"unknown claim type {kind!r}"
         results.append(ClaimResult(claim, ok, witness))
 
     return StructureCertificate(

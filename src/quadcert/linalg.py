@@ -378,7 +378,7 @@ class MonomialMatrix:
         except KeyError as missing:
             raise ValueError(f"monomial matrix serialization missing key {missing}") from None
         if not (isinstance(perm, (list, tuple)) and isinstance(phases, (list, tuple))) or not all(
-            isinstance(v, int) for v in (*perm, *phases, N)
+            type(v) is int for v in (*perm, *phases, N)  # a bool is not an int
         ):
             raise ValueError(f"monomial matrix needs integer perm, phases and N, got {data!r}")
         return cls(perm, phases, N)

@@ -236,16 +236,17 @@ def load_custom_group(path: str) -> GroupSelection:
     for claim in raw_claims:
         claim = dict(claim)
         kind = claim.get("type")
-        if isinstance(kind, str):  # other types fail in certify_structure
-            required = CLAIM_KEYS.get(kind, {})
-            for key in required:
-                if key not in claim:
-                    raise ValueError(f"{path}: {kind} claim lacks the key {key!r}")
-            for key, expected in {**required, **OPTIONAL_CLAIM_KEYS.get(kind, {})}.items():
-                if key in claim and not _has_type(claim[key], expected):
-                    raise ValueError(
-                        f"{path}: {kind} claim value of {key!r} must be {_TYPE_NAMES[expected]}"
-                    )
+        if not isinstance(kind, str) or kind not in CLAIM_KEYS:
+            raise ValueError(f"{path}: unknown claim type {kind!r}")
+        required = CLAIM_KEYS[kind]
+        for key in required:
+            if key not in claim:
+                raise ValueError(f"{path}: {kind} claim lacks the key {key!r}")
+        for key, expected in {**required, **OPTIONAL_CLAIM_KEYS.get(kind, {})}.items():
+            if key in claim and not _has_type(claim[key], expected):
+                raise ValueError(
+                    f"{path}: {kind} claim value of {key!r} must be {_TYPE_NAMES[expected]}"
+                )
         if kind in ("spectrum", "spectrum_of_subgroup"):
             value = claim["value"]
             if not all(str(k).isdigit() and _has_type(v, int) for k, v in value.items()):
@@ -344,9 +345,13 @@ def _groups_records(selections: Sequence[GroupSelection]) -> list[CheckRecord]:
 
 
 def _invariance_records(
-    selections: Sequence[GroupSelection], system: QuadricSystem
+    selections: Sequence[GroupSelection],
+    system: QuadricSystem,
+    invariant: dict[MonomialMatrix, bool],
 ) -> list[CheckRecord]:
-    # one record per distinct generator; shared generators (t) run once
+    """One record per distinct generator name; shared generators (t) run
+    once.  Each verdict is also kept in `invariant` by generator matrix, for
+    the orbit layer."""
     seen: set[str] = set()
     records = []
     for sel in selections:
@@ -356,6 +361,7 @@ def _invariance_records(
             seen.add(name)
             start = time.perf_counter()
             result = check_ideal_invariance(matrix, system)
+            invariant[matrix] = result.ok
             witnesses = ()
             if not result.ok:
                 witnesses = (f"uncancelled monomial {result.witness_text()}",)
@@ -376,6 +382,7 @@ def _orbit_records(
     system: QuadricSystem,
     triples: Sequence[tuple[Fraction, Fraction, Fraction]],
     screened_out: dict,
+    invariant: dict[MonomialMatrix, bool],
 ) -> list[CheckRecord]:
     """One record per (group, triple), in that order.
 
@@ -385,11 +392,11 @@ def _orbit_records(
     certified and the orbit is counted by its stabilizer.  A group with a
     failing generator certifies every point of `singular_orbit` instead.
     Invariance is an identity in x and y: it is proved once per generator
-    matrix, inside the first record that needs it.  Triples run in the outer
-    loop, so each distinct projective point is certified once per triple and
-    its certificate serves every group; only the current triple's
-    certificates are kept."""
-    invariant: dict[MonomialMatrix, bool] = {}
+    matrix.  `invariant` holds the verdicts already proved, by the invariance
+    layer when it ran; a missing one is proved inside the first record that
+    needs it and added.  Triples run in the outer loop, so each distinct
+    projective point is certified once per triple and its certificate serves
+    every group; only the current triple's certificates are kept."""
     records = {}
     for t, y in enumerate(triples):
         reasons = screened_out.get(y)
@@ -538,16 +545,19 @@ def run(config: VerificationConfig) -> VerificationReport:
     records: list[CheckRecord] = []
     triples: list | None = None
     screened_out: dict = {}
+    invariant: dict[MonomialMatrix, bool] = {}  # generator verdicts, shared by layers
     for check in selected:
         if check == "groups":
             records.extend(_groups_records(selections))
         elif check == "invariance":
-            records.extend(_invariance_records(selections, system))
+            records.extend(_invariance_records(selections, system, invariant))
         else:
             if triples is None:
                 triples, screened_out = _resolve_triples(config, system, selections[0].group)
             if check == "orbit":
-                records.extend(_orbit_records(selections, system, triples, screened_out))
+                records.extend(
+                    _orbit_records(selections, system, triples, screened_out, invariant)
+                )
             else:
                 records.extend(
                     _freeness_records(

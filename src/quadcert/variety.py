@@ -97,7 +97,9 @@ class QuadricSystem:
 
 def _int_list(value, length: int) -> bool:
     return (
-        isinstance(value, list) and len(value) == length and all(isinstance(v, int) for v in value)
+        isinstance(value, list)
+        and len(value) == length
+        and all(type(v) is int for v in value)  # a bool is not an int
     )
 
 
@@ -522,6 +524,9 @@ def check_freeness(
             continue
         targets.append((g, order))
 
+    # an element's eigenspaces do not depend on the triple: found on its
+    # first cache miss and reused for every later one
+    components: dict[MonomialMatrix, list[EigenspaceComponent]] = {}
     spec_outcomes = []
     for y in specializations:
         triple = _y_triple(y)
@@ -539,9 +544,11 @@ def check_freeness(
             if key in cache:
                 outcomes = cache[key]
             else:
+                if g not in components:
+                    components[g] = fixed_locus_components(g)
                 outcomes = tuple(
                     _examine_component(component, quadrics, witness_seed)
-                    for component in fixed_locus_components(g)
+                    for component in components[g]
                 )
                 cache[key] = outcomes
             element_outcomes.append(ElementOutcome(g.to_dict(), order, outcomes))

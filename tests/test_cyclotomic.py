@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -309,3 +310,78 @@ def test_pow_multiplication_count(monkeypatch):
         calls.clear()
         x ** k
         assert len(calls) == expected, k
+
+
+# -- the stored form: integer numerators over one reduced denominator -------
+
+wide_fractions = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-60, max_value=60, max_denominator=12),
+)
+
+
+@st.composite
+def sparse_lifted_cyclotomics(draw):
+    """A number of a drawn level in 1..6, often with zero coefficients,
+    written at a drawn level at or above it."""
+    level = draw(st.integers(MIN_LEVEL, MAX_LEVEL))
+    written = draw(st.integers(level, MAX_LEVEL))
+    coeffs = draw(st.lists(wide_fractions, min_size=degree_at(level), max_size=degree_at(level)))
+    return CyclotomicNumber(written, _lift(tuple(coeffs), written))
+
+
+def assert_stored_form(x):
+    assert isinstance(x.den, int) and x.den > 0
+    assert all(isinstance(c, int) for c in x.num)
+    assert len(x.num) == degree_at(x.level)
+    assert gcd(x.den, *x.num) == 1
+    assert is_minimal(x)
+
+
+@given(sparse_lifted_cyclotomics(), sparse_lifted_cyclotomics())
+@settings(max_examples=60, deadline=None)
+def test_results_are_reduced_and_minimal(a, b):
+    results = [a, b, a + b, a - b, a * b, -a, b * Fraction(2, 3), 3 * a]
+    if not a.is_zero():
+        results.append(a.inverse())
+    for r in results:
+        assert_stored_form(r)
+
+
+@given(
+    st.integers(MIN_LEVEL, MAX_LEVEL),
+    st.data(),
+    st.integers(1, 30),
+)
+@settings(max_examples=60, deadline=None)
+def test_one_value_one_form(level, data, den):
+    # the same value from ints, from Fractions, through its text form and
+    # written at a higher level compares, hashes and sorts as one value
+    nums = data.draw(
+        st.lists(st.integers(-40, 40), min_size=degree_at(level), max_size=degree_at(level))
+    )
+    higher = data.draw(st.integers(level, MAX_LEVEL))
+    forms = [
+        CyclotomicNumber(level, nums) * Fraction(1, den),
+        CyclotomicNumber(level, [Fraction(n, den) for n in nums]),
+        CyclotomicNumber(higher, _lift([Fraction(n, den) for n in nums], higher)),
+        CyclotomicNumber(higher, _lift(nums, higher)) / den,
+    ]
+    forms.append(CyclotomicNumber.from_text(forms[1].to_text()))
+    for x in forms:
+        assert_stored_form(x)
+        assert x == forms[0]
+        assert hash(x) == hash(forms[0])
+        assert x.sort_key() == forms[0].sort_key()
+        assert x.coeffs == forms[1].coeffs
+
+
+def reference_sort_key(x):
+    return (x.level, tuple((c.numerator, c.denominator) for c in x.coeffs))
+
+
+@given(sparse_lifted_cyclotomics(), sparse_lifted_cyclotomics())
+@settings(max_examples=60, deadline=None)
+def test_sort_key_matches_fraction_order(a, b):
+    assert (a.sort_key() < b.sort_key()) == (reference_sort_key(a) < reference_sort_key(b))
+    assert (a.sort_key() == b.sort_key()) == (reference_sort_key(a) == reference_sort_key(b))

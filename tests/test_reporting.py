@@ -5,6 +5,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from quadcert import reporting, variety
 from quadcert.cli import assemble_config, build_parser, main, parse_triple
@@ -21,7 +22,8 @@ from quadcert.reporting import (
     run,
     write_report,
 )
-from quadcert.groups import closure, make_sigma, make_tau
+from quadcert.cyclotomic import SUPPORTED_ORDERS
+from quadcert.groups import CLAIM_KEYS, closure, make_sigma, make_tau
 from quadcert.linalg import MonomialMatrix
 from quadcert.variety import (
     base_point,
@@ -340,7 +342,7 @@ class TestOrbitRecords:
         selections = resolve_selections(VerificationConfig(checks=("orbit",), group="all"))
         control = planted_control_system()
         y = (Fraction(1), Fraction(2), Fraction(3))
-        records = _orbit_records(selections, control, [y], {})
+        records = _orbit_records(selections, control, [y], {}, {})
         assert [r.target for r in records] == ["G @ (1,2,3)", "G1 @ (1,2,3)", "G2 @ (1,2,3)"]
         # every group's first point is the base point, off the planted
         # variety; its one certificate serves all three records
@@ -358,6 +360,22 @@ class TestOrbitRecords:
                 not q.evaluate(named[0].coordinates).is_zero() for q in control.specialized(y)
             )
 
+
+    @pytest.mark.parametrize("check", ["all", "orbit"])
+    def test_invariance_proved_once_per_generator(self, monkeypatch, check):
+        # the orbit layer reuses the invariance layer's verdicts; run alone,
+        # it proves each of the five generator matrices itself
+        calls = []
+        original = reporting.check_ideal_invariance
+
+        def counting(g, system):
+            calls.append(g)
+            return original(g, system)
+
+        monkeypatch.setattr(reporting, "check_ideal_invariance", counting)
+        argv = [check, "--group", "all", "--specializations", "3", "--seed", "0"]
+        assert main(argv) == 0
+        assert len(calls) == len(set(calls)) == 5
 
     @pytest.fixture
     def odp_calls(self, monkeypatch):
@@ -378,7 +396,7 @@ class TestOrbitRecords:
         selections = resolve_selections(VerificationConfig(checks=("orbit",), group="all"))
         system = build_quadrics()
         triples = draw_specializations(3, 0, system, selections[0].group)
-        records = _orbit_records(selections, system, triples, {})
+        records = _orbit_records(selections, system, triples, {}, {})
         assert [r.verdict for r in records] == ["pass"] * 9
         assert odp_calls == [base_point(y) for y in triples]
 
@@ -391,7 +409,7 @@ class TestOrbitRecords:
         names = ("t", "s", "d")
         probe = GroupSelection("probe", closure(gens, names=names), (), names, gens, None)
         y = (Fraction(3, 7), Fraction(-5, 11), Fraction(13, 2))
-        (record,) = _orbit_records([probe], build_quadrics(), [y], {})
+        (record,) = _orbit_records([probe], build_quadrics(), [y], {}, {})
         assert record.verdict == "fail"
         assert record.witnesses == (
             "256 distinct orbit points, expected 512",
@@ -602,6 +620,22 @@ class TestCli:
                 "input.json: contained_in claim value of 'ambient_generators' must be a list "
                 "of objects",
             ),
+            (
+                "--custom-group",
+                {
+                    "generators": [{"perm": list(range(8)), "phases": [0] * 8}],
+                    "claims": [{"type": ["x"]}],
+                },
+                "input.json: unknown claim type ['x']",
+            ),
+            (
+                "--custom-group",
+                {
+                    "generators": [{"perm": list(range(8)), "phases": [0] * 8}],
+                    "claims": [{"type": "ordr"}],
+                },
+                "input.json: unknown claim type 'ordr'",
+            ),
         ],
     )
     def test_malformed_input_exit_two(self, tmp_path, capsys, flag, content, message):
@@ -652,3 +686,112 @@ class TestCli:
         )
         assert code == 2
         assert "2-group" in capsys.readouterr().err
+
+
+# -- malformed input files, fuzzed --------------------------------------------
+
+IDENTITY_GENERATOR = {"perm": list(range(8)), "phases": [0] * 8}
+SWAP = {"perm": [1, 0], "phases": [0, 1], "N": 4}
+ONE_TERM = {"x_exponents": [2] + [0] * 7, "y_exponents": [0, 0, 0], "coefficient": "[1]@2"}
+
+# JSON values of a type no field of either file accepts where it is used
+not_a_list = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), st.text(max_size=4),
+    st.dictionaries(st.text(max_size=3), st.integers(), min_size=1, max_size=2),
+)
+not_an_int = st.one_of(
+    st.none(), st.booleans(), st.floats(allow_nan=False), st.text(max_size=4), st.just([1]),
+    st.just({"1": 1}),
+)
+not_an_object = st.one_of(not_a_list.filter(lambda v: not isinstance(v, dict)), st.just([1]))
+bad_int_list = st.one_of(
+    not_a_list,
+    st.lists(not_an_int, min_size=1, max_size=8),
+    # a length no field takes: perms and phases have 2 or 8 entries here,
+    # x-exponents 8 and y-exponents 3
+    st.lists(st.integers(0, 7), min_size=4, max_size=7),
+    # right shape, but booleans: [1, 0] as a perm, x1^2 and y^0 as exponents
+    st.sampled_from([[True, False], [True, True] + [False] * 6, [False] * 3]),
+)
+bad_order = st.one_of(not_an_int, st.integers().filter(lambda n: n not in SUPPORTED_ORDERS))
+bad_literal = st.one_of(
+    st.sampled_from(
+        ["", "[1, 2]", "1@8", "[1]@3", "[1, x]@4", "[1/0]@2", "[1]@128", "[1, 2, 3]@4", "[]@2"]
+    ),
+    st.text(max_size=6).map(lambda t: "x" + t),  # never opens with "["
+    st.integers(),
+)
+
+
+@st.composite
+def malformed_groups(draw):
+    """A custom group file with exactly one defect."""
+    defect = draw(st.integers(0, 8))
+    doc = {"generators": [dict(IDENTITY_GENERATOR)]}
+    if defect == 0:
+        return draw(not_an_object)
+    if defect == 1:
+        doc["generators"] = draw(st.one_of(st.just([]), st.just({}), not_a_list.filter(bool)))
+    elif defect == 2:
+        doc["generators"] = [draw(not_an_object)]
+    elif defect == 3:
+        gen = doc["generators"][0] = dict(draw(st.sampled_from([IDENTITY_GENERATOR, SWAP])))
+        field = draw(st.sampled_from(["perm", "phases", "N"]))
+        gen[field] = draw(bad_order if field == "N" else bad_int_list)
+    elif defect == 4:
+        del doc["generators"][0][draw(st.sampled_from(["perm", "phases"]))]
+    elif defect == 5:
+        doc["claims"] = draw(st.one_of(not_a_list, st.lists(not_an_object, min_size=1)))
+    elif defect == 6:
+        kind = draw(st.one_of(st.text(max_size=8), not_an_int))
+        assume(not (isinstance(kind, str) and kind in CLAIM_KEYS))
+        doc["claims"] = [{"type": kind}]
+    elif defect == 7:
+        kind = draw(st.sampled_from(sorted(CLAIM_KEYS)))
+        claim = {"type": kind, **{key: None for key in CLAIM_KEYS[kind]}}
+        del claim[draw(st.sampled_from(sorted(CLAIM_KEYS[kind])))]
+        doc["claims"] = [claim]
+    else:
+        doc["localization"] = draw(
+            st.one_of(st.just([1]), st.just([None]), not_a_list.filter(lambda v: v is not None))
+        )
+    return doc
+
+
+@st.composite
+def malformed_quadrics(draw):
+    """A custom quadrics file with exactly one defect."""
+    defect = draw(st.integers(0, 5))
+    rows = [dict(ONE_TERM)]
+    if defect == 0:
+        return draw(st.one_of(not_a_list, st.builds(lambda v: {"quadrics": v}, not_a_list)))
+    if defect == 1:
+        return [[]] * draw(st.sampled_from([0, 1, 3, 5]))
+    if defect == 2:
+        return [draw(st.one_of(not_a_list, st.lists(not_an_object, min_size=1)))] + [[]] * 3
+    if defect == 3:
+        del rows[0][draw(st.sampled_from(sorted(ONE_TERM)))]
+    elif defect == 4:
+        rows[0][draw(st.sampled_from(["x_exponents", "y_exponents"]))] = draw(bad_int_list)
+    else:
+        rows[0]["coefficient"] = draw(bad_literal)
+    return [rows] + [[]] * 3
+
+
+@given(st.one_of(
+    st.tuples(st.just("--custom-group"), malformed_groups()),
+    st.tuples(st.just("--custom-quadrics"), malformed_quadrics()),
+))
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_malformed_input_fuzz_exit_two(tmp_path, capsys, case):
+    flag, content = case
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    if flag == "--custom-group":
+        argv = ["groups", "--group", "custom", "--custom-group", str(path)]
+    else:
+        argv = ["invariance", "--group", "G", "--custom-quadrics", str(path)]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2, (content, err)
+    assert err.startswith("quadcert: ") and err.count("\n") == 1, err

@@ -541,6 +541,32 @@ class TestFreeness:
         )
         assert len(cache) == 3
 
+    def test_eigenspaces_once_per_element(self, monkeypatch):
+        # an element's eigenspaces do not depend on the triple, and the shared
+        # cache covers what G already examined: the 127 distinct non-identity
+        # elements of G u G1 u G2 are decomposed once each over three triples
+        import quadcert.variety as variety
+
+        calls = []
+        original = variety.fixed_locus_components
+
+        def counting(g):
+            calls.append(g)
+            return original(g)
+
+        monkeypatch.setattr(variety, "fixed_locus_components", counting)
+        system = build_quadrics()
+        groups = [standard_group(name) for name in ("G", "G1", "G2")]
+        triples = draw_specializations(3, 0, system, groups[0])
+        cache = {}
+        for name, group in zip(("G", "G1", "G2"), groups):
+            report = check_freeness(
+                group, system, triples, scope="all", group_name=name, cache=cache, screen=False
+            )
+            assert report.verdict == "free", name
+        assert len(calls) == len(set(calls)) == 127
+        assert len(cache) == 3 * 127
+
     def test_involution_scope_needs_two_group(self):
         three_cycle = MonomialMatrix((1, 2, 0, 3, 4, 5, 6, 7), (0,) * 8)
         group = closure([three_cycle], names=("c",))
