@@ -199,6 +199,16 @@ def write_custom_group(path, perm, phases, claims=None, name="d"):
     return str(path)
 
 
+def malformed_input_argv(tmp_path, flag, content):
+    """Write content to input.json and return the argv that loads it: a
+    custom group for `groups`, custom quadrics for `invariance`."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    if flag == "--custom-group":
+        return ["groups", "--group", "custom", "--custom-group", str(path)]
+    return ["invariance", "--group", "G", "--custom-quadrics", str(path)]
+
+
 class TestCustomFiles:
     def test_group_loader_round_trip(self, tmp_path):
         path = write_custom_group(
@@ -639,13 +649,7 @@ class TestCli:
         ],
     )
     def test_malformed_input_exit_two(self, tmp_path, capsys, flag, content, message):
-        path = tmp_path / "input.json"
-        path.write_text(json.dumps(content))
-        if flag == "--custom-group":
-            argv = ["groups", "--group", "custom", "--custom-group", str(path)]
-        else:
-            argv = ["invariance", "--group", "G", "--custom-quadrics", str(path)]
-        assert main(argv) == 2
+        assert main(malformed_input_argv(tmp_path, flag, content)) == 2
         err = capsys.readouterr().err
         assert err.startswith("quadcert: ") and err.count("\n") == 1
         assert message in err
@@ -694,7 +698,8 @@ IDENTITY_GENERATOR = {"perm": list(range(8)), "phases": [0] * 8}
 SWAP = {"perm": [1, 0], "phases": [0, 1], "N": 4}
 ONE_TERM = {"x_exponents": [2] + [0] * 7, "y_exponents": [0, 0, 0], "coefficient": "[1]@2"}
 
-# JSON values of a type no field of either file accepts where it is used
+# JSON values of the wrong type for a field that takes a list, an integer or
+# an object
 not_a_list = st.one_of(
     st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), st.text(max_size=4),
     st.dictionaries(st.text(max_size=3), st.integers(), min_size=1, max_size=2),
@@ -785,13 +790,7 @@ def malformed_quadrics(draw):
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_malformed_input_fuzz_exit_two(tmp_path, capsys, case):
     flag, content = case
-    path = tmp_path / "input.json"
-    path.write_text(json.dumps(content))
-    if flag == "--custom-group":
-        argv = ["groups", "--group", "custom", "--custom-group", str(path)]
-    else:
-        argv = ["invariance", "--group", "G", "--custom-quadrics", str(path)]
-    code = main(argv)
+    code = main(malformed_input_argv(tmp_path, flag, content))
     err = capsys.readouterr().err
     assert code == 2, (content, err)
     assert err.startswith("quadcert: ") and err.count("\n") == 1, err

@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quadcert import variety
 from quadcert.cyclotomic import CyclotomicNumber, degree_at, root_of_unity
 from quadcert.groups import (
     closure,
@@ -545,8 +546,6 @@ class TestFreeness:
         # an element's eigenspaces do not depend on the triple, and the shared
         # cache covers what G already examined: the 127 distinct non-identity
         # elements of G u G1 u G2 are decomposed once each over three triples
-        import quadcert.variety as variety
-
         calls = []
         original = variety.fixed_locus_components
 
