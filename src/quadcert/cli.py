@@ -23,18 +23,19 @@ _SUBCOMMANDS = (
     ("all", "run every check in dependency order"),
 )
 
-# config-file keys mirror the flag names; the subcommand itself is not a key
-_CONFIG_KEYS = (
-    "group",
-    "y",
-    "specializations",
-    "seed",
-    "scope",
-    "json",
-    "custom_group",
-    "custom_quadrics",
-    "canonical",
-)
+# config-file keys mirror the flag names and take the flags' value types; the
+# subcommand itself is not a key
+_CONFIG_KEYS = {
+    "group": str,
+    "y": list[str],
+    "specializations": int,
+    "seed": int,
+    "scope": str,
+    "json": str | None,
+    "custom_group": str | None,
+    "custom_quadrics": str | None,
+    "canonical": bool,
+}
 
 
 def parse_triple(text: str) -> tuple[Fraction, Fraction, Fraction]:
@@ -88,6 +89,10 @@ def _load_config_file(path: str) -> dict:
     unknown = [k for k in data if k not in _CONFIG_KEYS]
     if unknown:
         raise ValueError(f"{path}: unknown config keys {unknown}")
+    for key, value in data.items():
+        expected = _CONFIG_KEYS[key]
+        if not reporting._has_type(value, expected):
+            raise ValueError(f"{path}: {key!r} must be {reporting._TYPE_NAMES[expected]}")
     return data
 
 
@@ -109,13 +114,13 @@ def assemble_config(args: argparse.Namespace) -> VerificationConfig:
         checks=tuple(checks),
         group=pick(args.group, "group", "all"),
         y_triples=triples,
-        specializations=int(pick(args.specializations, "specializations", 3)),
-        seed=int(pick(args.seed, "seed", 0)),
+        specializations=pick(args.specializations, "specializations", 3),
+        seed=pick(args.seed, "seed", 0),
         scope=pick(args.scope, "scope", "involutions"),
         output_path=pick(args.json, "json", None),
         custom_group_path=pick(args.custom_group, "custom_group", None),
         custom_quadrics_path=pick(args.custom_quadrics, "custom_quadrics", None),
-        canonical=bool(pick(args.canonical, "canonical", False)),
+        canonical=pick(args.canonical, "canonical", False),
     )
 
 

@@ -49,31 +49,6 @@ class ExactMatrix:
     def __repr__(self):
         return f"ExactMatrix({self.rows}x{self.cols})"
 
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
-
-    def __mul__(self, other):
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = _ZERO
-                for k in range(self.cols):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if a.is_zero() or b.is_zero():
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return ExactMatrix(out)
-
     def apply(self, vector: Sequence) -> tuple:
         vec = [as_cyclotomic(v) for v in vector]
         if len(vec) != self.cols:
@@ -301,12 +276,6 @@ class MonomialMatrix:
                 continue
             out[self.perm[j]] = root_of_unity(self.N, self.phases[j]) * v
         return tuple(out)
-
-    def to_exact_matrix(self) -> ExactMatrix:
-        entries = [[_ZERO] * self.size for _ in range(self.size)]
-        for j in range(self.size):
-            entries[self.perm[j]][j] = root_of_unity(self.N, self.phases[j])
-        return ExactMatrix(entries)
 
     # -- spectral data -------------------------------------------------------
 

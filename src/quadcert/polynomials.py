@@ -84,13 +84,6 @@ class Polynomial:
         return cls(variables, {(0,) * len(variables): coeff})
 
     @classmethod
-    def variable(cls, variables: Sequence[str], index: int) -> "Polynomial":
-        variables = tuple(variables)
-        exponents = [0] * len(variables)
-        exponents[index] = 1
-        return cls(variables, {tuple(exponents): CyclotomicNumber.one()})
-
-    @classmethod
     def monomial(cls, variables: Sequence[str], exponents: Sequence[int], coeff=1) -> "Polynomial":
         return cls(tuple(variables), {tuple(exponents): coeff})
 

@@ -188,6 +188,7 @@ _TYPE_NAMES = {
     int: "an integer",
     bool: "true or false",
     str: "a string",
+    str | None: "a string or null",
     dict: "an object mapping orders to counts",
     list[str]: "a list of words",
     list[dict]: "a list of objects",
@@ -227,6 +228,8 @@ def load_custom_group(path: str) -> GroupSelection:
     for i, rec in enumerate(raw_gens):
         names.append(str(rec.get("name", f"g{i}")))
         matrices.append(MonomialMatrix.from_dict(rec))
+        if matrices[-1].size != 8:
+            raise ValueError(f"{path}: generator {names[-1]!r} must permute 8 coordinates")
     if len(set(names)) != len(names):
         raise ValueError(f"{path}: duplicate generator names")
     raw_claims = data.get("claims", [])

@@ -223,11 +223,51 @@ def quadric_hessian(quadric: Polynomial) -> ExactMatrix:
     return ExactMatrix(rows)
 
 
+def restrict_form(
+    hessian: ExactMatrix, basis: Sequence[Sequence[CyclotomicNumber]]
+) -> ExactMatrix:
+    """The Gram matrix G = B H B^T of the form 1/2 x^T H x restricted to the
+    span of the rows B_a of basis: G[a][b] = sum B_a[i] H[i][j] B_b[j], summed
+    over the nonzero entries of the symmetric H only."""
+    support = [
+        (i, j, v)
+        for i, row in enumerate(hessian.entries)
+        for j, v in enumerate(row)
+        if not v.is_zero()
+    ]
+    k = len(basis)
+    gram = [[CyclotomicNumber.zero()] * k for _ in range(k)]
+    for a in range(k):
+        for b in range(a, k):
+            total = CyclotomicNumber.zero()
+            for i, j, v in support:
+                left, right = basis[a][i], basis[b][j]
+                if not (left.is_zero() or right.is_zero()):
+                    total = total + left * v * right
+            gram[a][b] = gram[b][a] = total
+    return ExactMatrix(gram)
+
+
+def form_polynomial(gram: ExactMatrix, variables: Sequence[str]) -> Polynomial:
+    """The quadratic form 1/2 s^T G s, the inverse of quadric_hessian:
+    G[a][b] on s_a*s_b for a < b and G[a][a]/2 on s_a^2."""
+    n = len(variables)
+    terms = {}
+    for a in range(n):
+        for b in range(a, n):
+            value = gram.entries[a][b]
+            if value.is_zero():
+                continue
+            exponents = tuple(int(k == a) + int(k == b) for k in range(n))
+            terms[exponents] = value * Fraction(1, 2) if a == b else value
+    return Polynomial(variables, terms)
+
+
 @dataclass(frozen=True)
 class ODPContext:
     """The pencil specialized at one parameter triple, with the constant
-    Hessian H_q of each quadric.  Built once per triple and shared by every
-    point certified there."""
+    Hessian H_q of each quadric.  Built once per triple and shared by the
+    singular-point certificates and the fixed-locus restrictions there."""
 
     quadrics: tuple[Polynomial, ...]
     hessians: tuple[ExactMatrix, ...]
@@ -292,8 +332,7 @@ def verify_odp(point: Sequence[CyclotomicNumber], context: ODPContext) -> ODPCer
     if any(not v.is_zero() for v in hess.apply(coords)):
         return ODPCertificate(coords, True, 3, -1, combo)
 
-    basis = ExactMatrix(elim.right_kernel())  # one kernel vector per row
-    restricted = basis * hess * basis.transpose()
+    restricted = restrict_form(hess, elim.right_kernel())
     return ODPCertificate(coords, True, 3, restricted.rank(), combo)
 
 
@@ -437,12 +476,13 @@ def _component_witness_candidates(dimension: int, seed: int):
 
 def _examine_component(
     component: EigenspaceComponent,
-    quadrics: Sequence[Polynomial],
+    context: ODPContext,
     witness_seed: int,
 ) -> ComponentOutcome:
     eigentext = component.eigenvalue.to_text()
     basis = component.basis
     dim = component.multiplicity
+    quadrics = context.quadrics
 
     if dim == 1:
         vec = basis[0]
@@ -452,16 +492,7 @@ def _examine_component(
         return ComponentOutcome(eigentext, 1, "no-fixed-point", None)
 
     svars = s_variables(dim)
-    images = []
-    for j in range(8):
-        terms = {}
-        for t in range(dim):
-            if not basis[t][j].is_zero():
-                e = [0] * dim
-                e[t] = 1
-                terms[tuple(e)] = basis[t][j]
-        images.append(Polynomial(svars, terms))
-    restricted = [q.substitute(images) for q in quadrics]
+    restricted = [form_polynomial(restrict_form(h, basis), svars) for h in context.hessians]
     live = [p for p in restricted if not p.is_zero()]
     if live and projective_zero_set_empty(live):
         return ComponentOutcome(eigentext, dim, "no-fixed-point", None)
@@ -469,12 +500,8 @@ def _examine_component(
     # the restricted locus is nonempty; hunt for an explicit point
     for candidate in _component_witness_candidates(dim, witness_seed):
         if all(p.evaluate(candidate).is_zero() for p in restricted):
-            point = []
-            for j in range(8):
-                total = CyclotomicNumber.zero()
-                for t in range(dim):
-                    total = total + basis[t][j] * candidate[t]
-                point.append(total)
+            zero = CyclotomicNumber.zero()
+            point = [sum((b[j] * c for b, c in zip(basis, candidate)), zero) for j in range(8)]
             if all(v.is_zero() for v in point):
                 continue
             if all(q.evaluate(point).is_zero() for q in quadrics):
@@ -537,7 +564,7 @@ def check_freeness(
                     SpecializationOutcome(triple, "inconclusive", "; ".join(verdict.reasons), ())
                 )
                 continue
-        quadrics = system.specialized(triple)
+        context = ODPContext.at(system, triple)
         element_outcomes = []
         for g, order in targets:
             key = (system, g, triple, witness_seed)
@@ -547,7 +574,7 @@ def check_freeness(
                 if g not in components:
                     components[g] = fixed_locus_components(g)
                 outcomes = tuple(
-                    _examine_component(component, quadrics, witness_seed)
+                    _examine_component(component, context, witness_seed)
                     for component in components[g]
                 )
                 cache[key] = outcomes

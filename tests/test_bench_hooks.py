@@ -5,8 +5,10 @@ tests do not install its hooks.  The sweep workload (bench/sweep.py) calls
 the public checks in-process and reads their report trees."""
 
 import ast
+import hashlib
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
@@ -57,6 +59,9 @@ def test_sweep_runs_in_process(monkeypatch):
     spec.loader.exec_module(sweep)
     ops = sweep.run(0)
     assert [op["error"] for op in ops if op["error"]] == []
+    # the seed-0 sweep output every speedup must leave byte-identical
+    digest = hashlib.sha256(json.dumps({"seed": 0, "ops": ops}, sort_keys=True).encode())
+    assert digest.hexdigest() == "8398272165647cd57dc851cf1799602d09743579c6959b48c020638da6c8299e"
     planted = [op for op in ops if op["kind"] == "planted"]
     assert [op["verdict"] for op in planted] == ["fixed-point-found"] * 3
     (stock,) = [op for op in ops if op["kind"] == "stock"]

@@ -53,7 +53,7 @@ class TestDivision:
     def test_parametric_rejected(self):
         # coefficients are cyclotomic numbers only: a polynomial coefficient
         # is refused when the polynomial is built, before any Groebner call
-        coeff = Polynomial.variable(("y1",), 0)
+        coeff = Polynomial.monomial(("y1",), (1,))
         with pytest.raises(TypeError):
             Polynomial(("x",), {(1,): coeff})
 
@@ -127,7 +127,7 @@ class TestProjectiveEmptiness:
     def test_restriction_shapes(self):
         # the pairwise-product system restricted two ways
         svars = s_variables(4)
-        s = [Polynomial.variable(svars, i) for i in range(4)]
+        s = [Polynomial.monomial(svars, [int(k == i) for k in range(4)]) for i in range(4)]
         zero = Polynomial.zero(svars)
         xvars = tuple(f"x{i}" for i in range(8))
         pairs = []

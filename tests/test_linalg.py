@@ -15,6 +15,28 @@ def zeta(n, k=1):
     return root_of_unity(n, k)
 
 
+def matmul(a, b):
+    """Dense product of two ExactMatrix values, the reference for structural
+    products."""
+    return ExactMatrix(
+        [sum((x * y for x, y in zip(row, col)), ZERO) for col in zip(*b.entries)]
+        for row in a.entries
+    )
+
+
+def transpose(m):
+    return ExactMatrix(zip(*m.entries))
+
+
+def dense(g):
+    """The monomial matrix g written out densely: column j holds
+    zeta_N^phases[j] in row perm[j]."""
+    entries = [[ZERO] * g.size for _ in range(g.size)]
+    for j in range(g.size):
+        entries[g.perm[j]][j] = zeta(g.N, g.phases[j])
+    return ExactMatrix(entries)
+
+
 def tau():
     # x_i -> zeta_8^-i x_i
     return MonomialMatrix.diagonal(tuple(-i % 8 for i in range(8)))
@@ -54,15 +76,16 @@ class TestExactMatrix:
         assert v[0] * ONE == -zeta(8) * v[1]
 
     def test_matmul_identity(self):
+        # the dense product the structural tests compare against
         m = ExactMatrix([[ONE, zeta(8, 3)], [ZERO, zeta(4)]])
         identity = ExactMatrix([[ONE, ZERO], [ZERO, ONE]])
-        assert m * identity == m
-        assert identity * m == m
+        assert matmul(m, identity) == m
+        assert matmul(identity, m) == m
 
     def test_transpose_involution(self):
         m = ExactMatrix([[1, 2, 3], [4, 5, 6]])
-        assert m.transpose().transpose() == m
-        assert m.transpose().rows == 3
+        assert transpose(transpose(m)) == m
+        assert transpose(m).rows == 3
 
     def test_rank_nullity_random(self):
         rng = random.Random(7)
@@ -75,13 +98,13 @@ class TestExactMatrix:
             assert m.rank() + len(kernel) == cols
             for v in kernel:
                 assert all(x.is_zero() for x in m.apply(v))
-            assert m.rank() == m.transpose().rank()
+            assert m.rank() == transpose(m).rank()
 
     def test_shape_errors(self):
         with pytest.raises(ValueError):
             ExactMatrix([[1, 2], [3]])
         with pytest.raises(ValueError):
-            ExactMatrix([[1, 2]]) * ExactMatrix([[1, 2]])
+            ExactMatrix([])
 
 
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -106,7 +129,7 @@ def zeta8_matrices(draw):
 @settings(max_examples=60, deadline=None)
 def test_elimination_properties(m):
     elim = m.rref()
-    assert ExactMatrix(elim.transform) * m == ExactMatrix(elim.reduced)
+    assert matmul(ExactMatrix(elim.transform), m) == ExactMatrix(elim.reduced)
     assert ExactMatrix(elim.transform).rank() == m.rows  # T is invertible
     assert m.rref(transform=False).reduced == elim.reduced
     for i, c in enumerate(elim.pivots):
@@ -115,7 +138,7 @@ def test_elimination_properties(m):
     left = m.left_kernel()
     assert len(left) == m.rows - m.rank()
     for w in left:
-        assert all(v.is_zero() for v in m.transpose().apply(w))
+        assert all(v.is_zero() for v in transpose(m).apply(w))
     right = m.right_kernel()
     assert len(right) == m.cols - m.rank()
     for v in right:
@@ -209,13 +232,13 @@ class TestPointAction:
         pool = [ZERO, ONE, zeta(8, 5), CyclotomicNumber.from_rational(2)]
         for g in (tau(), sigma(), sigma1(), sigma() * tau()):
             p = [rng.choice(pool) for _ in range(8)]
-            assert g.apply(p) == g.to_exact_matrix().apply(p)
+            assert g.apply(p) == dense(g).apply(p)
 
     def test_apply_composes_as_matrices(self):
         p = [CyclotomicNumber.from_rational(k) for k in (0, 1, 2, 3, 0, -3, -2, -1)]
         g, h = sigma1(), tau()
         assert (g * h).apply(p) == g.apply(h.apply(p))
-        assert (g * h).to_exact_matrix() == g.to_exact_matrix() * h.to_exact_matrix()
+        assert dense(g * h) == matmul(dense(g), dense(h))
 
 
 class TestEigenspaces:
@@ -254,7 +277,7 @@ class TestEigenspaces:
             g = MonomialMatrix.identity()
             for _ in range(rng.randint(1, 5)):
                 g = g * rng.choice(gens)
-            dense = g.to_exact_matrix()
+            matrix = dense(g)
             comps = g.eigenspaces()
             assert sum(c.multiplicity for c in comps) == 8
             seen = set()
@@ -262,7 +285,7 @@ class TestEigenspaces:
                 assert comp.eigenvalue not in seen
                 seen.add(comp.eigenvalue)
                 for vec in comp.basis:
-                    image = dense.apply(vec)
+                    image = matrix.apply(vec)
                     assert image == tuple(comp.eigenvalue * v for v in vec)
 
     def test_unsupported_cycle_length(self):

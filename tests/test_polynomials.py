@@ -22,13 +22,18 @@ def zeta(n, k=1):
     return root_of_unity(n, k)
 
 
+def var(variables, i):
+    """The i-th variable of a ring, as a polynomial."""
+    return Polynomial.monomial(variables, [int(k == i) for k in range(len(variables))])
+
+
 def xvar(i):
-    return Polynomial.variable(X_VARIABLES, i)
+    return var(X_VARIABLES, i)
 
 
 def pvar(name):
     """A variable of the pencil ring x0..x7, y1..y3, by name."""
-    return Polynomial.variable(PENCIL_VARIABLES, PENCIL_VARIABLES.index(name))
+    return var(PENCIL_VARIABLES, PENCIL_VARIABLES.index(name))
 
 
 def tau():
@@ -82,9 +87,9 @@ class TestArithmetic:
 
     def test_ring_mismatch(self):
         with pytest.raises(ValueError):
-            Polynomial.variable(("a",), 0) + Polynomial.variable(("b",), 0)
+            var(("a",), 0) + var(("b",), 0)
         with pytest.raises(ValueError):
-            Polynomial.variable(("a",), 0) * Polynomial.variable(("a", "b"), 0)
+            var(("a",), 0) * var(("a", "b"), 0)
 
     def test_degree_and_homogeneity(self):
         q = xvar(0) * xvar(1) + xvar(3) ** 2
@@ -204,8 +209,8 @@ class TestSubstitution:
     def test_general_substitution(self):
         # restrict x0^2 + x2*x6 to the plane x = s0*e0 + s1*(e2+e6)
         svars = s_variables(2)
-        s0 = Polynomial.variable(svars, 0)
-        s1 = Polynomial.variable(svars, 1)
+        s0 = var(svars, 0)
+        s1 = var(svars, 1)
         zero = Polynomial.zero(svars)
         images = [s0, zero, s1, zero, zero, zero, s1, zero]
         q = xvar(0) ** 2 + xvar(2) * xvar(6)

@@ -1,6 +1,7 @@
 """Report assembly, config merging, custom input files, exit codes, and the
 byte-identical serialization guarantee."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -179,6 +180,22 @@ class TestConfigMerging:
         args = build_parser().parse_args(["groups", "--config", str(cfg_file)])
         with pytest.raises(ValueError, match="unknown config keys"):
             assemble_config(args)
+
+    @pytest.mark.parametrize(
+        "content, key",
+        [
+            ({"canonical": "false"}, "canonical"),
+            ({"specializations": 1.9}, "specializations"),
+            ({"seed": True}, "seed"),
+        ],
+    )
+    def test_wrong_value_type_exit_two(self, tmp_path, capsys, content, key):
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text(json.dumps(content))
+        assert main(["groups", "--config", str(cfg_file)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("quadcert: bad configuration: ") and err.count("\n") == 1
+        assert f"{cfg_file}: {key!r} must be" in err
 
     def test_all_subcommand_selects_every_check(self):
         args = build_parser().parse_args(["all"])
@@ -502,6 +519,29 @@ class TestDeterminism:
         assert report.checks[0].to_dict(canonical=True)["timing"] == 0.0
 
 
+class TestCanonicalDigests:
+    # the seed-0 canonical reports every speedup must leave byte-identical
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["all", "--group", "all"],
+                "1d51d7be44a8635be36305ba232907cbabeaf3c6c129c401861bf511d59e680c",
+            ),
+            (
+                ["freeness", "--group", "all", "--scope", "all"],
+                "a1bab7fec5865f03ad11d2187290b46a04f1e824ca4b28e4438c924729c9d4e5",
+            ),
+        ],
+        ids=["all", "freeness-scope-all"],
+    )
+    def test_seed_zero_report_digest(self, tmp_path, capsys, argv, digest):
+        out = tmp_path / "r.json"
+        flags = ["--specializations", "3", "--seed", "0", "--canonical", "--json", str(out)]
+        assert main(argv + flags) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 class TestCli:
     def test_groups_subcommand_exit_zero(self, capsys):
         assert main(["groups", "--group", "G"]) == 0
@@ -646,6 +686,11 @@ class TestCli:
                 },
                 "input.json: unknown claim type 'ordr'",
             ),
+            (
+                "--custom-group",
+                {"generators": [{"name": "a", "perm": [1, 0, 3, 2], "phases": [0] * 4, "N": 8}]},
+                "input.json: generator 'a' must permute 8 coordinates",
+            ),
         ],
     )
     def test_malformed_input_exit_two(self, tmp_path, capsys, flag, content, message):
@@ -695,7 +740,7 @@ class TestCli:
 # -- malformed input files, fuzzed --------------------------------------------
 
 IDENTITY_GENERATOR = {"perm": list(range(8)), "phases": [0] * 8}
-SWAP = {"perm": [1, 0], "phases": [0, 1], "N": 4}
+SWAP = {"perm": [1, 0, 2, 3, 4, 5, 6, 7], "phases": [0, 1, 0, 0, 0, 0, 0, 0], "N": 4}
 ONE_TERM = {"x_exponents": [2] + [0] * 7, "y_exponents": [0, 0, 0], "coefficient": "[1]@2"}
 
 # JSON values of the wrong type for a field that takes a list, an integer or
@@ -712,11 +757,12 @@ not_an_object = st.one_of(not_a_list.filter(lambda v: not isinstance(v, dict)), 
 bad_int_list = st.one_of(
     not_a_list,
     st.lists(not_an_int, min_size=1, max_size=8),
-    # a length no field takes: perms and phases have 2 or 8 entries here,
-    # x-exponents 8 and y-exponents 3
+    # a length no field takes: perms and phases have 8 entries, x-exponents
+    # 8 and y-exponents 3
     st.lists(st.integers(0, 7), min_size=4, max_size=7),
-    # right shape, but booleans: [1, 0] as a perm, x1^2 and y^0 as exponents
-    st.sampled_from([[True, False], [True, True] + [False] * 6, [False] * 3]),
+    # right shape, but booleans: [1, 0, 2, ..., 7] as a perm, x1^2 and y^0
+    # as exponents
+    st.sampled_from([[True, False, *range(2, 8)], [True, True] + [False] * 6, [False] * 3]),
 )
 bad_order = st.one_of(not_an_int, st.integers().filter(lambda n: n not in SUPPORTED_ORDERS))
 bad_literal = st.one_of(

@@ -17,7 +17,13 @@ from quadcert.groups import (
     standard_group,
 )
 from quadcert.linalg import ExactMatrix, MonomialMatrix
-from quadcert.polynomials import PENCIL_VARIABLES, Polynomial, X_VARIABLES, Y_VARIABLES
+from quadcert.polynomials import (
+    PENCIL_VARIABLES,
+    Polynomial,
+    X_VARIABLES,
+    Y_VARIABLES,
+    s_variables,
+)
 from quadcert.variety import (
     InvarianceResult,
     ODPContext,
@@ -28,11 +34,13 @@ from quadcert.variety import (
     check_ideal_invariance,
     draw_specializations,
     fixed_locus_components,
+    form_polynomial,
     genericity_screen,
     orbit_size,
     planted_control_system,
     projective_point_key,
     quadric_hessian,
+    restrict_form,
     singular_orbit,
     verify_odp,
 )
@@ -53,7 +61,16 @@ def y_coefficient(q, x_exponents):
 
 
 def pencil_var(i):
-    return Polynomial.variable(PENCIL_VARIABLES, i)
+    return Polynomial.monomial(PENCIL_VARIABLES, [int(k == i) for k in range(11)])
+
+
+def matmul(a, b):
+    """Dense product of two ExactMatrix values."""
+    zero = CyclotomicNumber.zero()
+    return ExactMatrix(
+        [sum((x * y for x, y in zip(row, col)), zero) for col in zip(*b.entries)]
+        for row in a.entries
+    )
 
 
 def base_point_images():
@@ -134,7 +151,7 @@ class TestQuadricSystem:
         with pytest.raises(ValueError, match="x-degree 2"):
             QuadricSystem((mixed, mixed, mixed, mixed))
         # quadrics outside the pencil ring are rejected
-        x_only = Polynomial.variable(X_VARIABLES, 0) ** 2
+        x_only = Polynomial.monomial(X_VARIABLES, x_pair(0, 0))
         with pytest.raises(ValueError, match="ring"):
             QuadricSystem((x_only, x_only, x_only, x_only))
 
@@ -250,9 +267,7 @@ class TestInvariance:
 
         for _ in range(10):
             g, h = rng.choice(gens), rng.choice(gens)
-            left = matrix_of(g * h)
-            right = matrix_of(h) * matrix_of(g)
-            assert left.entries == right.entries
+            assert matrix_of(g * h) == matmul(matrix_of(h), matrix_of(g))
 
 
 class TestOrbit:
@@ -400,6 +415,55 @@ class TestODP:
         assert not cert.passes
 
 
+class TestRestriction:
+    @pytest.mark.parametrize(
+        "system", [build_quadrics(), planted_control_system()], ids=["stock", "planted"]
+    )
+    def test_gram_form_matches_substitution(self, system):
+        # every eigenspace of dimension 2 or 4 of a non-identity element of
+        # G u G1 u G2, at the first seed-0 triple: the form of B*H_k*B^T
+        # equals q_k composed with x = sum_t s_t * B_t
+        y = draw_specializations(1, 0, build_quadrics(), standard_group("G"))[0]
+        context = ODPContext.at(system, y)
+        elements = {g: None for name in ("G", "G1", "G2") for g in standard_group(name).elements}
+        checked = 0
+        for g in elements:
+            if g.is_identity():
+                continue
+            for component in fixed_locus_components(g):
+                dim = component.multiplicity
+                if dim == 1:
+                    continue
+                svars = s_variables(dim)
+                unit = [tuple(int(k == t) for k in range(dim)) for t in range(dim)]
+                images = [
+                    Polynomial(svars, {e: vec[j] for e, vec in zip(unit, component.basis)})
+                    for j in range(8)
+                ]
+                for q, h in zip(context.quadrics, context.hessians):
+                    gram = restrict_form(h, component.basis)
+                    assert form_polynomial(gram, svars) == q.substitute(images)
+                    checked += 1
+        assert checked == 4 * (176 + 6)  # 176 planes and 6 four-spaces
+
+    def test_base_point_restricted_hessian_rank_by_minors(self):
+        # the combination's Hessian restricted to the Jacobian kernel at the
+        # base point, ranked by minor determinants instead of by rref
+        context = ODPContext.at(build_quadrics(), Y123)
+        p = base_point(Y123)
+        cert = verify_odp(p, context)
+        kernel = context.jacobian(p).right_kernel()
+        assert all(v.is_zero() for vec in kernel for v in context.jacobian(p).apply(vec))
+
+        def rationals(rows):
+            assert all(v.level == 1 for row in rows for v in row)
+            return [[v.coeffs[0] for v in row] for row in rows]
+
+        assert fraction_matrix_rank_by_minors(rationals(kernel)) == 5
+        gram = restrict_form(context.combined_hessian(cert.null_combination), kernel)
+        assert fraction_matrix_rank_by_minors(rationals(gram.entries)) == 4
+
+
 @st.composite
 def quadratic_forms(draw):
     """Quadratic forms in x0..x7 with coefficients in Q(zeta_2^m), m <= 4."""
@@ -427,6 +491,13 @@ def test_hessian_read_matches_second_derivatives(q):
         for j in range(8)
     ]
     assert [list(row) for row in quadric_hessian(q).entries] == expected
+
+
+@given(quadratic_forms())
+@settings(max_examples=60, deadline=None)
+def test_form_polynomial_inverts_hessian(q):
+    unit_rows = [[CyclotomicNumber(1, [int(i == j)]) for j in range(8)] for i in range(8)]
+    assert form_polynomial(restrict_form(quadric_hessian(q), unit_rows), X_VARIABLES) == q
 
 
 class TestFixedLoci:
@@ -565,6 +636,32 @@ class TestFreeness:
             assert report.verdict == "free", name
         assert len(calls) == len(set(calls)) == 127
         assert len(cache) == 3 * 127
+
+    def test_fixed_locus_without_witness(self):
+        # the +1 eigenspace of diag(1,1,1,1,-1,-1,-1,-1) meets the variety in
+        # (+-sqrt2 : 1 : 0 : 0): Groebner finds the locus nonempty, but no
+        # trial point lies on it, so the component fails without coordinates
+        flip = closure([MonomialMatrix.diagonal((0, 0, 0, 0, 4, 4, 4, 4))], names=("d",))
+
+        def quadric(terms):
+            return Polynomial(PENCIL_VARIABLES, {x_pair(i, j) + (0, 0, 0): c for i, j, c in terms})
+
+        system = QuadricSystem((
+            quadric([(0, 0, 1), (1, 1, -2), (4, 4, 1)]),
+            quadric([(2, 2, 1), (5, 5, 1)]),
+            quadric([(3, 3, 1), (6, 6, 1)]),
+            quadric([(7, 7, 1)]),
+        ))
+        report = check_freeness(flip, system, [Y123], scope="all", screen=False)
+        assert report.verdict == "fixed-point-found"
+        (outcome,) = report.specializations
+        (element,) = outcome.elements
+        by_value = {c.eigenvalue: c for c in element.components}
+        plus = by_value[CyclotomicNumber.one().to_text()]
+        minus = by_value[(-CyclotomicNumber.one()).to_text()]
+        assert (plus.multiplicity, minus.multiplicity) == (4, 4)
+        assert (plus.verdict, plus.witness) == ("fixed-locus-no-witness", None)
+        assert (minus.verdict, minus.witness) == ("no-fixed-point", None)
 
     def test_involution_scope_needs_two_group(self):
         three_cycle = MonomialMatrix((1, 2, 0, 3, 4, 5, 6, 7), (0,) * 8)
