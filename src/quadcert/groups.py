@@ -26,7 +26,7 @@ from __future__ import annotations
 import re
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .linalg import MonomialMatrix
 
@@ -87,6 +87,21 @@ class FiniteGroup:
 
     def verify_relation(self, relation: str) -> bool:
         return verify_relation(relation, self.generator_map(), self.identity())
+
+    def conjugacy_classes(self, elements: Iterable[MonomialMatrix]) -> dict:
+        """Map each given element, and each of its conjugates h*g*h^-1, to
+        its class.  A class is found once, by conjugating with the generators
+        until nothing new appears."""
+        classes: dict[MonomialMatrix, frozenset] = {}
+        for g in elements:
+            if g not in classes:
+                members = [g]
+                for c in members:
+                    for h in self.generators:
+                        if (d := h * c * h.inverse()) not in members:
+                            members.append(d)
+                classes.update(dict.fromkeys(members, frozenset(members)))
+        return classes
 
     def subgroup(self, words: Sequence[str]) -> "FiniteGroup":
         """Closure of word values inside the same group, names kept as the

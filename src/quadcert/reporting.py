@@ -462,6 +462,7 @@ def _freeness_records(
     screened_out: dict,
     scope: str,
     seed: int,
+    invariant: dict[MonomialMatrix, bool],
 ) -> list[CheckRecord]:
     """One record per group.  Triples were screened once by
     `_resolve_triples`: the ones that passed are examined without a second
@@ -480,6 +481,7 @@ def _freeness_records(
             cache=cache,
             witness_seed=seed,
             screen=False,
+            invariant=invariant,
         )
         outcomes = iter(report.specializations)
         witnesses = []
@@ -490,18 +492,17 @@ def _freeness_records(
                 continue
             for element in next(outcomes).elements:
                 for comp in element.components:
-                    if comp.verdict == "fixed-point":
-                        coords = ", ".join(comp.witness)
-                        witnesses.append(
-                            f"({label}) element {element.element} "
-                            f"eigenvalue {comp.eigenvalue}: fixed point ({coords})"
-                        )
-                    elif comp.verdict == "fixed-locus-no-witness":
-                        witnesses.append(
-                            f"({label}) element {element.element} "
-                            f"eigenvalue {comp.eigenvalue}: nonempty fixed locus, "
-                            "no rational witness found"
-                        )
+                    if comp.verdict == "no-fixed-point":
+                        continue
+                    found = (
+                        f"fixed point ({', '.join(comp.witness)})"
+                        if comp.verdict == "fixed-point"
+                        else "nonempty fixed locus, no rational witness found"
+                    )
+                    witnesses.append(
+                        f"({label}) element {element.element} "
+                        f"eigenvalue {comp.eigenvalue}: {found}"
+                    )
         if len(passed) < len(triples):
             verdict = "inconclusive"  # dominates a found fixed point
         else:
@@ -550,23 +551,20 @@ def run(config: VerificationConfig) -> VerificationReport:
     screened_out: dict = {}
     invariant: dict[MonomialMatrix, bool] = {}  # generator verdicts, shared by layers
     for check in selected:
+        if check in ("orbit", "freeness") and triples is None:
+            triples, screened_out = _resolve_triples(config, system, selections[0].group)
         if check == "groups":
             records.extend(_groups_records(selections))
         elif check == "invariance":
             records.extend(_invariance_records(selections, system, invariant))
+        elif check == "orbit":
+            records.extend(_orbit_records(selections, system, triples, screened_out, invariant))
         else:
-            if triples is None:
-                triples, screened_out = _resolve_triples(config, system, selections[0].group)
-            if check == "orbit":
-                records.extend(
-                    _orbit_records(selections, system, triples, screened_out, invariant)
+            records.extend(
+                _freeness_records(
+                    selections, system, triples, screened_out, config.scope, config.seed, invariant
                 )
-            else:
-                records.extend(
-                    _freeness_records(
-                        selections, system, triples, screened_out, config.scope, config.seed
-                    )
-                )
+            )
     report = VerificationReport(version=__version__, config=config, checks=tuple(records))
     if config.output_path:
         write_report(report, config.output_path)

@@ -21,7 +21,7 @@ from .cyclotomic import CyclotomicNumber, root_of_unity
 from .groups import FiniteGroup, element_order
 from .linalg import EigenspaceComponent, ExactMatrix, MonomialMatrix
 from .groebner import projective_zero_set_empty
-from .polynomials import PENCIL_VARIABLES, Polynomial, X_VARIABLES, grevlex_key, s_variables
+from .polynomials import PENCIL_VARIABLES, Polynomial, X_VARIABLES, s_variables
 
 MAX_SPECIALIZATION_HEIGHT = 97
 #: Candidate triples draw_specializations screens before giving up.
@@ -56,21 +56,6 @@ class QuadricSystem:
     def specialized(self, y) -> tuple[Polynomial, ...]:
         triple = _y_triple(y)
         return tuple(q.specialize(triple) for q in self.quadrics)
-
-    def to_records(self) -> list[list[dict]]:
-        """One row per term: x-monomials in descending grevlex order, then
-        y-monomials in descending lexicographic order."""
-        return [
-            [
-                {
-                    "x_exponents": list(e[:8]),
-                    "y_exponents": list(e[8:]),
-                    "coefficient": q.terms[e].to_text(),
-                }
-                for e in sorted(q.terms, key=lambda m: (grevlex_key(m[:8]), m[8:]), reverse=True)
-            ]
-            for q in self.quadrics
-        ]
 
     @classmethod
     def from_records(cls, records: Sequence[Sequence[dict]]) -> "QuadricSystem":
@@ -519,6 +504,7 @@ def check_freeness(
     cache: dict | None = None,
     witness_seed: int = 0,
     screen: bool = True,
+    invariant: dict | None = None,
 ) -> FreenessReport:
     """Prove the group acts without fixed points on the variety, for each
     parameter specialization.
@@ -529,30 +515,28 @@ def check_freeness(
     examines every non-identity element and doubles as a validation of the
     reduction.  A shared cache maps (system, element, y, witness seed) to
     component outcomes so overlapping groups do not recompute.
+
+    When every generator passes `check_ideal_invariance` (memoized for this
+    system in `invariant`), an element with a free conjugate in the cache is
+    recorded free unexamined; README gives the argument, and why fixed
+    points never transfer.
     """
     if scope not in ("involutions", "all"):
         raise ValueError(f"scope must be 'involutions' or 'all', not {scope!r}")
-    orders = {element_order(g): None for g in group.elements}
-    if scope == "involutions":
-        bad = [k for k in orders if k & (k - 1)]
-        if bad:
-            raise ValueError(
-                f"involutions-only scope needs a 2-group; found element order {bad[0]}"
-            )
-    if cache is None:
-        cache = {}
+    orders = {g: element_order(g) for g in group.elements if not g.is_identity()}
+    bad = [k for k in orders.values() if k & (k - 1)]
+    if scope == "involutions" and bad:
+        raise ValueError(f"involutions-only scope needs a 2-group; found element order {bad[0]}")
+    targets = [(g, k) for g, k in orders.items() if scope == "all" or k == 2]
+    cache = {} if cache is None else cache
+    invariant = {} if invariant is None else invariant
+    for h in group.generators:
+        if h not in invariant:
+            invariant[h] = check_ideal_invariance(h, system).ok
+    equivariant = all(invariant[h] for h in group.generators)
+    classes = group.conjugacy_classes(g for g, _ in targets) if equivariant else {}
 
-    targets = []
-    for g in group.elements:
-        if g.is_identity():
-            continue
-        order = element_order(g)
-        if scope == "involutions" and order != 2:
-            continue
-        targets.append((g, order))
-
-    # an element's eigenspaces do not depend on the triple: found on its
-    # first cache miss and reused for every later one
+    # eigenspaces do not depend on the triple: found once per element
     components: dict[MonomialMatrix, list[EigenspaceComponent]] = {}
     spec_outcomes = []
     for y in specializations:
@@ -564,24 +548,27 @@ def check_freeness(
                     SpecializationOutcome(triple, "inconclusive", "; ".join(verdict.reasons), ())
                 )
                 continue
-        context = ODPContext.at(system, triple)
+        context = None  # built for the first element examined at this triple
         element_outcomes = []
         for g, order in targets:
             key = (system, g, triple, witness_seed)
-            if key in cache:
-                outcomes = cache[key]
-            else:
+            if key not in cache:
                 if g not in components:
                     components[g] = fixed_locus_components(g)
-                outcomes = tuple(
-                    _examine_component(component, context, witness_seed)
-                    for component in components[g]
-                )
-                cache[key] = outcomes
-            element_outcomes.append(ElementOutcome(g.to_dict(), order, outcomes))
-        spec_outcomes.append(
-            SpecializationOutcome(triple, "complete", None, tuple(element_outcomes))
-        )
+                donors = (cache.get((system, h, triple, witness_seed)) for h in classes.get(g, ()))
+                if any(d and all(o.verdict == "no-fixed-point" for o in d) for d in donors):
+                    cache[key] = tuple(
+                        ComponentOutcome(c.eigenvalue.to_text(), c.multiplicity, "no-fixed-point", None)
+                        for c in components[g]
+                    )
+                else:
+                    context = context or ODPContext.at(system, triple)
+                    cache[key] = tuple(
+                        _examine_component(component, context, witness_seed)
+                        for component in components[g]
+                    )
+            element_outcomes.append(ElementOutcome(g.to_dict(), order, cache[key]))
+        spec_outcomes.append(SpecializationOutcome(triple, "complete", None, tuple(element_outcomes)))
     return FreenessReport(group_name, scope, tuple(spec_outcomes))
 
 

@@ -275,6 +275,31 @@ class TestCertification:
         assert "leaves the subgroup" in cert.claim_results[0].witness
 
 
+class TestConjugacyClasses:
+    @pytest.mark.parametrize("name, sizes", [
+        ("G", {1: 63}),
+        ("G1", {1: 15, 2: 24}),
+        ("G2", {1: 3, 2: 14, 8: 4}),
+    ])
+    def test_classes_match_conjugation_by_every_element(self, name, sizes):
+        group = standard_group(name)
+        targets = group.elements[1:]
+        classes = group.conjugacy_classes(targets)
+        for g in targets:
+            assert classes[g] == {h * g * h.inverse() for h in group.elements}
+        # classes partition the non-identity elements
+        distinct = set(classes[g] for g in targets)
+        assert dict(Counter(len(c) for c in distinct)) == sizes
+        assert sum(len(c) for c in distinct) == len(targets)
+
+    def test_each_involution_is_its_own_class(self):
+        # why the involutions-only campaign never transfers a freeness verdict
+        for name in ("G", "G1", "G2"):
+            group = standard_group(name)
+            classes = group.conjugacy_classes(involutions(group))
+            assert all(classes[g] == {g} for g in involutions(group))
+
+
 class TestInvolutions:
     def test_each_group_has_exactly_three(self):
         for name in ("G", "G1", "G2"):

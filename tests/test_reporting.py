@@ -203,6 +203,17 @@ class TestConfigMerging:
         assert config.checks == ("groups", "invariance", "orbit", "freeness")
 
 
+def quadric_records(system):
+    """The custom-quadrics rows of a system, one per term."""
+    return [
+        [
+            {"x_exponents": list(e[:8]), "y_exponents": list(e[8:]), "coefficient": c.to_text()}
+            for e, c in q.terms.items()
+        ]
+        for q in system.quadrics
+    ]
+
+
 def write_custom_group(path, perm, phases, claims=None, name="d"):
     path.write_text(
         json.dumps(
@@ -273,7 +284,7 @@ class TestCustomFiles:
 
     def test_quadrics_loader_round_trip(self, tmp_path):
         path = tmp_path / "q.json"
-        path.write_text(json.dumps({"quadrics": build_quadrics().to_records()}))
+        path.write_text(json.dumps({"quadrics": quadric_records(build_quadrics())}))
         assert load_custom_quadrics(str(path)) == build_quadrics()
 
     def test_missing_file_raises_oserror(self):
@@ -327,7 +338,7 @@ class TestRunScenarios:
             tmp_path / "g.json", list(range(8)), [0, 4, 0, 4, 0, 4, 0, 4], name="t4"
         )
         quadrics_path = tmp_path / "q.json"
-        quadrics_path.write_text(json.dumps(planted_control_system().to_records()))
+        quadrics_path.write_text(json.dumps(quadric_records(planted_control_system())))
         config = VerificationConfig(
             checks=("freeness",),
             group="custom",
@@ -466,12 +477,32 @@ class TestFreenessRecords:
             assert record.verdict == "inconclusive"
             assert record.witnesses == ("(1,0,3) inconclusive: coordinate vanishes: y=(1,0,3)",)
 
+    def test_generators_proved_once_and_contexts_built_on_demand(self, monkeypatch):
+        # five distinct generators (t is shared) are proved once for all three
+        # groups; G examines its involutions at both triples, while G1 and G2
+        # only hit the cache and specialize the pencil nowhere
+        proofs, contexts = [], []
+        prove, build = variety.check_ideal_invariance, variety.ODPContext.at.__func__
+        monkeypatch.setattr(
+            variety, "check_ideal_invariance", lambda g, system: proofs.append(g) or prove(g, system)
+        )
+        monkeypatch.setattr(
+            variety.ODPContext,
+            "at",
+            classmethod(lambda cls, system, y: contexts.append(y) or build(cls, system, y)),
+        )
+        triples = ((Fraction(1), Fraction(2), Fraction(3)), (Fraction(-2), Fraction(5), Fraction(7)))
+        report = run(VerificationConfig(checks=("freeness",), group="all", y_triples=triples))
+        assert report.overall == "pass"
+        assert len(proofs) == len(set(proofs)) == 5
+        assert contexts == list(triples) * 2  # one screen each, then G's examinations
+
     def test_inconclusive_dominates_fixed_point_in_triple_order(self, tmp_path):
         group_path = write_custom_group(
             tmp_path / "g.json", list(range(8)), [0, 4, 0, 4, 0, 4, 0, 4], name="t4"
         )
         quadrics_path = tmp_path / "q.json"
-        quadrics_path.write_text(json.dumps(planted_control_system().to_records()))
+        quadrics_path.write_text(json.dumps(quadric_records(planted_control_system())))
         config = VerificationConfig(
             checks=("freeness",),
             group="custom",
@@ -540,6 +571,55 @@ class TestCanonicalDigests:
         flags = ["--specializations", "3", "--seed", "0", "--canonical", "--json", str(out)]
         assert main(argv + flags) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_held_out_seed_freeness_digest(self, tmp_path, capsys):
+        # seed 1 is not the benchmark's seed; the conjugacy transfer must
+        # leave its full-scope freeness report byte-identical as well
+        out = tmp_path / "r.json"
+        argv = ["freeness", "--group", "all", "--scope", "all", "--specializations", "3"]
+        assert main(argv + ["--seed", "1", "--canonical", "--json", str(out)]) == 0
+        assert (
+            hashlib.sha256(out.read_bytes()).hexdigest()
+            == "36b92f4fa391f84ccaee0fc89b0d318928a01a27311cae150567e9f5ecbe94cf"
+        )
+
+
+# the runs below that certify a failure; every other one passes
+CERTIFIED_FAILURES = {
+    ("negative-control", "invariance"),
+    ("negative-control", "orbit"),  # the flipped base point is off the variety
+    ("negative-control", "all"),
+    ("planted-control", "orbit"),  # the base point is off the planted variety
+    ("planted-control", "freeness"),
+    ("planted-control", "all"),
+}
+
+
+class TestExitOne:
+    # exit 1 means a certified failure: it happens exactly when some record
+    # fails and carries witnesses
+    @pytest.mark.parametrize("command", ["groups", "invariance", "orbit", "freeness", "all"])
+    @pytest.mark.parametrize("scenario", ["negative-control", "planted-control", "stock"])
+    def test_exit_one_iff_failing_record_with_witness(self, tmp_path, capsys, scenario, command):
+        if scenario == "negative-control":
+            group = write_custom_group(tmp_path / "g.json", list(range(8)), [0, 0, 0, 0, 4, 4, 4, 4])
+            flags = ["--group", "custom", "--custom-group", group, "--y", "1,2,3"]
+        elif scenario == "planted-control":
+            group = write_custom_group(
+                tmp_path / "g.json", list(range(8)), [0, 4, 0, 4, 0, 4, 0, 4], name="t4"
+            )
+            quadrics = tmp_path / "q.json"
+            quadrics.write_text(json.dumps(quadric_records(planted_control_system())))
+            flags = ["--group", "custom", "--custom-group", group, "--y", "1,2,3"]
+            flags += ["--custom-quadrics", str(quadrics)]
+        else:
+            flags = ["--group", "all", "--specializations", "1", "--seed", "0"]
+        out = tmp_path / "r.json"
+        code = main([command, *flags, "--json", str(out)])
+        records = json.loads(out.read_text())["checks"]
+        certified = [r for r in records if r["verdict"] == "fail" and r["witnesses"]]
+        assert (code == 1) == bool(certified)
+        assert code == (1 if (scenario, command) in CERTIFIED_FAILURES else 0)
 
 
 class TestCli:

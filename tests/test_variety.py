@@ -9,6 +9,7 @@ from quadcert import variety
 from quadcert.cyclotomic import CyclotomicNumber, degree_at, root_of_unity
 from quadcert.groups import (
     closure,
+    element_order,
     make_sigma,
     make_sigma1,
     make_sigma2,
@@ -22,6 +23,7 @@ from quadcert.polynomials import (
     Polynomial,
     X_VARIABLES,
     Y_VARIABLES,
+    grevlex_key,
     s_variables,
 )
 from quadcert.variety import (
@@ -73,6 +75,22 @@ def matmul(a, b):
     )
 
 
+def quadric_records(system):
+    """The custom-quadrics rows of a system, one per term: x-monomials in
+    descending grevlex order, then y-monomials in descending lex order."""
+    return [
+        [
+            {
+                "x_exponents": list(e[:8]),
+                "y_exponents": list(e[8:]),
+                "coefficient": q.terms[e].to_text(),
+            }
+            for e in sorted(q.terms, key=lambda m: (grevlex_key(m[:8]), m[8:]), reverse=True)
+        ]
+        for q in system.quadrics
+    ]
+
+
 def base_point_images():
     """The base point (0, y1, y2, y3, 0, -y3, -y2, -y1) as pencil-ring
     images of x0..x7, with y1..y3 fixed."""
@@ -116,11 +134,12 @@ class TestQuadricSystem:
 
     def test_records_round_trip(self):
         for system in (build_quadrics(), planted_control_system()):
-            again = QuadricSystem.from_records(system.to_records())
+            again = QuadricSystem.from_records(quadric_records(system))
             assert again.quadrics == system.quadrics
 
     def test_records_one_row_per_term(self):
-        records = build_quadrics().to_records()
+        records = quadric_records(build_quadrics())
+        assert QuadricSystem.from_records(records) == build_quadrics()
         assert [len(rows) for rows in records] == [6, 6, 6, 6]
         # descending grevlex in x, then descending y: x0^2, x4^2, x3*x5,
         # x2*x6 (y1^2 before y3^2), x1*x7
@@ -682,6 +701,128 @@ class TestFreeness:
         (outcome,) = report.specializations
         assert outcome.status == "inconclusive"
         assert "vanishes" in outcome.reason
+
+
+def record_direct_examinations(monkeypatch):
+    """Patch the freeness machinery to note which elements are examined
+    component by component; the returned set fills as check_freeness runs."""
+    examined = set()
+    owner = {}
+    components, examine = variety.fixed_locus_components, variety._examine_component
+
+    def decompose(g):
+        found = components(g)
+        owner.update((id(c), g) for c in found)
+        return found
+
+    def examine_one(component, context, witness_seed):
+        examined.add(owner[id(component)])
+        return examine(component, context, witness_seed)
+
+    monkeypatch.setattr(variety, "fixed_locus_components", decompose)
+    monkeypatch.setattr(variety, "_examine_component", examine_one)
+    return examined
+
+
+class TestConjugacyTransfer:
+    def test_transferred_outcomes_match_direct_examination(self, monkeypatch):
+        # the cross-validation of the transfer: every non-identity element of
+        # G u G1 u G2, examined directly at the first seed-0 triple, gets
+        # exactly the outcome check_freeness reports for it
+        system = build_quadrics()
+        groups = [standard_group(name) for name in ("G", "G1", "G2")]
+        y = draw_specializations(3, 0, system, groups[0])[0]
+        examine = variety._examine_component
+        examined = record_direct_examinations(monkeypatch)
+        cache = {}
+        reported = []
+        for group in groups:
+            report = check_freeness(group, system, [y], scope="all", cache=cache, screen=False)
+            assert report.verdict == "free"
+            (outcome,) = report.specializations
+            reported.extend(zip(group.elements[1:], outcome.elements))
+        assert len(cache) == 127
+        transferred = {key[1] for key in cache} - examined
+        assert transferred  # G1 and G2 have classes of 2 and 8 elements
+        context = ODPContext.at(system, y)
+        for g, element in reported:
+            assert element.element == g.to_dict()
+            direct = tuple(examine(c, context, 0) for c in fixed_locus_components(g))
+            assert element.components == direct
+
+    def test_failing_generator_examines_every_element(self, monkeypatch):
+        # diag(1,1,1,1,-1,-1,-1,-1) does not preserve the pencil, so the
+        # group it generates with the coordinate cycle s may not transfer,
+        # although its involutions fall into classes of several elements
+        s = MonomialMatrix((1, 2, 3, 4, 5, 6, 7, 0), (0,) * 8)
+        probe = MonomialMatrix.diagonal((0, 0, 0, 0, 4, 4, 4, 4))
+        group = closure([s, probe], names=("s", "d"))
+        system = build_quadrics()
+        involutions = [g for g in group.elements if element_order(g) == 2]
+        classes = group.conjugacy_classes(involutions)
+        assert max(len(c) for c in classes.values()) > 1
+        calls = []
+        original = variety._examine_component
+        monkeypatch.setattr(
+            variety, "_examine_component", lambda *args: calls.append(1) or original(*args)
+        )
+        invariant = {}
+        check_freeness(group, system, [Y123], scope="involutions", screen=False, invariant=invariant)
+        assert invariant == {group.generators[0]: True, group.generators[1]: False}
+        assert len(calls) == sum(len(fixed_locus_components(g)) for g in involutions)
+
+    def test_invariant_memo_is_read_not_reproved(self, monkeypatch):
+        calls = []
+        original = variety.check_ideal_invariance
+        monkeypatch.setattr(
+            variety, "check_ideal_invariance", lambda *args: calls.append(1) or original(*args)
+        )
+        group = standard_group("G1")
+        system = build_quadrics()
+        invariant = {g: True for g in group.generators}
+        check_freeness(group, system, [Y123], screen=False, invariant=invariant)
+        assert calls == []
+        check_freeness(group, system, [Y123], screen=False)
+        assert len(calls) == len(group.generators)
+
+    def test_fixed_points_never_transfer(self, monkeypatch):
+        # every standard group preserves the planted control system, so free
+        # elements transfer there; elements with a fixed point keep their own
+        # examination and a witness that re-verifies by evaluation.  Each
+        # group has its own cache: in G1 and G2 the fixed-point elements come
+        # in classes of two, which a shared cache would have settled in G
+        control = planted_control_system()
+        y = (Fraction(-5, 7), Fraction(3, 11), Fraction(13, 2))
+        examine = variety._examine_component
+        settled = []
+        for name in ("G", "G1", "G2"):
+            group = standard_group(name)
+            assert all(check_ideal_invariance(g, control).ok for g in group.generators)
+            with monkeypatch.context() as patch:
+                examined = record_direct_examinations(patch)
+                cache = {}
+                report = check_freeness(group, control, [y], scope="all", cache=cache, screen=False)
+            assert report.verdict == "fixed-point-found"
+            settled.extend((g, outcomes, g in examined) for (_, g, _, _), outcomes in cache.items())
+        context = ODPContext.at(control, y)
+        quadrics = context.quadrics
+        fixed = 0
+        transferred = 0
+        for g, outcomes, was_examined in settled:
+            if not was_examined:
+                transferred += 1
+                direct = tuple(examine(c, context, 0) for c in fixed_locus_components(g))
+                assert outcomes == direct
+                assert all(c.verdict == "no-fixed-point" for c in outcomes)
+                continue
+            for c in outcomes:
+                if c.verdict == "fixed-point":
+                    fixed += 1
+                    point = [CyclotomicNumber.from_text(t) for t in c.witness]
+                    assert all(q.evaluate(point).is_zero() for q in quadrics)
+                    eigenvalue = CyclotomicNumber.from_text(c.eigenvalue)
+                    assert g.point_matrix().apply(point) == tuple(eigenvalue * v for v in point)
+        assert fixed and transferred
 
 
 class TestGenericityScreen:
