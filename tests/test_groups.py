@@ -276,11 +276,11 @@ class TestCertification:
 
 
 class TestConjugacyClasses:
-    @pytest.mark.parametrize("name, sizes", [
-        ("G", {1: 63}),
-        ("G1", {1: 15, 2: 24}),
-        ("G2", {1: 3, 2: 14, 8: 4}),
-    ])
+    @pytest.mark.parametrize(
+        "name, sizes",
+        [("G", {1: 63}), ("G1", {1: 15, 2: 24}), ("G2", {1: 3, 2: 14, 8: 4})],
+        ids=["G", "G1", "G2"],
+    )
     def test_classes_match_conjugation_by_every_element(self, name, sizes):
         group = standard_group(name)
         targets = group.elements[1:]
