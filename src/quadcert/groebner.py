@@ -1,27 +1,42 @@
-"""Groebner bases over the cyclotomic coefficient field.
+"""Projective emptiness by one Macaulay-matrix rank, and Groebner bases over
+the cyclotomic coefficient field.
 
-Everything here is deterministic: pair selection, divisor lookup and the
-final ordering of the reduced basis depend only on the input list, never on
-dict or set iteration order.  The engine is sized for the small restricted
-systems this package produces (a handful of variables, quadratic
-generators), so the classic Buchberger loop with the product and chain
-criteria is enough; no attempt is made at F4-style batching.
+`projective_zero_set_empty` decides emptiness of fixed-locus systems by a
+rank taken mod PRIME first: reduction mod PRIME is a ring homomorphism, so a
+maximal minor nonzero mod PRIME is nonzero and full rank there proves full
+rank over Q(zeta_64); otherwise the exact rank of the same matrix decides.
 
-Every emitted basis is post-verified: all S-polynomials of the reduced
-basis reduce to zero against it, and so does every input generator.  A
-failure raises instead of returning a bad basis.
+`buchberger` is only the tests' reference now, so its MAX_BASIS error cannot
+be reached from the CLI.  It is deterministic (pair selection, divisor
+lookup and basis order depend only on the input list), uses the product and
+chain criteria, and post-verifies every basis: all S-polynomials and every
+input generator reduce to zero against it, or it raises.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from typing import Iterable, Sequence
 
-from .cyclotomic import CyclotomicNumber
+from .cyclotomic import MAX_LEVEL, MIN_LEVEL, ZERO, CyclotomicNumber, degree_at
+from .linalg import ExactMatrix
 from .polynomials import Polynomial, grevlex_key
 
 #: Largest basis buchberger builds before giving up on a system.
 MAX_BASIS = 200
+
+#: F_PRIME has a primitive 64th root of unity OMEGA (2^32 divides PRIME - 1);
+#: as OMEGA^32 = -1, zeta_{2^L} -> OMEGA^(64 / 2^L) is a ring homomorphism
+#: Z[zeta_64][1/den] -> F_PRIME for every den prime to PRIME.
+PRIME = 2**64 - 2**32 + 1
+OMEGA = pow(7, (PRIME - 1) // 64, PRIME)
+if pow(OMEGA, 32, PRIME) != PRIME - 1:
+    raise ArithmeticError("OMEGA is not a primitive 64th root of unity mod PRIME")
+_OMEGA_POWERS = {  # the image of zeta_{2^L}^i, by level L
+    L: [pow(OMEGA, (64 >> L) * i, PRIME) for i in range(degree_at(L))]
+    for L in range(MIN_LEVEL, MAX_LEVEL + 1)
+}
 
 
 def _exp_divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
@@ -138,23 +153,6 @@ class GroebnerBasis:
         """Whether the ideal is the whole ring (basis reduces to {1})."""
         return len(self.polys) == 1 and self.polys[0].total_degree() == 0
 
-    def leading_monomials(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(leading_term(p)[0] for p in self.polys)
-
-    def pure_power_variables(self) -> frozenset[int]:
-        """Variable indices i such that some leading monomial is x_i^k."""
-        if self.is_trivial():
-            return frozenset(range(len(self.variables)))
-        found = set()
-        for lm in self.leading_monomials():
-            support = [i for i, e in enumerate(lm) if e]
-            if len(support) == 1:
-                found.add(support[0])
-        return frozenset(found)
-
-    def covers_all_variables(self) -> bool:
-        return self.pure_power_variables() == frozenset(range(len(self.variables)))
-
 
 def buchberger(generators: Iterable[Polynomial]) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal spanned by the generators.
@@ -223,15 +221,49 @@ def _verify_basis(gb: GroebnerBasis, gens: Sequence[Polynomial]) -> None:
             raise ArithmeticError(f"input generator {n} does not reduce to zero")
 
 
+def _monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
+    """Exponent tuples of every monomial of the given degree."""
+    combos = combinations_with_replacement(range(nvars), degree)
+    return [tuple(combo.count(i) for i in range(nvars)) for combo in combos]
+
+
+def _residue(c: CyclotomicNumber) -> int | None:
+    """The image of c in F_PRIME, or None when PRIME divides its denominator."""
+    if c.den % PRIME == 0:
+        return None
+    value = sum(n * w for n, w in zip(c.num, _OMEGA_POWERS[c.level]))
+    return value * pow(c.den, -1, PRIME) % PRIME
+
+
+def _full_rank_mod_prime(rows: list[dict[int, int]], ncols: int) -> bool:
+    """Whether sparse rows over F_PRIME (column -> nonzero residue) span all
+    ncols columns.  Each row is reduced against the pivot rows found so far,
+    leftmost column first, and becomes a new pivot row if anything is left."""
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        while row and (c := min(row)) in pivots:
+            f = row[c]
+            for k, v in pivots[c].items():
+                row[k] = (row.get(k, 0) - f * v) % PRIME
+            row = {k: v for k, v in row.items() if v}
+        if row:
+            inv = pow(row[c], -1, PRIME)
+            pivots[c] = {k: v * inv % PRIME for k, v in row.items()}
+            if len(pivots) == ncols:
+                return True
+    return False
+
+
 def projective_zero_set_empty(system: Sequence[Polynomial]) -> bool:
     """Whether a homogeneous system has no projective solution over any
     extension field.
 
-    True exactly when the quotient by the ideal is finite dimensional, which
-    for a homogeneous ideal confines the affine zero set to the origin; the
-    test is that every variable appears as a pure power among the leading
-    monomials of the reduced basis.  All-zero systems come back False (the
-    zero locus is the whole space).
+    k forms in n variables with k >= n have none exactly when their
+    multiples of degree D = sum(d_i - 1) + 1 over the n largest degrees span
+    every monomial of degree D (Macaulay's bound; Lazard 1983): the
+    Macaulay matrix, one row per multiple and one column per monomial, has
+    full column rank.  Fewer forms always meet, a nonzero constant never
+    vanishes, and an all-zero system comes back False.
     """
     polys = [p for p in system if not p.is_zero()]
     if not polys:
@@ -239,7 +271,30 @@ def projective_zero_set_empty(system: Sequence[Polynomial]) -> bool:
     for p in polys:
         if not p.is_homogeneous():
             raise ValueError("projective emptiness needs homogeneous polynomials")
-    gb = buchberger(polys)
-    if gb.is_trivial():
+        if p.variables != polys[0].variables:
+            raise ValueError("forms live in different rings")
+    nvars = len(polys[0].variables)
+    degrees = [p.total_degree() for p in polys]
+    if 0 in degrees:
         return True
-    return gb.covers_all_variables()
+    if len(polys) < nvars:
+        return False
+    degree = sum(d - 1 for d in sorted(degrees, reverse=True)[:nvars]) + 1
+    columns = {m: i for i, m in enumerate(_monomials(nvars, degree))}
+    # row layout: the form and the column of each of its terms, shifted
+    layout = [
+        (k, [columns[tuple(i + j for i, j in zip(e, shift))] for e in polys[k].terms])
+        for k, d in enumerate(degrees)
+        for shift in _monomials(nvars, degree - d)
+    ]
+    # mod PRIME only full rank certifies; the exact rank decides the rest
+    residues = [[_residue(c) for c in p.terms.values()] for p in polys]
+    if not any(None in r for r in residues):
+        rows = [{c: v for c, v in zip(cols, residues[k]) if v} for k, cols in layout]
+        if _full_rank_mod_prime(rows, len(columns)):
+            return True
+    exact = [[ZERO] * len(columns) for _ in layout]
+    for row, (k, cols) in zip(exact, layout):
+        for c, v in zip(cols, polys[k].terms.values()):
+            row[c] = v
+    return ExactMatrix(exact).rank() == len(columns)

@@ -386,6 +386,7 @@ def _orbit_records(
     triples: Sequence[tuple[Fraction, Fraction, Fraction]],
     screened_out: dict,
     invariant: dict[MonomialMatrix, bool],
+    contexts: dict,
 ) -> list[CheckRecord]:
     """One record per (group, triple), in that order.
 
@@ -404,7 +405,7 @@ def _orbit_records(
     for t, y in enumerate(triples):
         reasons = screened_out.get(y)
         if reasons is None:
-            context = ODPContext.at(system, y)
+            context = ODPContext.shared(contexts, system, y)
             base = base_point(y)
             base_key = projective_point_key(base)
         certificates: dict[tuple, ODPCertificate] = {}  # by projective point key
@@ -463,6 +464,7 @@ def _freeness_records(
     scope: str,
     seed: int,
     invariant: dict[MonomialMatrix, bool],
+    contexts: dict,
 ) -> list[CheckRecord]:
     """One record per group.  Triples were screened once by
     `_resolve_triples`: the ones that passed are examined without a second
@@ -482,6 +484,7 @@ def _freeness_records(
             witness_seed=seed,
             screen=False,
             invariant=invariant,
+            contexts=contexts,
         )
         outcomes = iter(report.specializations)
         witnesses = []
@@ -523,7 +526,7 @@ def _freeness_records(
 
 
 def _resolve_triples(
-    config: VerificationConfig, system: QuadricSystem, screen_group: FiniteGroup
+    config: VerificationConfig, system: QuadricSystem, screen_group: FiniteGroup, contexts: dict
 ) -> tuple[list, dict]:
     """Explicit triples are screened but kept (a failing one becomes an
     inconclusive record downstream, never a silent skip); with no explicit
@@ -532,11 +535,12 @@ def _resolve_triples(
         triples = [tuple(Fraction(c) for c in y) for y in config.y_triples]
         screened_out = {}
         for y in triples:
-            result = genericity_screen(y, system, screen_group)
+            result = genericity_screen(y, system, screen_group, contexts)
             if not result.ok:
                 screened_out[y] = result.reasons
         return triples, screened_out
-    drawn = draw_specializations(config.specializations, config.seed, system, screen_group)
+    count, seed = config.specializations, config.seed
+    drawn = draw_specializations(count, seed, system, screen_group, contexts)
     return drawn, {}
 
 
@@ -550,19 +554,24 @@ def run(config: VerificationConfig) -> VerificationReport:
     triples: list | None = None
     screened_out: dict = {}
     invariant: dict[MonomialMatrix, bool] = {}  # generator verdicts, shared by layers
+    contexts: dict = {}  # one specialized pencil per (system, triple), shared by layers
     for check in selected:
         if check in ("orbit", "freeness") and triples is None:
-            triples, screened_out = _resolve_triples(config, system, selections[0].group)
+            group = selections[0].group
+            triples, screened_out = _resolve_triples(config, system, group, contexts)
         if check == "groups":
             records.extend(_groups_records(selections))
         elif check == "invariance":
             records.extend(_invariance_records(selections, system, invariant))
         elif check == "orbit":
-            records.extend(_orbit_records(selections, system, triples, screened_out, invariant))
+            records.extend(
+                _orbit_records(selections, system, triples, screened_out, invariant, contexts)
+            )
         else:
+            scope, seed = config.scope, config.seed
             records.extend(
                 _freeness_records(
-                    selections, system, triples, screened_out, config.scope, config.seed, invariant
+                    selections, system, triples, screened_out, scope, seed, invariant, contexts
                 )
             )
     report = VerificationReport(version=__version__, config=config, checks=tuple(records))

@@ -7,7 +7,10 @@ the flat ring x0..x7, y1..y3 with every term of x-degree 2.  Everything proved
 here is proved exactly: ideal invariance as a polynomial identity in x and
 y, the 64-point singular orbit and its ordinary-double-point certificates
 at chosen rational parameter values, and fixed-point-freeness element by
-element via exact eigenspace analysis plus Groebner emptiness checks.
+element via exact eigenspace analysis plus one Macaulay-matrix rank per
+restricted fixed-locus system: full rank modulo a 64-bit prime certifies
+emptiness, as reduction mod the prime is a ring homomorphism (a minor
+nonzero there is nonzero); otherwise the exact rank decides.
 """
 
 from __future__ import annotations
@@ -262,6 +265,15 @@ class ODPContext:
         quadrics = system.specialized(y)
         return cls(quadrics, tuple(quadric_hessian(q) for q in quadrics))
 
+    @classmethod
+    def shared(cls, contexts: dict, system: QuadricSystem, y) -> "ODPContext":
+        """The context at (system, y) from the memo `contexts`, keyed by
+        (system, triple), built by `at` on first use."""
+        key = (system, _y_triple(y))
+        if key not in contexts:
+            contexts[key] = cls.at(system, y)
+        return contexts[key]
+
     def jacobian(self, point) -> ExactMatrix:
         """The 4x8 Jacobian at a point: the gradient of q is H_q * p."""
         return ExactMatrix([h.apply(point) for h in self.hessians])
@@ -505,6 +517,7 @@ def check_freeness(
     witness_seed: int = 0,
     screen: bool = True,
     invariant: dict | None = None,
+    contexts: dict | None = None,
 ) -> FreenessReport:
     """Prove the group acts without fixed points on the variety, for each
     parameter specialization.
@@ -519,7 +532,8 @@ def check_freeness(
     When every generator passes `check_ideal_invariance` (memoized for this
     system in `invariant`), an element with a free conjugate in the cache is
     recorded free unexamined; README gives the argument, and why fixed
-    points never transfer.
+    points never transfer.  `contexts` memoizes the specialized pencil per
+    (system, triple) across callers (`ODPContext.shared`).
     """
     if scope not in ("involutions", "all"):
         raise ValueError(f"scope must be 'involutions' or 'all', not {scope!r}")
@@ -530,6 +544,7 @@ def check_freeness(
     targets = [(g, k) for g, k in orders.items() if scope == "all" or k == 2]
     cache = {} if cache is None else cache
     invariant = {} if invariant is None else invariant
+    contexts = {} if contexts is None else contexts
     for h in group.generators:
         if h not in invariant:
             invariant[h] = check_ideal_invariance(h, system).ok
@@ -542,7 +557,7 @@ def check_freeness(
     for y in specializations:
         triple = _y_triple(y)
         if screen:
-            verdict = genericity_screen(triple, system, group)
+            verdict = genericity_screen(triple, system, group, contexts)
             if not verdict.ok:
                 spec_outcomes.append(
                     SpecializationOutcome(triple, "inconclusive", "; ".join(verdict.reasons), ())
@@ -562,7 +577,7 @@ def check_freeness(
                         for c in components[g]
                     )
                 else:
-                    context = context or ODPContext.at(system, triple)
+                    context = context or ODPContext.shared(contexts, system, triple)
                     cache[key] = tuple(
                         _examine_component(component, context, witness_seed)
                         for component in components[g]
@@ -581,9 +596,12 @@ class ScreenResult:
     reasons: tuple[str, ...]
 
 
-def genericity_screen(y, system: QuadricSystem, group: FiniteGroup) -> ScreenResult:
+def genericity_screen(
+    y, system: QuadricSystem, group: FiniteGroup, contexts: dict | None = None
+) -> ScreenResult:
     """Necessary conditions for a parameter choice to exhibit the generic
-    picture.  Failures name every violated condition."""
+    picture.  Failures name every violated condition.  The specialized
+    pencil it builds is kept in `contexts` (`ODPContext.shared`)."""
     y1, y2, y3 = _y_triple(y)
     reasons = []
     if y1 == 0 or y2 == 0 or y3 == 0:
@@ -600,7 +618,8 @@ def genericity_screen(y, system: QuadricSystem, group: FiniteGroup) -> ScreenRes
     if size != group.order:
         reasons.append(f"orbit has {size} distinct points, expected {group.order}")
 
-    rank = ODPContext.at(system, (y1, y2, y3)).jacobian(base).rank()
+    context = ODPContext.shared({} if contexts is None else contexts, system, (y1, y2, y3))
+    rank = context.jacobian(base).rank()
     if rank != 3:
         reasons.append(f"jacobian rank at base point is {rank}, expected 3")
     return ScreenResult(not reasons, tuple(reasons))
@@ -611,10 +630,12 @@ def draw_specializations(
     seed: int,
     system: QuadricSystem,
     group: FiniteGroup,
+    contexts: dict | None = None,
 ) -> list[tuple[Fraction, Fraction, Fraction]]:
     """Seeded random rational parameter triples passing the screen, with
     numerators and denominators bounded by 97.  Too few passing triples make
-    the input unusable, a ValueError."""
+    the input unusable, a ValueError.  The screen's contexts go to
+    `contexts`."""
     rng = random.Random(seed)
     out: list[tuple[Fraction, Fraction, Fraction]] = []
     for _ in range(MAX_DRAWS):
@@ -629,7 +650,7 @@ def draw_specializations(
         )
         if candidate in out:
             continue
-        if genericity_screen(candidate, system, group).ok:
+        if genericity_screen(candidate, system, group, contexts).ok:
             out.append(candidate)
     if len(out) < count:
         raise ValueError(f"{len(out)} of {MAX_DRAWS} drawn triples passed the screen, {count} needed")

@@ -5,16 +5,17 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadcert.cyclotomic import CyclotomicNumber, root_of_unity
+from quadcert import groebner
+from quadcert.cyclotomic import MAX_LEVEL, CyclotomicNumber, degree_at, root_of_unity
 from quadcert.groebner import (
-    GroebnerBasis,
+    PRIME,
     buchberger,
     leading_term,
     normal_form,
     projective_zero_set_empty,
     s_polynomial,
 )
-from quadcert.linalg import MonomialMatrix
+from quadcert.linalg import ExactMatrix, MonomialMatrix
 from quadcert.polynomials import Polynomial, s_variables
 
 
@@ -162,6 +163,125 @@ class TestProjectiveEmptiness:
             g = MonomialMatrix(tuple(perm), tuple(rng.randrange(8) for _ in range(4)))
             moved = [p.substitute_linear(g) for p in base]
             assert projective_zero_set_empty(moved) == projective_zero_set_empty(base)
+
+
+class TestMacaulayEmptiness:
+    """The Macaulay rank test: certified mod PRIME, decided exactly otherwise."""
+
+    @pytest.fixture
+    def exact_ranks(self, monkeypatch):
+        calls = []
+        rank = ExactMatrix.rank
+        monkeypatch.setattr(ExactMatrix, "rank", lambda m: calls.append(m.cols) or rank(m))
+        return calls
+
+    def test_rational_certificate_needs_no_exact_rank(self, exact_ranks):
+        assert projective_zero_set_empty([X ** 2, Y ** 2])
+        assert exact_ranks == []
+
+    def test_form_vanishing_mod_prime_falls_back(self, exact_ranks):
+        # P*y^2 is zero mod P, so the rank there is deficient
+        assert projective_zero_set_empty([X ** 2, Y ** 2 * PRIME])
+        assert exact_ranks == [4]
+
+    def test_denominator_divisible_by_prime_falls_back(self, exact_ranks):
+        assert projective_zero_set_empty([X ** 2 + Y ** 2 * Fraction(1, PRIME), X * Y])
+        assert exact_ranks == [4]
+
+    def test_common_rational_point_is_nonempty(self, exact_ranks):
+        # three forms through (1 : 1), k > n
+        assert not projective_zero_set_empty([X ** 2 - Y ** 2, X ** 2 - X * Y, X * Y - Y ** 2])
+        assert exact_ranks == [4]
+
+    def test_mixed_degrees_use_the_macaulay_bound(self, exact_ranks):
+        # D = (3 - 1) + (2 - 1) + 1 = 4: at degree 3 the multiples x^3, x*y^2,
+        # y^3 miss x^2*y, so only the full bound proves emptiness
+        assert projective_zero_set_empty([X ** 3, Y ** 2])
+        assert exact_ranks == []
+        assert not projective_zero_set_empty([X ** 3, X * Y])  # (0 : 1)
+        assert exact_ranks == [5]
+
+    def test_fewer_forms_than_variables_are_nonempty(self, exact_ranks):
+        svars = s_variables(3)
+        squares = [Polynomial.monomial(svars, [2 * int(k == i) for k in range(3)]) for i in range(2)]
+        assert not projective_zero_set_empty(squares)
+        assert exact_ranks == []
+
+    def test_nonzero_constant_is_empty(self):
+        assert projective_zero_set_empty([Polynomial.constant(s_variables(3), 2)])
+
+    def test_rejects_mixed_rings(self):
+        with pytest.raises(ValueError):
+            projective_zero_set_empty([X ** 2, Polynomial(("x",), {(2,): 1})])
+
+
+@st.composite
+def tower_pairs(draw):
+    def number():
+        level = draw(st.integers(1, MAX_LEVEL))
+        coeffs = [
+            Fraction(draw(st.integers(-50, 50)), draw(st.integers(1, 20)))
+            for _ in range(degree_at(level))
+        ]
+        return CyclotomicNumber(level, coeffs)
+
+    return number(), number()
+
+
+@given(tower_pairs())
+@settings(max_examples=60, deadline=None)
+def test_reduction_mod_prime_is_a_ring_homomorphism(pair):
+    # the certificate rests on this: sums and products, across levels, map
+    # to sums and products in F_PRIME
+    a, b = pair
+    ra, rb = groebner._residue(a), groebner._residue(b)
+    assert groebner._residue(a + b) == (ra + rb) % PRIME
+    assert groebner._residue(a * b) == ra * rb % PRIME
+
+
+def buchberger_verdict(system: list[Polynomial]) -> bool:
+    """Emptiness read off a reduced Groebner basis: the ideal is the whole
+    ring, or every variable is a pure power among its leading monomials."""
+    gb = buchberger(system)
+    if gb.is_trivial():
+        return True
+    pure = set()
+    for p in gb.polys:
+        support = [i for i, e in enumerate(leading_term(p)[0]) if e]
+        if len(support) == 1:
+            pure.add(support[0])
+    return len(pure) == len(gb.variables)
+
+
+def test_macaulay_verdict_agrees_with_buchberger():
+    # random quadrics of 1 to 2n terms (with a cubic now and then, and
+    # Q(zeta_8) coefficients in a third of the systems), k >= n, in 2 to 4
+    # variables
+    rng = random.Random(64)
+    coefficient_pool = [root_of_unity(8, k) for k in range(8)]
+    empty = nonempty = 0
+    for trial in range(75):
+        nvars = 2 + trial % 3
+        variables = s_variables(nvars)
+        system = []
+        for _ in range(nvars + rng.randint(0, 1)):
+            degree = 3 if nvars < 4 and rng.random() < 0.2 else 2
+            terms = {}
+            for _ in range(rng.randint(1, 2 * nvars)):
+                c = rng.randint(-2, 2)
+                if trial % 3 == 0:
+                    c = rng.choice(coefficient_pool) * c
+                terms[rng.choice(monomials_of_degree(nvars, degree))] = c
+            system.append(Polynomial(variables, terms))
+        system = [p for p in system if not p.is_zero()]
+        if len(system) < nvars:
+            continue
+        verdict = projective_zero_set_empty(system)
+        assert verdict == buchberger_verdict(system), [p.render() for p in system]
+        empty += verdict
+        nonempty += not verdict
+    assert empty + nonempty >= 50
+    assert empty >= 10 and nonempty >= 10
 
 
 # -- membership oracle agreement ---------------------------------------------

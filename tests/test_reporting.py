@@ -24,7 +24,7 @@ from quadcert.reporting import (
     write_report,
 )
 from quadcert.cyclotomic import SUPPORTED_ORDERS
-from quadcert.groups import CLAIM_KEYS, closure, make_sigma, make_tau
+from quadcert.groups import CLAIM_KEYS, closure, make_sigma, make_tau, standard_group
 from quadcert.linalg import MonomialMatrix
 from quadcert.variety import (
     base_point,
@@ -380,7 +380,7 @@ class TestOrbitRecords:
         selections = resolve_selections(VerificationConfig(checks=("orbit",), group="all"))
         control = planted_control_system()
         y = (Fraction(1), Fraction(2), Fraction(3))
-        records = _orbit_records(selections, control, [y], {}, {})
+        records = _orbit_records(selections, control, [y], {}, {}, {})
         assert [r.target for r in records] == ["G @ (1,2,3)", "G1 @ (1,2,3)", "G2 @ (1,2,3)"]
         # every group's first point is the base point, off the planted
         # variety; its one certificate serves all three records
@@ -434,7 +434,7 @@ class TestOrbitRecords:
         selections = resolve_selections(VerificationConfig(checks=("orbit",), group="all"))
         system = build_quadrics()
         triples = draw_specializations(3, 0, system, selections[0].group)
-        records = _orbit_records(selections, system, triples, {}, {})
+        records = _orbit_records(selections, system, triples, {}, {}, {})
         assert [r.verdict for r in records] == ["pass"] * 9
         assert odp_calls == [base_point(y) for y in triples]
 
@@ -447,7 +447,7 @@ class TestOrbitRecords:
         names = ("t", "s", "d")
         probe = GroupSelection("probe", closure(gens, names=names), (), names, gens, None)
         y = (Fraction(3, 7), Fraction(-5, 11), Fraction(13, 2))
-        (record,) = _orbit_records([probe], build_quadrics(), [y], {}, {})
+        (record,) = _orbit_records([probe], build_quadrics(), [y], {}, {}, {})
         assert record.verdict == "fail"
         assert record.witnesses == (
             "256 distinct orbit points, expected 512",
@@ -477,25 +477,43 @@ class TestFreenessRecords:
             assert record.verdict == "inconclusive"
             assert record.witnesses == ("(1,0,3) inconclusive: coordinate vanishes: y=(1,0,3)",)
 
-    def test_generators_proved_once_and_contexts_built_on_demand(self, monkeypatch):
-        # five distinct generators (t is shared) are proved once for all three
-        # groups; G examines its involutions at both triples, while G1 and G2
-        # only hit the cache and specialize the pencil nowhere
-        proofs, contexts = [], []
-        prove, build = variety.check_ideal_invariance, variety.ODPContext.at.__func__
-        monkeypatch.setattr(
-            variety, "check_ideal_invariance", lambda g, system: proofs.append(g) or prove(g, system)
-        )
+    @staticmethod
+    def record_contexts(monkeypatch) -> list:
+        contexts = []
+        build = variety.ODPContext.at.__func__
         monkeypatch.setattr(
             variety.ODPContext,
             "at",
             classmethod(lambda cls, system, y: contexts.append(y) or build(cls, system, y)),
         )
+        return contexts
+
+    def test_generators_proved_once_and_contexts_built_on_demand(self, monkeypatch):
+        # five distinct generators (t is shared) are proved once for all three
+        # groups; the pencil is specialized once per triple, by the screen,
+        # and G's examinations reuse that context
+        proofs = []
+        prove = variety.check_ideal_invariance
+        monkeypatch.setattr(
+            variety, "check_ideal_invariance", lambda g, system: proofs.append(g) or prove(g, system)
+        )
+        contexts = self.record_contexts(monkeypatch)
         triples = ((Fraction(1), Fraction(2), Fraction(3)), (Fraction(-2), Fraction(5), Fraction(7)))
         report = run(VerificationConfig(checks=("freeness",), group="all", y_triples=triples))
         assert report.overall == "pass"
         assert len(proofs) == len(set(proofs)) == 5
-        assert contexts == list(triples) * 2  # one screen each, then G's examinations
+        assert contexts == list(triples)
+
+    def test_one_context_per_triple_across_layers(self, monkeypatch):
+        # drawing screens each triple, then the orbit and freeness layers
+        # read the same specialized pencil
+        triples = draw_specializations(2, 0, build_quadrics(), standard_group("G"))
+        contexts = self.record_contexts(monkeypatch)
+        config = VerificationConfig(
+            checks=("orbit", "freeness"), group="all", specializations=2, seed=0
+        )
+        assert run(config).overall == "pass"
+        assert contexts == triples
 
     def test_inconclusive_dominates_fixed_point_in_triple_order(self, tmp_path):
         group_path = write_custom_group(
