@@ -26,6 +26,8 @@ from __future__ import annotations
 import re
 from collections import Counter, deque
 from dataclasses import dataclass
+from functools import cached_property
+from math import gcd
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import MonomialMatrix
@@ -78,6 +80,23 @@ class FiniteGroup:
 
     def identity(self) -> MonomialMatrix:
         return self.elements[0]
+
+    @cached_property
+    def element_orders(self) -> dict[MonomialMatrix, int]:
+        """Each element's order, in element order.  One walk through the
+        powers of g, of order k, settles every power: g^j has order
+        k / gcd(j, k).  Built on first use and kept on the group, so it
+        lives exactly as long as the group."""
+        found: dict[MonomialMatrix, int] = {}
+        for g in self.elements:
+            if g not in found:
+                powers = [g]
+                while not powers[-1].is_identity():
+                    powers.append(powers[-1] * g)
+                k = len(powers)
+                for j, p in enumerate(powers, 1):
+                    found.setdefault(p, k // gcd(j, k))
+        return {g: found[g] for g in self.elements}
 
     def generator_map(self) -> dict[str, MonomialMatrix]:
         return dict(zip(self.names, self.generators))
@@ -154,7 +173,7 @@ def closure(
 
 
 def order_spectrum(group: FiniteGroup) -> dict[int, int]:
-    counts = Counter(element_order(g) for g in group.elements)
+    counts = Counter(group.element_orders.values())
     spectrum = dict(sorted(counts.items()))
     assert sum(spectrum.values()) == group.order
     assert spectrum.get(1) == 1
@@ -162,17 +181,14 @@ def order_spectrum(group: FiniteGroup) -> dict[int, int]:
 
 
 def is_abelian(group: FiniteGroup) -> bool:
-    """Generator pairs commuting would decide it; every element pair is
-    checked instead, as a cross-check of the closure."""
-    for i, a in enumerate(group.elements):
-        for b in group.elements[i + 1 :]:
-            if a * b != b * a:
-                return False
-    return True
+    """Decided by the generators: every element is a product of generators,
+    so if they commute pairwise, so do any two elements."""
+    gens = group.generators
+    return all(a * b == b * a for i, a in enumerate(gens) for b in gens[i + 1 :])
 
 
 def involutions(group: FiniteGroup) -> tuple[MonomialMatrix, ...]:
-    return tuple(g for g in group.elements if element_order(g) == 2)
+    return tuple(g for g, k in group.element_orders.items() if k == 2)
 
 
 # -- words and relations ------------------------------------------------------
@@ -245,10 +261,17 @@ class StructureCertificate:
 
 
 def _normality_witness(group: FiniteGroup, sub: FiniteGroup) -> str | None:
-    """First (element order) conjugation that leaves the subgroup, or None."""
-    for g in group.elements:
+    """First conjugate g n g^-1, over the group's generators g and the
+    subgroup's generators n, that leaves the subgroup N, or None.
+
+    These generators decide normality.  If every g n g^-1 lies in N,
+    conjugation by g maps N into N, and being injective on a finite set it
+    maps N onto N.  g^-1 is a power of g, so conjugation by it preserves N
+    too, and so does conjugation by any product of generators: every group
+    element.  A failing witness names one generator pair."""
+    for g in group.generators:
         inv = g.inverse()
-        for n in sub.elements:
+        for n in sub.generators:
             if g * n * inv not in sub:
                 return f"conjugate of {n.to_dict()} by {g.to_dict()} leaves the subgroup"
     return None
@@ -276,7 +299,7 @@ OPTIONAL_CLAIM_KEYS = {
 
 
 def certify_structure(group: FiniteGroup, claims: Sequence[dict]) -> StructureCertificate:
-    """Check a list of tagged claim records against the group by enumeration.
+    """Check a list of tagged claim records against the group.
 
     Claim types are those of CLAIM_KEYS (custom group files with any other
     type are rejected on loading); a claim of another type does not pass.

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .cyclotomic import CyclotomicNumber, root_of_unity
-from .groups import FiniteGroup, element_order
+from .groups import FiniteGroup
 from .linalg import EigenspaceComponent, ExactMatrix, MonomialMatrix
 from .groebner import projective_zero_set_empty
 from .polynomials import PENCIL_VARIABLES, Polynomial, X_VARIABLES, s_variables
@@ -55,6 +55,11 @@ class QuadricSystem:
                 raise ValueError("quadrics must live in the x0..x7, y1..y3 ring")
             if any(sum(e[:8]) != 2 for e in q.terms):
                 raise ValueError("every quadric term must have x-degree 2")
+        # hashed once: every freeness-cache key holds the system
+        object.__setattr__(self, "_hash", hash(self.quadrics))
+
+    def __hash__(self):
+        return self._hash
 
     def specialized(self, y) -> tuple[Polynomial, ...]:
         triple = _y_triple(y)
@@ -166,13 +171,18 @@ class OrbitPoint:
 def orbit_size(group: FiniteGroup, point: Sequence[CyclotomicNumber]) -> int:
     """The number of distinct projective points g.p, by the orbit-stabilizer
     theorem: the group order over the count of g with g.p proportional to p.
-    Proportionality is tested by cross-multiplying against p's first nonzero
-    coordinate, so no field inverse is taken."""
+    If g.p is proportional to p, g's permutation maps p's zero coordinates
+    onto themselves, so any other g is skipped unapplied.  Proportionality
+    is tested by cross-multiplying against p's first nonzero coordinate, so
+    no field inverse is taken."""
     k = next((i for i, c in enumerate(point) if not c.is_zero()), None)
     if k is None:
         raise ValueError("projective point cannot be the zero vector")
+    zeros = [j for j, c in enumerate(point) if c.is_zero()]
     stabilizer = 0
     for g in group.elements:
+        if not all(point[g.perm[j]].is_zero() for j in zeros):
+            continue
         image = g.point_matrix().apply(point)
         if all(a * point[k] == b * image[k] for a, b in zip(image, point)):
             stabilizer += 1
@@ -537,7 +547,7 @@ def check_freeness(
     """
     if scope not in ("involutions", "all"):
         raise ValueError(f"scope must be 'involutions' or 'all', not {scope!r}")
-    orders = {g: element_order(g) for g in group.elements if not g.is_identity()}
+    orders = {g: k for g, k in group.element_orders.items() if k > 1}
     bad = [k for k in orders.values() if k & (k - 1)]
     if scope == "involutions" and bad:
         raise ValueError(f"involutions-only scope needs a 2-group; found element order {bad[0]}")

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from quadcert.groups import (
     FiniteGroup,
     ProjectiveElement,
+    _normality_witness,
     certify_structure,
     closure,
     conjugation_exponent,
@@ -39,6 +40,24 @@ def random_matrix(rng):
 
 def normalized(g):
     return ProjectiveElement(g.perm, g.phases, g.N)
+
+
+def abelian_by_all_pairs(group):
+    """Reference for is_abelian: both products of every element pair."""
+    return all(
+        a * b == b * a for i, a in enumerate(group.elements) for b in group.elements[i + 1 :]
+    )
+
+
+def normal_by_all_elements(group, sub):
+    """Reference for _normality_witness: conjugate every subgroup element by
+    every group element."""
+    return all(g * n * g.inverse() in sub for g in group.elements for n in sub.elements)
+
+
+def affine(a, b):
+    """The coordinate permutation j -> a*j + b mod 8."""
+    return MonomialMatrix(tuple((a * j + b) % 8 for j in range(8)), (0,) * 8)
 
 
 class TestNormalization:
@@ -333,3 +352,90 @@ class TestInvolutions:
         cert = involution_localization(group, ["t"], ambient)
         assert not cert.all_in_subgroup
         assert "outside subgroup" in cert.outside_subgroup_witness
+
+
+class TestGeneratorClaims:
+    # is_abelian and _normality_witness read the generators only; the
+    # all-pairs and all-elements loops stay here as their cross-validation
+    CUSTOM = {
+        # a period-2 diagonal commutes with the double step
+        "commuting": closure([MonomialMatrix.diagonal((0, 4) * 4), make_sigma2()]),
+        # j -> 5j+7 and j -> 3j+1 compose to 7j+4 one way and 7j+6 the other
+        "noncommuting": closure([make_sigma1(), make_sigma3()]),
+        "affine": closure([affine(3, 0), affine(1, 2), make_tau()]),
+    }
+
+    @pytest.mark.parametrize("name", ["G", "G1", "G2", "commuting", "noncommuting", "affine"])
+    def test_abelian_verdict_agrees_with_all_pairs(self, name):
+        group = self.CUSTOM[name] if name in self.CUSTOM else standard_group(name)
+        assert is_abelian(group) == abelian_by_all_pairs(group)
+
+    def test_custom_verdicts(self):
+        assert is_abelian(self.CUSTOM["commuting"])
+        assert not is_abelian(self.CUSTOM["noncommuting"])
+
+    @pytest.mark.parametrize(
+        "name, words, normal",
+        [
+            ("G", ["t"], True),
+            ("G1", ["t"], True),
+            ("G2", ["t"], True),
+            ("G1", ["s1"], False),
+            ("G2", ["s2", "s3"], False),
+            ("G2", ["t", "s2^2"], True),
+            ("G1", ["t^2", "s1^4"], True),
+        ],
+    )
+    def test_normality_verdict_agrees_with_all_elements(self, name, words, normal):
+        group = standard_group(name)
+        sub = group.subgroup(words)
+        assert normal_by_all_elements(group, sub) is normal
+        assert (_normality_witness(group, sub) is None) is normal
+
+    def test_normality_in_custom_groups(self):
+        for group in self.CUSTOM.values():
+            for g in group.generators:
+                sub = closure([g], names=("g",))
+                # the subgroup must sit inside the group for the claim to be one
+                assert all(n in group for n in sub.elements)
+                assert (_normality_witness(group, sub) is None) == normal_by_all_elements(group, sub)
+
+    def test_failing_witness_names_a_generator_pair(self):
+        group = standard_group("G1")
+        sub = group.subgroup(["s1"])
+        witness = _normality_witness(group, sub)
+        named = [
+            (g, n)
+            for g in group.generators
+            for n in sub.generators
+            if witness == f"conjugate of {n.to_dict()} by {g.to_dict()} leaves the subgroup"
+        ]
+        assert len(named) == 1
+        ((g, n),) = named
+        # the named conjugate re-verifies with one conjugation
+        assert g * n * g.inverse() not in sub
+        cert = certify_structure(group, [{"type": "normal_subgroup", "subgroup": ["s1"]}])
+        assert cert.claim_results[0].witness == witness
+
+
+class TestOrderTable:
+    @pytest.mark.parametrize("name", ["G", "G1", "G2"])
+    def test_table_matches_element_order(self, name):
+        group = standard_group(name)
+        table = group.element_orders
+        assert list(table) == list(group.elements)
+        assert table == {g: element_order(g) for g in group.elements}
+
+    @pytest.mark.parametrize("name", ["G", "G1", "G2"])
+    def test_spectrum_and_involutions_unchanged(self, name):
+        group = standard_group(name)
+        assert order_spectrum(group) == dict(sorted(Counter(map(element_order, group.elements)).items()))
+        assert involutions(group) == tuple(g for g in group.elements if element_order(g) == 2)
+
+    def test_built_on_first_use_and_kept(self):
+        group = standard_group("G1")
+        assert "element_orders" not in vars(group)  # closure does not pay for it
+        table = group.element_orders
+        assert group.element_orders is table
+        assert order_spectrum(group) == {1: 1, 2: 3, 4: 12, 8: 48}
+        assert standard_group("G1").element_orders is not table  # one table per group

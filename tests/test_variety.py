@@ -331,6 +331,41 @@ class TestOrbit:
         for group in (*(standard_group(n) for n in ("G", "G1", "G2")), probe):
             assert orbit_size(group, base_point(y)) == len(singular_orbit(system, group, y))
 
+    def test_support_filter_keeps_the_stabilizer_count(self, monkeypatch):
+        # orbit_size skips elements whose permutation moves a zero coordinate
+        # onto a nonzero one; counting every element's image must agree
+        def unfiltered(group, point):
+            key = projective_point_key(point)
+            fixing = [g for g in group.elements if projective_point_key(g.point_matrix().apply(point)) == key]
+            return group.order // len(fixing)
+
+        z = root_of_unity(8, 1)
+        one = CyclotomicNumber.one()
+        system = build_quadrics()
+        seed_zero = draw_specializations(3, 0, system, standard_group("G"))
+        points = [base_point(y) for y in (*seed_zero, (1, 2, 1), (1, 1, 1))]
+        points += [
+            [one] * 8,  # no zero coordinate, fixed by every permutation
+            [z ** j for j in range(8)],
+            [CyclotomicNumber.from_rational(j + 1) for j in range(8)],
+            [one] + [CyclotomicNumber.zero()] * 7,
+            [one, CyclotomicNumber.zero()] * 4,
+        ]
+        groups = [standard_group(n) for n in ("G", "G1", "G2")]
+        for group in groups:
+            for point in points:
+                assert orbit_size(group, point) == unfiltered(group, point)
+
+        # at the seed-0 base points only 16 of the 64 elements are applied
+        applied = []
+        original = MonomialMatrix.apply
+        monkeypatch.setattr(MonomialMatrix, "apply", lambda g, p: applied.append(g) or original(g, p))
+        for group in groups:
+            for y in seed_zero:
+                applied.clear()
+                assert orbit_size(group, base_point(y)) == 64
+                assert len(applied) == 16
+
 
 def fraction_matrix_rank_by_minors(rows):
     """Rank via explicit minor determinants; independent of the rref path."""
@@ -632,6 +667,29 @@ class TestFreeness:
         )
         assert len(cache) == 3
 
+    def test_equal_systems_share_hash_and_cache(self, monkeypatch):
+        # a system rebuilt term by term is equal, hashes equal, and finds the
+        # first system's cache entries; its hash is computed once, on building
+        first = build_quadrics()
+        second = QuadricSystem(
+            tuple(Polynomial(PENCIL_VARIABLES, dict(q.terms)) for q in first.quadrics)
+        )
+        assert second == first and second is not first
+        assert hash(second) == hash(first)
+        flip = closure([make_tau() ** 4])
+        cache = {}
+        check_freeness(flip, first, [Y123], scope="all", screen=False, cache=cache)
+        assert len(cache) == 1
+        examined = []
+        monkeypatch.setattr(variety, "_examine_component", lambda *a: examined.append(a))
+        hashed = []
+        original = Polynomial.__hash__
+        monkeypatch.setattr(Polynomial, "__hash__", lambda q: hashed.append(q) or original(q))
+        report = check_freeness(flip, second, [Y123], scope="all", screen=False, cache=cache)
+        assert report.verdict == "free"
+        assert len(cache) == 1 and examined == []
+        assert hashed == []
+
     def test_eigenspaces_once_per_element(self, monkeypatch):
         # an element's eigenspaces do not depend on the triple, and the shared
         # cache covers what G already examined: the 127 distinct non-identity
@@ -686,6 +744,16 @@ class TestFreeness:
         three_cycle = MonomialMatrix((1, 2, 0, 3, 4, 5, 6, 7), (0,) * 8)
         group = closure([three_cycle], names=("c",))
         with pytest.raises(ValueError):
+            check_freeness(group, build_quadrics(), [Y123], scope="involutions")
+
+    def test_two_group_error_names_first_bad_order(self):
+        # S3 on the first three coordinates: involutions and order-3 elements
+        swap = MonomialMatrix((1, 0, 2, 3, 4, 5, 6, 7), (0,) * 8)
+        three_cycle = MonomialMatrix((1, 2, 0, 3, 4, 5, 6, 7), (0,) * 8)
+        group = closure([swap, three_cycle], names=("a", "c"))
+        assert sorted(group.element_orders.values()) == [1, 2, 2, 2, 3, 3]
+        message = "involutions-only scope needs a 2-group; found element order 3"
+        with pytest.raises(ValueError, match=message):
             check_freeness(group, build_quadrics(), [Y123], scope="involutions")
 
     def test_bad_scope_rejected(self):
