@@ -133,7 +133,7 @@ def main(argv=None) -> int:
         return 2
     try:
         report = reporting.run(config)
-    except (OSError, ValueError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"quadcert: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a crash is never a verdict: 1 means a certified failure

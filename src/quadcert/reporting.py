@@ -19,19 +19,16 @@ from .groups import (
     involution_localization,
     localization_subgroup_words,
     standard_claims,
-    standard_generators,
     standard_group,
 )
 from .linalg import MonomialMatrix
 from .variety import (
     ODPCertificate,
-    ODPContext,
     OrbitPoint,
     QuadricSystem,
     base_point,
     build_quadrics,
     check_freeness,
-    check_ideal_invariance,
     draw_specializations,
     genericity_screen,
     orbit_size,
@@ -173,14 +170,12 @@ def write_report(report: VerificationReport, path: str) -> None:
 
 @dataclass(frozen=True)
 class GroupSelection:
-    """One group to run checks against, with its certification claims and
-    named generator matrices."""
+    """One group to run checks against, with its certification claims; its
+    named generators are `group.names` and `group.generators`."""
 
     label: str
     group: FiniteGroup
     claims: tuple[dict, ...]
-    generator_names: tuple[str, ...]
-    generator_matrices: tuple[MonomialMatrix, ...]
     localization_words: tuple[str, ...] | None
 
 
@@ -269,8 +264,6 @@ def load_custom_group(path: str) -> GroupSelection:
         label=str(data.get("name", "custom")),
         group=group,
         claims=tuple(claims),
-        generator_names=tuple(names),
-        generator_matrices=tuple(matrices),
         localization_words=tuple(words) if words else None,
     )
 
@@ -287,13 +280,10 @@ def load_custom_quadrics(path: str) -> QuadricSystem:
 
 
 def _standard_selection(name: str) -> GroupSelection:
-    gen_names, gen_mats = standard_generators(name)
     return GroupSelection(
         label=name,
         group=standard_group(name),
         claims=tuple(standard_claims(name)),
-        generator_names=gen_names,
-        generator_matrices=gen_mats,
         localization_words=localization_subgroup_words(name),
     )
 
@@ -348,23 +338,20 @@ def _groups_records(selections: Sequence[GroupSelection]) -> list[CheckRecord]:
 
 
 def _invariance_records(
-    selections: Sequence[GroupSelection],
-    system: QuadricSystem,
-    invariant: dict[MonomialMatrix, bool],
+    selections: Sequence[GroupSelection], system: QuadricSystem
 ) -> list[CheckRecord]:
     """One record per distinct generator name; shared generators (t) run
-    once.  Each verdict is also kept in `invariant` by generator matrix, for
-    the orbit layer."""
+    once.  Each verdict stays with the system (`system.invariance`), for the
+    orbit and freeness layers."""
     seen: set[str] = set()
     records = []
     for sel in selections:
-        for name, matrix in zip(sel.generator_names, sel.generator_matrices):
+        for name, matrix in zip(sel.group.names, sel.group.generators):
             if name in seen:
                 continue
             seen.add(name)
             start = time.perf_counter()
-            result = check_ideal_invariance(matrix, system)
-            invariant[matrix] = result.ok
+            result = system.invariance(matrix)
             witnesses = ()
             if not result.ok:
                 witnesses = (f"uncancelled monomial {result.witness_text()}",)
@@ -385,8 +372,6 @@ def _orbit_records(
     system: QuadricSystem,
     triples: Sequence[tuple[Fraction, Fraction, Fraction]],
     screened_out: dict,
-    invariant: dict[MonomialMatrix, bool],
-    contexts: dict,
 ) -> list[CheckRecord]:
     """One record per (group, triple), in that order.
 
@@ -395,17 +380,17 @@ def _orbit_records(
     double points (README gives the argument), so only the base point is
     certified and the orbit is counted by its stabilizer.  A group with a
     failing generator certifies every point of `singular_orbit` instead.
-    Invariance is an identity in x and y: it is proved once per generator
-    matrix.  `invariant` holds the verdicts already proved, by the invariance
-    layer when it ran; a missing one is proved inside the first record that
-    needs it and added.  Triples run in the outer loop, so each distinct
-    projective point is certified once per triple and its certificate serves
-    every group; only the current triple's certificates are kept."""
+    Invariance is an identity in x and y: the system proves it once per
+    generator matrix (`system.invariance`), in the invariance layer when that
+    ran, and keeps the specialized pencil per triple (`system.context`).
+    Triples run in the outer loop, so each distinct projective point is
+    certified once per triple and its certificate serves every group; only
+    the current triple's certificates are kept."""
     records = {}
     for t, y in enumerate(triples):
         reasons = screened_out.get(y)
         if reasons is None:
-            context = ODPContext.shared(contexts, system, y)
+            context = system.context(y)
             base = base_point(y)
             base_key = projective_point_key(base)
         certificates: dict[tuple, ODPCertificate] = {}  # by projective point key
@@ -421,10 +406,7 @@ def _orbit_records(
                     timing=time.perf_counter() - start,
                 )
                 continue
-            for g in sel.generator_matrices:
-                if g not in invariant:
-                    invariant[g] = check_ideal_invariance(g, system).ok
-            if all(invariant[g] for g in sel.generator_matrices):
+            if all(system.invariance(g).ok for g in sel.group.generators):
                 size = orbit_size(sel.group, base)
                 points = [OrbitPoint(base, sel.group.identity(), base_key)]
             else:
@@ -463,8 +445,6 @@ def _freeness_records(
     screened_out: dict,
     scope: str,
     seed: int,
-    invariant: dict[MonomialMatrix, bool],
-    contexts: dict,
 ) -> list[CheckRecord]:
     """One record per group.  Triples were screened once by
     `_resolve_triples`: the ones that passed are examined without a second
@@ -483,8 +463,6 @@ def _freeness_records(
             cache=cache,
             witness_seed=seed,
             screen=False,
-            invariant=invariant,
-            contexts=contexts,
         )
         outcomes = iter(report.specializations)
         witnesses = []
@@ -526,7 +504,7 @@ def _freeness_records(
 
 
 def _resolve_triples(
-    config: VerificationConfig, system: QuadricSystem, screen_group: FiniteGroup, contexts: dict
+    config: VerificationConfig, system: QuadricSystem, screen_group: FiniteGroup
 ) -> tuple[list, dict]:
     """Explicit triples are screened but kept (a failing one becomes an
     inconclusive record downstream, never a silent skip); with no explicit
@@ -535,12 +513,12 @@ def _resolve_triples(
         triples = [tuple(Fraction(c) for c in y) for y in config.y_triples]
         screened_out = {}
         for y in triples:
-            result = genericity_screen(y, system, screen_group, contexts)
+            result = genericity_screen(y, system, screen_group)
             if not result.ok:
                 screened_out[y] = result.reasons
         return triples, screened_out
     count, seed = config.specializations, config.seed
-    drawn = draw_specializations(count, seed, system, screen_group, contexts)
+    drawn = draw_specializations(count, seed, system, screen_group)
     return drawn, {}
 
 
@@ -553,26 +531,20 @@ def run(config: VerificationConfig) -> VerificationReport:
     records: list[CheckRecord] = []
     triples: list | None = None
     screened_out: dict = {}
-    invariant: dict[MonomialMatrix, bool] = {}  # generator verdicts, shared by layers
-    contexts: dict = {}  # one specialized pencil per (system, triple), shared by layers
     for check in selected:
         if check in ("orbit", "freeness") and triples is None:
             group = selections[0].group
-            triples, screened_out = _resolve_triples(config, system, group, contexts)
+            triples, screened_out = _resolve_triples(config, system, group)
         if check == "groups":
             records.extend(_groups_records(selections))
         elif check == "invariance":
-            records.extend(_invariance_records(selections, system, invariant))
+            records.extend(_invariance_records(selections, system))
         elif check == "orbit":
-            records.extend(
-                _orbit_records(selections, system, triples, screened_out, invariant, contexts)
-            )
+            records.extend(_orbit_records(selections, system, triples, screened_out))
         else:
             scope, seed = config.scope, config.seed
             records.extend(
-                _freeness_records(
-                    selections, system, triples, screened_out, scope, seed, invariant, contexts
-                )
+                _freeness_records(selections, system, triples, screened_out, scope, seed)
             )
     report = VerificationReport(version=__version__, config=config, checks=tuple(records))
     if config.output_path:

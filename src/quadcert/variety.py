@@ -57,9 +57,25 @@ class QuadricSystem:
                 raise ValueError("every quadric term must have x-degree 2")
         # hashed once: every freeness-cache key holds the system
         object.__setattr__(self, "_hash", hash(self.quadrics))
+        # what is proved about this system lives exactly as long as it does
+        object.__setattr__(self, "_invariance", {})
+        object.__setattr__(self, "_context", {})
 
     def __hash__(self):
         return self._hash
+
+    def invariance(self, g: MonomialMatrix) -> "InvarianceResult":
+        """`check_ideal_invariance(g, self)`, proved once per element."""
+        if g not in self._invariance:
+            self._invariance[g] = check_ideal_invariance(g, self)
+        return self._invariance[g]
+
+    def context(self, y) -> "ODPContext":
+        """`ODPContext.at(self, y)`, built once per parameter triple."""
+        triple = _y_triple(y)
+        if triple not in self._context:
+            self._context[triple] = ODPContext.at(self, triple)
+        return self._context[triple]
 
     def specialized(self, y) -> tuple[Polynomial, ...]:
         triple = _y_triple(y)
@@ -264,8 +280,9 @@ def form_polynomial(gram: ExactMatrix, variables: Sequence[str]) -> Polynomial:
 @dataclass(frozen=True)
 class ODPContext:
     """The pencil specialized at one parameter triple, with the constant
-    Hessian H_q of each quadric.  Built once per triple and shared by the
-    singular-point certificates and the fixed-locus restrictions there."""
+    Hessian H_q of each quadric.  Built once per triple by
+    `QuadricSystem.context` and shared by the singular-point certificates
+    and the fixed-locus restrictions there."""
 
     quadrics: tuple[Polynomial, ...]
     hessians: tuple[ExactMatrix, ...]
@@ -274,15 +291,6 @@ class ODPContext:
     def at(cls, system: QuadricSystem, y) -> "ODPContext":
         quadrics = system.specialized(y)
         return cls(quadrics, tuple(quadric_hessian(q) for q in quadrics))
-
-    @classmethod
-    def shared(cls, contexts: dict, system: QuadricSystem, y) -> "ODPContext":
-        """The context at (system, y) from the memo `contexts`, keyed by
-        (system, triple), built by `at` on first use."""
-        key = (system, _y_triple(y))
-        if key not in contexts:
-            contexts[key] = cls.at(system, y)
-        return contexts[key]
 
     def jacobian(self, point) -> ExactMatrix:
         """The 4x8 Jacobian at a point: the gradient of q is H_q * p."""
@@ -526,8 +534,6 @@ def check_freeness(
     cache: dict | None = None,
     witness_seed: int = 0,
     screen: bool = True,
-    invariant: dict | None = None,
-    contexts: dict | None = None,
 ) -> FreenessReport:
     """Prove the group acts without fixed points on the variety, for each
     parameter specialization.
@@ -539,11 +545,10 @@ def check_freeness(
     reduction.  A shared cache maps (system, element, y, witness seed) to
     component outcomes so overlapping groups do not recompute.
 
-    When every generator passes `check_ideal_invariance` (memoized for this
-    system in `invariant`), an element with a free conjugate in the cache is
-    recorded free unexamined; README gives the argument, and why fixed
-    points never transfer.  `contexts` memoizes the specialized pencil per
-    (system, triple) across callers (`ODPContext.shared`).
+    When every generator passes ideal invariance (`system.invariance`), an
+    element with a free conjugate in the cache is recorded free unexamined;
+    README gives the argument, and why fixed points never transfer.  The
+    specialized pencil at each triple is the system's (`system.context`).
     """
     if scope not in ("involutions", "all"):
         raise ValueError(f"scope must be 'involutions' or 'all', not {scope!r}")
@@ -553,12 +558,7 @@ def check_freeness(
         raise ValueError(f"involutions-only scope needs a 2-group; found element order {bad[0]}")
     targets = [(g, k) for g, k in orders.items() if scope == "all" or k == 2]
     cache = {} if cache is None else cache
-    invariant = {} if invariant is None else invariant
-    contexts = {} if contexts is None else contexts
-    for h in group.generators:
-        if h not in invariant:
-            invariant[h] = check_ideal_invariance(h, system).ok
-    equivariant = all(invariant[h] for h in group.generators)
+    equivariant = all(system.invariance(h).ok for h in group.generators)
     classes = group.conjugacy_classes(g for g, _ in targets) if equivariant else {}
 
     # eigenspaces do not depend on the triple: found once per element
@@ -567,13 +567,12 @@ def check_freeness(
     for y in specializations:
         triple = _y_triple(y)
         if screen:
-            verdict = genericity_screen(triple, system, group, contexts)
+            verdict = genericity_screen(triple, system, group)
             if not verdict.ok:
                 spec_outcomes.append(
                     SpecializationOutcome(triple, "inconclusive", "; ".join(verdict.reasons), ())
                 )
                 continue
-        context = None  # built for the first element examined at this triple
         element_outcomes = []
         for g, order in targets:
             key = (system, g, triple, witness_seed)
@@ -587,7 +586,7 @@ def check_freeness(
                         for c in components[g]
                     )
                 else:
-                    context = context or ODPContext.shared(contexts, system, triple)
+                    context = system.context(triple)
                     cache[key] = tuple(
                         _examine_component(component, context, witness_seed)
                         for component in components[g]
@@ -606,12 +605,10 @@ class ScreenResult:
     reasons: tuple[str, ...]
 
 
-def genericity_screen(
-    y, system: QuadricSystem, group: FiniteGroup, contexts: dict | None = None
-) -> ScreenResult:
+def genericity_screen(y, system: QuadricSystem, group: FiniteGroup) -> ScreenResult:
     """Necessary conditions for a parameter choice to exhibit the generic
     picture.  Failures name every violated condition.  The specialized
-    pencil it builds is kept in `contexts` (`ODPContext.shared`)."""
+    pencil it reads stays with the system (`system.context`)."""
     y1, y2, y3 = _y_triple(y)
     reasons = []
     if y1 == 0 or y2 == 0 or y3 == 0:
@@ -628,8 +625,7 @@ def genericity_screen(
     if size != group.order:
         reasons.append(f"orbit has {size} distinct points, expected {group.order}")
 
-    context = ODPContext.shared({} if contexts is None else contexts, system, (y1, y2, y3))
-    rank = context.jacobian(base).rank()
+    rank = system.context((y1, y2, y3)).jacobian(base).rank()
     if rank != 3:
         reasons.append(f"jacobian rank at base point is {rank}, expected 3")
     return ScreenResult(not reasons, tuple(reasons))
@@ -640,12 +636,11 @@ def draw_specializations(
     seed: int,
     system: QuadricSystem,
     group: FiniteGroup,
-    contexts: dict | None = None,
 ) -> list[tuple[Fraction, Fraction, Fraction]]:
     """Seeded random rational parameter triples passing the screen, with
     numerators and denominators bounded by 97.  Too few passing triples make
-    the input unusable, a ValueError.  The screen's contexts go to
-    `contexts`."""
+    the input unusable, a ValueError.  Each screened triple's specialized
+    pencil stays with the system."""
     rng = random.Random(seed)
     out: list[tuple[Fraction, Fraction, Fraction]] = []
     for _ in range(MAX_DRAWS):
@@ -660,7 +655,7 @@ def draw_specializations(
         )
         if candidate in out:
             continue
-        if genericity_screen(candidate, system, group, contexts).ok:
+        if genericity_screen(candidate, system, group).ok:
             out.append(candidate)
     if len(out) < count:
         raise ValueError(f"{len(out)} of {MAX_DRAWS} drawn triples passed the screen, {count} needed")

@@ -29,6 +29,7 @@ from quadcert.linalg import MonomialMatrix
 from quadcert.variety import (
     base_point,
     build_quadrics,
+    check_ideal_invariance,
     draw_specializations,
     planted_control_system,
     singular_orbit,
@@ -248,7 +249,7 @@ class TestCustomFiles:
         sel = load_custom_group(path)
         assert sel.label == "probe"
         assert sel.group.order == 8
-        assert sel.generator_names == ("d",)
+        assert sel.group.names == ("d",)
 
     def test_spectrum_claim_keys_coerced_to_int(self, tmp_path):
         path = tmp_path / "g.json"
@@ -317,6 +318,28 @@ class TestRunScenarios:
         assert report.exit_code == 1
         assert "x1*x7" in report.checks[0].witnesses[0]
 
+    @pytest.mark.parametrize(
+        "phases, verdict",
+        [([(3 - i) % 8 for i in range(8)], "pass"), ([2, 2, 2, 2, 6, 6, 6, 6], "fail")],
+    )
+    def test_unnormalized_generator_gets_normalized_record(self, tmp_path, phases, verdict):
+        # the group holds a generator with phase 0 in slot 0, zeta^(-p0) times
+        # the file's matrix; pullbacks through it scale by zeta^(-2 p0), so the
+        # record proved for it is the raw matrix's verdict and witness
+        normalized = [p - phases[0] for p in phases]
+        records = []
+        for p in (phases, normalized):
+            path = write_custom_group(tmp_path / "g.json", list(range(8)), p)
+            config = VerificationConfig(checks=("invariance",), group="custom", custom_group_path=path)
+            records.append(run(config).checks[0].to_dict(canonical=True))
+        assert records[0] == records[1]
+        assert records[0]["verdict"] == verdict
+        raw = check_ideal_invariance(MonomialMatrix.diagonal(phases), build_quadrics())
+        assert raw.ok == (verdict == "pass")
+        assert records[0]["witnesses"] == (
+            [] if raw.ok else [f"uncancelled monomial {raw.witness_text()}"]
+        )
+
     def test_screened_out_explicit_triple_is_inconclusive_not_skipped(self):
         config = VerificationConfig(
             checks=("orbit", "freeness"),
@@ -380,7 +403,7 @@ class TestOrbitRecords:
         selections = resolve_selections(VerificationConfig(checks=("orbit",), group="all"))
         control = planted_control_system()
         y = (Fraction(1), Fraction(2), Fraction(3))
-        records = _orbit_records(selections, control, [y], {}, {}, {})
+        records = _orbit_records(selections, control, [y], {})
         assert [r.target for r in records] == ["G @ (1,2,3)", "G1 @ (1,2,3)", "G2 @ (1,2,3)"]
         # every group's first point is the base point, off the planted
         # variety; its one certificate serves all three records
@@ -404,13 +427,13 @@ class TestOrbitRecords:
         # the orbit layer reuses the invariance layer's verdicts; run alone,
         # it proves each of the five generator matrices itself
         calls = []
-        original = reporting.check_ideal_invariance
+        original = variety.check_ideal_invariance
 
         def counting(g, system):
             calls.append(g)
             return original(g, system)
 
-        monkeypatch.setattr(reporting, "check_ideal_invariance", counting)
+        monkeypatch.setattr(variety, "check_ideal_invariance", counting)
         argv = [check, "--group", "all", "--specializations", "3", "--seed", "0"]
         assert main(argv) == 0
         assert len(calls) == len(set(calls)) == 5
@@ -434,7 +457,7 @@ class TestOrbitRecords:
         selections = resolve_selections(VerificationConfig(checks=("orbit",), group="all"))
         system = build_quadrics()
         triples = draw_specializations(3, 0, system, selections[0].group)
-        records = _orbit_records(selections, system, triples, {}, {}, {})
+        records = _orbit_records(selections, system, triples, {})
         assert [r.verdict for r in records] == ["pass"] * 9
         assert odp_calls == [base_point(y) for y in triples]
 
@@ -445,9 +468,9 @@ class TestOrbitRecords:
         # the variety, which a base-point transfer would miss
         gens = (make_tau(), make_sigma(), MonomialMatrix.diagonal((0, 0, 0, 0, 4, 4, 4, 4)))
         names = ("t", "s", "d")
-        probe = GroupSelection("probe", closure(gens, names=names), (), names, gens, None)
+        probe = GroupSelection("probe", closure(gens, names=names), (), None)
         y = (Fraction(3, 7), Fraction(-5, 11), Fraction(13, 2))
-        (record,) = _orbit_records([probe], build_quadrics(), [y], {}, {}, {})
+        (record,) = _orbit_records([probe], build_quadrics(), [y], {})
         assert record.verdict == "fail"
         assert record.witnesses == (
             "256 distinct orbit points, expected 512",
@@ -821,6 +844,18 @@ class TestCli:
         err = capsys.readouterr().err
         first, rest = err.split("\n", 1)
         assert first == "quadcert: internal error: RuntimeError: basis grew past MAX_BASIS"
+        assert rest.startswith("Traceback (most recent call last):")
+
+    def test_internal_key_error_exit_three(self, capsys, monkeypatch):
+        # no input path raises KeyError, so one is a crash, not unusable input
+        def crash(selections):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(reporting, "_groups_records", crash)
+        assert main(["groups", "--group", "G"]) == 3
+        err = capsys.readouterr().err
+        first, rest = err.split("\n", 1)
+        assert first == "quadcert: internal error: KeyError: 'internal'"
         assert rest.startswith("Traceback (most recent call last):")
 
     def test_scope_all_non_two_group_exit_two(self, tmp_path, capsys):

@@ -828,12 +828,13 @@ class TestConjugacyTransfer:
         monkeypatch.setattr(
             variety, "_examine_component", lambda *args: calls.append(1) or original(*args)
         )
-        invariant = {}
-        check_freeness(group, system, [Y123], scope="involutions", screen=False, invariant=invariant)
-        assert invariant == {group.generators[0]: True, group.generators[1]: False}
+        check_freeness(group, system, [Y123], scope="involutions", screen=False)
+        assert [system.invariance(g).ok for g in group.generators] == [True, False]
         assert len(calls) == sum(len(fixed_locus_components(g)) for g in involutions)
 
     def test_invariant_memo_is_read_not_reproved(self, monkeypatch):
+        # the system keeps its verdicts: a second call on it proves nothing,
+        # and a fresh equal system proves each generator once itself
         calls = []
         original = variety.check_ideal_invariance
         monkeypatch.setattr(
@@ -841,11 +842,34 @@ class TestConjugacyTransfer:
         )
         group = standard_group("G1")
         system = build_quadrics()
-        invariant = {g: True for g in group.generators}
-        check_freeness(group, system, [Y123], screen=False, invariant=invariant)
-        assert calls == []
         check_freeness(group, system, [Y123], screen=False)
         assert len(calls) == len(group.generators)
+        check_freeness(group, system, [Y123], screen=False)
+        assert len(calls) == len(group.generators)
+        check_freeness(group, build_quadrics(), [Y123], screen=False)
+        assert len(calls) == 2 * len(group.generators)
+
+    def test_memo_never_crosses_systems(self):
+        # B fails invariance under G2, so nothing may transfer there, even
+        # after the stock system, which every generator preserves, ran first
+        # in the same process with the same cache
+        def x(i, j, coeff=1):
+            return Polynomial.monomial(PENCIL_VARIABLES, variety._pencil_monomial((i, j)), coeff)
+
+        b = QuadricSystem((x(6, 6) - x(4, 6), x(4, 5), x(6, 7, 2), x(3, 4) + x(4, 4) - x(4, 6)))
+        group = standard_group("G2")
+        cache = {}
+        check_freeness(group, build_quadrics(), [Y123], scope="all", cache=cache, screen=False)
+        report = check_freeness(group, b, [Y123], scope="all", cache=cache, screen=False)
+        assert not all(b.invariance(g).ok for g in group.generators)
+        context = ODPContext.at(b, Y123)
+        direct = [
+            tuple(variety._examine_component(c, context, 0) for c in fixed_locus_components(g))
+            for g in group.elements[1:]
+        ]
+        (outcome,) = report.specializations
+        assert [e.components for e in outcome.elements] == direct
+        assert sum(e.has_fixed_point for e in outcome.elements) == 35
 
     def test_fixed_points_never_transfer(self, monkeypatch):
         # every standard group preserves the planted control system, so free
