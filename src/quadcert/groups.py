@@ -28,13 +28,19 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .linalg import MonomialMatrix
 
 DEFAULT_CLOSURE_CAP = 10000
 
 GROUP_NAMES = ("G", "G1", "G2")
+
+#: Words are tokens NAME or NAME^k.  A generator name has GENERATOR_NAME's
+#: form and is not one of IDENTITY_WORDS, which spell the identity.
+GENERATOR_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+IDENTITY_WORDS = frozenset({"identity", "e", "1"})
+_TOKEN = re.compile(rf"({GENERATOR_NAME.pattern})(?:\^(-?\d+))?")
 
 
 class ProjectiveElement(MonomialMatrix):
@@ -47,15 +53,6 @@ class ProjectiveElement(MonomialMatrix):
 
     def __init__(self, perm: Sequence[int], phases: Sequence[int], N: int = 8):
         super().__init__(perm, [p - phases[0] for p in phases], N)
-
-
-def element_order(g: MonomialMatrix) -> int:
-    power = g
-    for k in range(1, DEFAULT_CLOSURE_CAP + 1):
-        if power.is_identity():
-            return k
-        power = power * g
-    raise RuntimeError(f"no identity power within {DEFAULT_CLOSURE_CAP} steps")
 
 
 @dataclass(frozen=True)
@@ -98,14 +95,29 @@ class FiniteGroup:
                     found.setdefault(p, k // gcd(j, k))
         return {g: found[g] for g in self.elements}
 
-    def generator_map(self) -> dict[str, MonomialMatrix]:
-        return dict(zip(self.names, self.generators))
-
     def evaluate_word(self, word: str) -> MonomialMatrix:
-        return evaluate_word(word, self.generator_map(), self.identity())
+        """Evaluate a whitespace-separated word like "s1 t s1^-1" left to right."""
+        named = dict(zip(self.names, self.generators))
+        result = self.identity()
+        for token in word.split():
+            if token in IDENTITY_WORDS:
+                continue
+            match = _TOKEN.fullmatch(token)
+            if not match:
+                raise ValueError(f"bad word token {token!r}")
+            name, exponent = match.groups()
+            if name not in named:
+                raise ValueError(f"unknown generator {name!r}")
+            result = result * named[name] ** int(exponent or 1)
+        return result
 
     def verify_relation(self, relation: str) -> bool:
-        return verify_relation(relation, self.generator_map(), self.identity())
+        """Check an equation "word = word"; comparison is projective whenever
+        the elements themselves are."""
+        sides = relation.split("=")
+        if len(sides) != 2:
+            raise ValueError(f"relation needs exactly one '=': {relation!r}")
+        return self.evaluate_word(sides[0]) == self.evaluate_word(sides[1])
 
     def conjugacy_classes(self, elements: Iterable[MonomialMatrix]) -> dict:
         """Map each given element, and each of its conjugates h*g*h^-1, to
@@ -132,14 +144,14 @@ class FiniteGroup:
 def closure(
     generators: Sequence[MonomialMatrix],
     projective: bool = True,
-    cap: int = DEFAULT_CLOSURE_CAP,
     names: Sequence[str] | None = None,
 ) -> FiniteGroup:
     """Breadth-first closure of the generators under composition.
 
     Finite groups are closed under multiplication alone, so no explicit
-    inverses are needed.  The cap bounds the element count and raising past
-    it signals a non-finite configuration (typically a wrong phase modulus).
+    inverses are needed.  DEFAULT_CLOSURE_CAP bounds the element count and
+    raising past it signals a non-finite configuration (typically a wrong
+    phase modulus).
     """
     kind = ProjectiveElement if projective else MonomialMatrix
     gens = [kind(m.perm, m.phases, m.N) for m in generators]
@@ -164,8 +176,8 @@ def closure(
         for g in gens:
             y = x * g
             if y not in seen:
-                if len(seen) >= cap:
-                    raise RuntimeError(f"closure exceeded cap of {cap} elements")
+                if len(seen) >= DEFAULT_CLOSURE_CAP:
+                    raise RuntimeError(f"closure exceeded cap of {DEFAULT_CLOSURE_CAP} elements")
                 seen.add(y)
                 ordered.append(y)
                 queue.append(y)
@@ -191,51 +203,16 @@ def involutions(group: FiniteGroup) -> tuple[MonomialMatrix, ...]:
     return tuple(g for g, k in group.element_orders.items() if k == 2)
 
 
-# -- words and relations ------------------------------------------------------
-
-_TOKEN = re.compile(r"^([A-Za-z][A-Za-z0-9_]*)(?:\^(-?\d+))?$")
-_IDENTITY_TOKENS = {"identity", "e", "1"}
-
-
-def evaluate_word(word: str, generators: Mapping[str, MonomialMatrix], identity: MonomialMatrix) -> MonomialMatrix:
-    """Evaluate a whitespace-separated word like "s1 t s1^-1" left to right."""
-    result = identity
-    for token in word.split():
-        if token in _IDENTITY_TOKENS:
-            continue
-        match = _TOKEN.match(token)
-        if not match:
-            raise ValueError(f"bad word token {token!r}")
-        name, exponent = match.group(1), match.group(2)
-        if name not in generators:
-            raise ValueError(f"unknown generator {name!r}")
-        factor = generators[name]
-        if exponent is not None:
-            factor = factor ** int(exponent)
-        result = result * factor
-    return result
-
-
-def verify_relation(relation: str, generators: Mapping[str, MonomialMatrix], identity: MonomialMatrix) -> bool:
-    """Check an equation "word = word"; comparison is projective whenever the
-    elements themselves are."""
-    sides = relation.split("=")
-    if len(sides) != 2:
-        raise ValueError(f"relation needs exactly one '=': {relation!r}")
-    left = evaluate_word(sides[0], generators, identity)
-    right = evaluate_word(sides[1], generators, identity)
-    return left == right
-
-
 def conjugation_exponent(g: MonomialMatrix, t: MonomialMatrix, identity: MonomialMatrix) -> int | None:
-    """The exponent a with g t g^-1 = t^a, if one exists."""
+    """The exponent a with g t g^-1 = t^a, if one exists: the powers of t
+    are walked until they return to the identity."""
     conj = g * t * g.inverse()
-    power = identity
-    for a in range(element_order(t)):
-        if conj == power:
-            return a
-        power = power * t
-    return None
+    power, a = identity, 0
+    while conj != power:
+        power, a = power * t, a + 1
+        if power == identity:
+            return None
+    return a
 
 
 # -- structure certification --------------------------------------------------
@@ -250,9 +227,6 @@ class ClaimResult:
 
 @dataclass(frozen=True)
 class StructureCertificate:
-    order: int
-    is_abelian: bool
-    order_spectrum: dict
     claim_results: tuple
 
     @property
@@ -289,13 +263,8 @@ CLAIM_KEYS = {
     "normal_subgroup": {"subgroup": list[str]},
     "quotient_order": {"subgroup": list[str], "value": int},
     "semidirect_exponent": {"normal_generator": str, "conjugator": str},
-    "involutions_in_subgroup": {"subgroup": list[str]},
-    "contained_in": {"ambient_generators": list[dict]},
 }
-OPTIONAL_CLAIM_KEYS = {
-    "semidirect_exponent": {"value": int},
-    "contained_in": {"subgroup": list[str]},
-}
+OPTIONAL_CLAIM_KEYS = {"semidirect_exponent": {"value": int}}
 
 
 def certify_structure(group: FiniteGroup, claims: Sequence[dict]) -> StructureCertificate:
@@ -305,8 +274,6 @@ def certify_structure(group: FiniteGroup, claims: Sequence[dict]) -> StructureCe
     type are rejected on loading); a claim of another type does not pass.
     Failures are reported with witnesses, never raised.
     """
-    spectrum = order_spectrum(group)
-    abelian = is_abelian(group)
     results: list[ClaimResult] = []
 
     for claim in claims:
@@ -318,6 +285,7 @@ def certify_structure(group: FiniteGroup, claims: Sequence[dict]) -> StructureCe
             if not ok:
                 witness = f"actual order {group.order}"
         elif kind == "abelian":
+            abelian = is_abelian(group)
             ok = abelian == claim["value"]
             if not ok:
                 witness = f"group is {'abelian' if abelian else 'nonabelian'}"
@@ -326,13 +294,8 @@ def certify_structure(group: FiniteGroup, claims: Sequence[dict]) -> StructureCe
             ok = group.verify_relation(text)
             if not ok:
                 witness = f"sides differ: {text}"
-        elif kind == "spectrum":
-            expected = {int(k): int(v) for k, v in claim["value"].items()}
-            ok = spectrum == expected
-            if not ok:
-                witness = f"actual spectrum {spectrum}"
-        elif kind == "spectrum_of_subgroup":
-            sub = group.subgroup(claim["subgroup"])
+        elif kind in ("spectrum", "spectrum_of_subgroup"):
+            sub = group.subgroup(claim["subgroup"]) if kind == "spectrum_of_subgroup" else group
             actual = order_spectrum(sub)
             expected = {int(k): int(v) for k, v in claim["value"].items()}
             ok = actual == expected
@@ -364,37 +327,15 @@ def certify_structure(group: FiniteGroup, claims: Sequence[dict]) -> StructureCe
             else:
                 ok = True
                 witness = f"exponent {found}"
-        elif kind == "involutions_in_subgroup":
-            sub = group.subgroup(claim["subgroup"])
-            outside = [g for g in involutions(group) if g not in sub]
-            ok = not outside
-            if not ok:
-                witness = f"involution outside subgroup: {outside[0].to_dict()}"
-        elif kind == "contained_in":
-            sub = group.subgroup(claim["subgroup"]) if "subgroup" in claim else group
-            ambient = closure(
-                [MonomialMatrix.from_dict(d) for d in claim["ambient_generators"]],
-                projective=group.projective,
-            )
-            outside = [g for g in sub.elements if g not in ambient]
-            ok = not outside
-            if not ok:
-                witness = f"element outside ambient group: {outside[0].to_dict()}"
         results.append(ClaimResult(claim, ok, witness))
 
-    return StructureCertificate(
-        order=group.order,
-        is_abelian=abelian,
-        order_spectrum=spectrum,
-        claim_results=tuple(results),
-    )
+    return StructureCertificate(tuple(results))
 
 
 @dataclass(frozen=True)
 class InvolutionCertificate:
     involution_count: int
     all_in_subgroup: bool
-    subgroup_order: int
     subgroup_contained_in_ambient: bool
     outside_subgroup_witness: str | None
     outside_ambient_witness: str | None
@@ -417,7 +358,6 @@ def involution_localization(
     return InvolutionCertificate(
         involution_count=len(invs),
         all_in_subgroup=not outside_sub,
-        subgroup_order=sub.order,
         subgroup_contained_in_ambient=not outside_amb,
         outside_subgroup_witness=(
             f"involution outside subgroup: {outside_sub[0].to_dict()}" if outside_sub else None
@@ -461,9 +401,9 @@ def standard_generators(name: str) -> tuple[tuple[str, ...], tuple[MonomialMatri
     raise ValueError(f"unknown group name {name!r}; expected one of {GROUP_NAMES}")
 
 
-def standard_group(name: str, projective: bool = True) -> FiniteGroup:
+def standard_group(name: str) -> FiniteGroup:
     names, gens = standard_generators(name)
-    return closure(gens, projective=projective, names=names)
+    return closure(gens, names=names)
 
 
 def standard_claims(name: str) -> list[dict]:

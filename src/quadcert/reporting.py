@@ -12,6 +12,8 @@ from typing import Sequence, get_args, get_origin
 from . import __version__
 from .groups import (
     CLAIM_KEYS,
+    GENERATOR_NAME,
+    IDENTITY_WORDS,
     OPTIONAL_CLAIM_KEYS,
     FiniteGroup,
     certify_structure,
@@ -186,7 +188,6 @@ _TYPE_NAMES = {
     str | None: "a string or null",
     dict: "an object mapping orders to counts",
     list[str]: "a list of words",
-    list[dict]: "a list of objects",
 }
 
 
@@ -222,6 +223,11 @@ def load_custom_group(path: str) -> GroupSelection:
     matrices = []
     for i, rec in enumerate(raw_gens):
         names.append(str(rec.get("name", f"g{i}")))
+        if names[-1] in IDENTITY_WORDS or not GENERATOR_NAME.fullmatch(names[-1]):
+            raise ValueError(
+                f"{path}: generator name {names[-1]!r} must match {GENERATOR_NAME.pattern}"
+                f" and not be one of {sorted(IDENTITY_WORDS)}"
+            )
         matrices.append(MonomialMatrix.from_dict(rec))
         if matrices[-1].size != 8:
             raise ValueError(f"{path}: generator {names[-1]!r} must permute 8 coordinates")
@@ -256,6 +262,8 @@ def load_custom_group(path: str) -> GroupSelection:
         isinstance(words, list) and all(isinstance(w, str) for w in words)
     ):
         raise ValueError(f"{path}: localization must be a list of words")
+    if words and matrices[0].N != 8:  # G's modulus: elements with another N never compare equal
+        raise ValueError(f"{path}: localization needs phase modulus N = 8, not N = {matrices[0].N}")
     try:
         group = closure(matrices, projective=True, names=tuple(names))
     except RuntimeError as exc:  # the element cap: the input is unusable, not a failed check

@@ -5,15 +5,15 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quadcert import groups
 from quadcert.groups import (
-    FiniteGroup,
+    CLAIM_KEYS,
+    OPTIONAL_CLAIM_KEYS,
     ProjectiveElement,
     _normality_witness,
     certify_structure,
     closure,
     conjugation_exponent,
-    element_order,
-    evaluate_word,
     involution_localization,
     involutions,
     is_abelian,
@@ -27,7 +27,6 @@ from quadcert.groups import (
     standard_claims,
     standard_generators,
     standard_group,
-    verify_relation,
 )
 from quadcert.linalg import MonomialMatrix
 
@@ -40,6 +39,15 @@ def random_matrix(rng):
 
 def normalized(g):
     return ProjectiveElement(g.perm, g.phases, g.N)
+
+
+def element_order(g):
+    """Reference for FiniteGroup.element_orders: multiply by g until the
+    identity comes back."""
+    power, k = g, 1
+    while not power.is_identity():
+        power, k = power * g, k + 1
+    return k
 
 
 def abelian_by_all_pairs(group):
@@ -150,9 +158,10 @@ class TestClosure:
         inverted = closure([g.inverse() for g in gens])
         assert direct.element_set == inverted.element_set
 
-    def test_cap_raises(self):
+    def test_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(groups, "DEFAULT_CLOSURE_CAP", 10)
         with pytest.raises(RuntimeError):
-            closure([make_tau(), make_sigma()], cap=10)
+            closure([make_tau(), make_sigma()])
 
     def test_linear_closure_and_scalar_center(self):
         linear = closure([make_tau(), make_sigma()], projective=False)
@@ -223,15 +232,13 @@ class TestSpectra:
 class TestRelations:
     def test_word_evaluation(self):
         g = standard_group("G1")
-        gm = g.generator_map()
-        ident = g.identity()
-        assert evaluate_word("identity", gm, ident).is_identity()
-        assert evaluate_word("t^8", gm, ident).is_identity()
-        assert evaluate_word("t t^-1", gm, ident).is_identity()
+        assert g.evaluate_word("identity").is_identity()
+        assert g.evaluate_word("t^8").is_identity()
+        assert g.evaluate_word("t t^-1").is_identity()
         with pytest.raises(ValueError):
-            evaluate_word("bogus", gm, ident)
+            g.evaluate_word("bogus")
         with pytest.raises(ValueError):
-            verify_relation("t = t = t", gm, ident)
+            g.verify_relation("t = t = t")
 
     def test_unique_conjugation_exponent(self):
         g = standard_group("G1")
@@ -239,8 +246,22 @@ class TestRelations:
             a for a in (1, 3, 5, 7) if g.verify_relation(f"s1 t s1^-1 = t^{a}")
         ]
         assert holding == [5]
-        t, s1 = g.generator_map()["t"], g.generator_map()["s1"]
+        t, s1 = g.evaluate_word("t"), g.evaluate_word("s1")
         assert conjugation_exponent(s1, t, g.identity()) == 5
+
+    def test_conjugate_outside_the_powers(self):
+        # t s1 t^-1 is not a power of s1: the walk through s1's powers
+        # comes back to the identity and reports no exponent
+        g = standard_group("G1")
+        t, s1 = g.evaluate_word("t"), g.evaluate_word("s1")
+        powers = [s1 ** a for a in range(element_order(s1))]
+        assert t * s1 * t.inverse() not in powers
+        assert conjugation_exponent(t, s1, g.identity()) is None
+        cert = certify_structure(
+            g, [{"type": "semidirect_exponent", "normal_generator": "s1", "conjugator": "t"}]
+        )
+        assert not cert.claim_results[0].ok
+        assert cert.claim_results[0].witness == "conjugate is not a power of the normal generator"
 
     def test_quaternion_relation(self):
         g2 = standard_group("G2")
@@ -261,8 +282,8 @@ class TestCertification:
             cert = certify_structure(group, standard_claims(name))
             failing = [r for r in cert.claim_results if not r.ok]
             assert not failing, failing
-            assert cert.order == 64
-            assert sum(cert.order_spectrum.values()) == 64
+            assert group.order == 64
+            assert sum(order_spectrum(group).values()) == 64
 
     def test_failures_reported_not_raised(self):
         group = standard_group("G")
@@ -285,6 +306,29 @@ class TestCertification:
         )
         assert cert.claim_results[0].ok
         assert "5" in cert.claim_results[0].witness
+
+    # one valid claim of each type on a standard group; a type missing here
+    # fails its parametrized case, so the table and the checker cannot drift
+    VALID = {
+        "order": ("G", {"value": 64}),
+        "abelian": ("G1", {"value": False}),
+        "relation": ("G2", {"relation": "s2^2 = s3^2"}),
+        "spectrum": ("G1", {"value": {1: 1, 2: 3, 4: 12, 8: 48}}),
+        "spectrum_of_subgroup": ("G2", {"subgroup": ["s2", "s3"], "value": {1: 1, 2: 1, 4: 6}}),
+        "normal_subgroup": ("G1", {"subgroup": ["t"]}),
+        "quotient_order": ("G1", {"subgroup": ["t"], "value": 8}),
+        "semidirect_exponent": ("G1", {"normal_generator": "t", "conjugator": "s1", "value": 5}),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(CLAIM_KEYS))
+    def test_every_claim_type_is_checked(self, kind):
+        name, fields = self.VALID[kind]
+        allowed = {*CLAIM_KEYS[kind], *OPTIONAL_CLAIM_KEYS.get(kind, {})}
+        assert set(CLAIM_KEYS[kind]) <= set(fields) <= allowed
+        cert = certify_structure(standard_group(name), [{"type": kind, **fields}])
+        (result,) = cert.claim_results
+        # a claim of another type falls through with ok False and no witness
+        assert result.ok, result.witness
 
     def test_normal_subgroup_with_witness(self):
         group = standard_group("G1")
@@ -344,7 +388,7 @@ class TestInvolutions:
             assert cert.all_in_subgroup
             assert cert.subgroup_contained_in_ambient
             assert cert.ok
-            assert cert.subgroup_order == 16
+            assert group.subgroup(localization_subgroup_words(name)).order == 16
 
     def test_localization_failure_has_witness(self):
         group = standard_group("G1")

@@ -788,8 +788,7 @@ class TestCli:
                     "generators": [{"perm": list(range(8)), "phases": [0] * 8}],
                     "claims": [{"type": "contained_in", "ambient_generators": [5]}],
                 },
-                "input.json: contained_in claim value of 'ambient_generators' must be a list "
-                "of objects",
+                "input.json: unknown claim type 'contained_in'",
             ),
             (
                 "--custom-group",
@@ -811,6 +810,46 @@ class TestCli:
                 "--custom-group",
                 {"generators": [{"name": "a", "perm": [1, 0, 3, 2], "phases": [0] * 4, "N": 8}]},
                 "input.json: generator 'a' must permute 8 coordinates",
+            ),
+            (
+                "--custom-group",
+                {
+                    "generators": [{"perm": list(range(8)), "phases": [0] * 8}],
+                    "claims": [{"type": "involutions_in_subgroup", "subgroup": ["g0"]}],
+                },
+                "input.json: unknown claim type 'involutions_in_subgroup'",
+            ),
+            (
+                # words read e as the identity, so "e = identity" would pass
+                "--custom-group",
+                {
+                    "generators": [
+                        {"name": "e", "perm": list(range(8)), "phases": [0] * 4 + [4] * 4}
+                    ],
+                    "claims": [{"type": "relation", "relation": "e = identity"}],
+                },
+                "input.json: generator name 'e' must match",
+            ),
+            (
+                "--custom-group",
+                {"generators": [{"name": "t^2", "perm": list(range(8)), "phases": [0] * 8}]},
+                "input.json: generator name 't^2' must match",
+            ),
+            (
+                # tau at N = 16 never equals an element of G, which has N = 8
+                "--custom-group",
+                {
+                    "generators": [
+                        {
+                            "name": "t",
+                            "perm": list(range(8)),
+                            "phases": [-2 * i % 16 for i in range(8)],
+                            "N": 16,
+                        }
+                    ],
+                    "localization": ["t"],
+                },
+                "input.json: localization needs phase modulus N = 8, not N = 16",
             ),
         ],
     )
