@@ -27,9 +27,9 @@ def main(argv=None) -> int:
         parser.error("--y needs three comma-separated rationals")
     system = build_quadrics()
     group = standard_group(args.group)
-    screen = genericity_screen(y, system, group)
-    if not screen.ok:
-        print(f"y={args.y} fails the genericity screen: {'; '.join(screen.reasons)}")
+    reasons = genericity_screen(y, system, group)
+    if reasons:
+        print(f"y={args.y} fails the genericity screen: {'; '.join(reasons)}")
         return 2
 
     orbit = singular_orbit(system, group, y)

@@ -266,7 +266,9 @@ def load_custom_group(path: str) -> GroupSelection:
         raise ValueError(f"{path}: localization needs phase modulus N = 8, not N = {matrices[0].N}")
     try:
         group = closure(matrices, projective=True, names=tuple(names))
-    except RuntimeError as exc:  # the element cap: the input is unusable, not a failed check
+    except (RuntimeError, ValueError) as exc:
+        # the element cap, or generators of different phase moduli: the input
+        # is unusable, not a failed check
         raise ValueError(f"{path}: {exc}") from None
     return GroupSelection(
         label=str(data.get("name", "custom")),
@@ -376,12 +378,11 @@ def _invariance_records(
 
 
 def _orbit_records(
-    selections: Sequence[GroupSelection],
-    system: QuadricSystem,
-    triples: Sequence[tuple[Fraction, Fraction, Fraction]],
-    screened_out: dict,
+    selections: Sequence[GroupSelection], system: QuadricSystem, screened: Sequence
 ) -> list[CheckRecord]:
-    """One record per (group, triple), in that order.
+    """One record per (group, triple), in that order; `screened` pairs each
+    triple with its screen reasons, and a screened-out triple's record is
+    inconclusive.
 
     When every generator of a group passes `check_ideal_invariance`, the
     group preserves the variety and maps ordinary double points to ordinary
@@ -391,93 +392,78 @@ def _orbit_records(
     Invariance is an identity in x and y: the system proves it once per
     generator matrix (`system.invariance`), in the invariance layer when that
     ran, and keeps the specialized pencil per triple (`system.context`).
-    Triples run in the outer loop, so each distinct projective point is
-    certified once per triple and its certificate serves every group; only
-    the current triple's certificates are kept."""
-    records = {}
-    for t, y in enumerate(triples):
-        reasons = screened_out.get(y)
-        if reasons is None:
-            context = system.context(y)
-            base = base_point(y)
-            base_key = projective_point_key(base)
-        certificates: dict[tuple, ODPCertificate] = {}  # by projective point key
-        for s, sel in enumerate(selections):
-            target = f"{sel.label} @ ({_render_triple(y)})"
+    Each distinct projective point is certified once per triple, and its
+    certificate serves every group."""
+    certificates: dict[tuple, ODPCertificate] = {}  # by (triple, projective point key)
+    records = []
+    for sel in selections:
+        for y, reasons in screened:
             start = time.perf_counter()
-            if reasons is not None:
-                records[s, t] = CheckRecord(
+            witnesses = [f"screen: {r}" for r in reasons]
+            if not reasons:
+                witnesses = _orbit_witnesses(sel.group, system, y, certificates)
+            verdict = "inconclusive" if reasons else "fail" if witnesses else "pass"
+            records.append(
+                CheckRecord(
                     check_id="orbit",
-                    target=target,
-                    verdict="inconclusive",
-                    witnesses=tuple(f"screen: {r}" for r in reasons),
+                    target=f"{sel.label} @ ({_render_triple(y)})",
+                    verdict=verdict,
+                    witnesses=tuple(witnesses),
                     timing=time.perf_counter() - start,
                 )
-                continue
-            if all(system.invariance(g).ok for g in sel.group.generators):
-                size = orbit_size(sel.group, base)
-                points = [OrbitPoint(base, sel.group.identity(), base_key)]
-            else:
-                points = singular_orbit(system, sel.group, y)
-                size = len(points)
-            witnesses = []
-            if size != sel.group.order:
-                witnesses.append(f"{size} distinct orbit points, expected {sel.group.order}")
-            for point in points:
-                cert = certificates.get(point.key)
-                if cert is None:
-                    cert = certificates[point.key] = verify_odp(point.coordinates, context)
-                if not cert.passes:
-                    # rendered from this group's own orbit, whichever group
-                    # computed the certificate
-                    witnesses.append(
-                        f"point {point.render()}: on_variety={cert.on_variety} "
-                        f"jacobian_rank={cert.jacobian_rank} "
-                        f"hessian_rank={cert.hessian_restricted_rank}"
-                    )
-                    break
-            records[s, t] = CheckRecord(
-                check_id="orbit",
-                target=target,
-                verdict="pass" if not witnesses else "fail",
-                witnesses=tuple(witnesses),
-                timing=time.perf_counter() - start,
             )
-    return [records[s, t] for s in range(len(selections)) for t in range(len(triples))]
+    return records
+
+
+def _orbit_witnesses(group: FiniteGroup, system: QuadricSystem, y, certificates: dict) -> list[str]:
+    """What fails in the group's orbit record at a triple that passed the
+    screen; no witnesses means the record passes."""
+    base = base_point(y)
+    if all(system.invariance(g).ok for g in group.generators):
+        size = orbit_size(group, base)
+        points = [OrbitPoint(base, group.identity(), projective_point_key(base))]
+    else:
+        points = singular_orbit(system, group, y)
+        size = len(points)
+    witnesses = []
+    if size != group.order:
+        witnesses.append(f"{size} distinct orbit points, expected {group.order}")
+    for point in points:
+        cert = certificates.get((y, point.key))
+        if cert is None:
+            cert = certificates[y, point.key] = verify_odp(point.coordinates, system.context(y))
+        if not cert.passes:
+            # rendered from this group's own orbit, whichever group computed
+            # the certificate
+            witnesses.append(
+                f"point {point.render()}: on_variety={cert.on_variety} "
+                f"jacobian_rank={cert.jacobian_rank} "
+                f"hessian_rank={cert.hessian_restricted_rank}"
+            )
+            break
+    return witnesses
 
 
 def _freeness_records(
-    selections: Sequence[GroupSelection],
-    system: QuadricSystem,
-    triples: Sequence[tuple[Fraction, Fraction, Fraction]],
-    screened_out: dict,
-    scope: str,
-    seed: int,
+    selections: Sequence[GroupSelection], system: QuadricSystem, screened: Sequence, scope: str
 ) -> list[CheckRecord]:
     """One record per group.  Triples were screened once by
     `_resolve_triples`: the ones that passed are examined without a second
     screen, and each screened-out one makes the record inconclusive."""
     records = []
     cache: dict = {}  # shared across groups: they overlap in involutions
-    passed = [y for y in triples if y not in screened_out]
+    passed = [y for y, reasons in screened if not reasons]
     for sel in selections:
         start = time.perf_counter()
         report = check_freeness(
-            sel.group,
-            system,
-            passed,
-            scope=scope,
-            group_name=sel.label,
-            cache=cache,
-            witness_seed=seed,
-            screen=False,
+            sel.group, system, passed, scope=scope, group_name=sel.label, cache=cache, screen=False
         )
         outcomes = iter(report.specializations)
         witnesses = []
-        for y in triples:
+        for y, reasons in screened:
             label = _render_triple(y)
-            if y in screened_out:
-                witnesses.append(f"({label}) inconclusive: {'; '.join(screened_out[y])}")
+            if reasons:
+                witnesses.append(f"({label}) inconclusive: {'; '.join(reasons)}")
                 continue
             for element in next(outcomes).elements:
                 for comp in element.components:
@@ -492,7 +478,7 @@ def _freeness_records(
                         f"({label}) element {element.element} "
                         f"eigenvalue {comp.eigenvalue}: {found}"
                     )
-        if len(passed) < len(triples):
+        if len(passed) < len(screened):
             verdict = "inconclusive"  # dominates a found fixed point
         else:
             verdict = "fail" if report.verdict == "fixed-point-found" else "pass"
@@ -513,21 +499,16 @@ def _freeness_records(
 
 def _resolve_triples(
     config: VerificationConfig, system: QuadricSystem, screen_group: FiniteGroup
-) -> tuple[list, dict]:
-    """Explicit triples are screened but kept (a failing one becomes an
-    inconclusive record downstream, never a silent skip); with no explicit
-    triples, seeded drawing only returns screened ones."""
+) -> list[tuple]:
+    """(triple, screen reasons) pairs.  Explicit triples are screened but
+    kept (a failing one becomes an inconclusive record downstream, never a
+    silent skip); with no explicit triples, seeded drawing only returns
+    screened ones, with no reasons."""
     if config.y_triples:
         triples = [tuple(Fraction(c) for c in y) for y in config.y_triples]
-        screened_out = {}
-        for y in triples:
-            result = genericity_screen(y, system, screen_group)
-            if not result.ok:
-                screened_out[y] = result.reasons
-        return triples, screened_out
-    count, seed = config.specializations, config.seed
-    drawn = draw_specializations(count, seed, system, screen_group)
-    return drawn, {}
+        return [(y, genericity_screen(y, system, screen_group)) for y in triples]
+    drawn = draw_specializations(config.specializations, config.seed, system, screen_group)
+    return [(y, ()) for y in drawn]
 
 
 def run(config: VerificationConfig) -> VerificationReport:
@@ -537,23 +518,18 @@ def run(config: VerificationConfig) -> VerificationReport:
     selections = resolve_selections(config)
     system = resolve_system(config)
     records: list[CheckRecord] = []
-    triples: list | None = None
-    screened_out: dict = {}
+    screened: list | None = None
     for check in selected:
-        if check in ("orbit", "freeness") and triples is None:
-            group = selections[0].group
-            triples, screened_out = _resolve_triples(config, system, group)
+        if check in ("orbit", "freeness") and screened is None:
+            screened = _resolve_triples(config, system, selections[0].group)
         if check == "groups":
             records.extend(_groups_records(selections))
         elif check == "invariance":
             records.extend(_invariance_records(selections, system))
         elif check == "orbit":
-            records.extend(_orbit_records(selections, system, triples, screened_out))
+            records.extend(_orbit_records(selections, system, screened))
         else:
-            scope, seed = config.scope, config.seed
-            records.extend(
-                _freeness_records(selections, system, triples, screened_out, scope, seed)
-            )
+            records.extend(_freeness_records(selections, system, screened, config.scope))
     report = VerificationReport(version=__version__, config=config, checks=tuple(records))
     if config.output_path:
         write_report(report, config.output_path)

@@ -465,10 +465,10 @@ class FreenessReport:
         return "free"
 
 
-def _component_witness_candidates(dimension: int, seed: int):
+def _component_witness_candidates(dimension: int):
     """Deterministic ladder of restricted-coordinate trial points: unit
-    vectors, then two-coordinate root-of-unity mixes, then seeded small
-    rationals."""
+    vectors, then two-coordinate root-of-unity mixes, then a fixed sample of
+    small rationals."""
     one = CyclotomicNumber.one()
     zero = CyclotomicNumber.zero()
     for t in range(dimension):
@@ -482,18 +482,14 @@ def _component_witness_candidates(dimension: int, seed: int):
                 vec[t1] = one
                 vec[t2] = root_of_unity(8, k)
                 yield tuple(vec)
-    rng = random.Random(seed)
+    rng = random.Random(0)
     for _ in range(200):
         vec = [CyclotomicNumber.from_rational(rng.randint(-3, 3)) for _ in range(dimension)]
         if any(not v.is_zero() for v in vec):
             yield tuple(vec)
 
 
-def _examine_component(
-    component: EigenspaceComponent,
-    context: ODPContext,
-    witness_seed: int,
-) -> ComponentOutcome:
+def _examine_component(component: EigenspaceComponent, context: ODPContext) -> ComponentOutcome:
     eigentext = component.eigenvalue.to_text()
     basis = component.basis
     dim = component.multiplicity
@@ -513,7 +509,7 @@ def _examine_component(
         return ComponentOutcome(eigentext, dim, "no-fixed-point", None)
 
     # the restricted locus is nonempty; hunt for an explicit point
-    for candidate in _component_witness_candidates(dim, witness_seed):
+    for candidate in _component_witness_candidates(dim):
         if all(p.evaluate(candidate).is_zero() for p in restricted):
             zero = CyclotomicNumber.zero()
             point = [sum((b[j] * c for b, c in zip(basis, candidate)), zero) for j in range(8)]
@@ -532,7 +528,6 @@ def check_freeness(
     scope: str = "involutions",
     group_name: str = "custom",
     cache: dict | None = None,
-    witness_seed: int = 0,
     screen: bool = True,
 ) -> FreenessReport:
     """Prove the group acts without fixed points on the variety, for each
@@ -542,8 +537,8 @@ def check_freeness(
     any element is a fixed point of one of its order-2 powers) and is
     rejected for groups with non-2-power element orders; scope "all"
     examines every non-identity element and doubles as a validation of the
-    reduction.  A shared cache maps (system, element, y, witness seed) to
-    component outcomes so overlapping groups do not recompute.
+    reduction.  A shared cache maps (system, element, y) to component
+    outcomes so overlapping groups do not recompute.
 
     When every generator passes ideal invariance (`system.invariance`), an
     element with a free conjugate in the cache is recorded free unexamined;
@@ -566,20 +561,17 @@ def check_freeness(
     spec_outcomes = []
     for y in specializations:
         triple = _y_triple(y)
-        if screen:
-            verdict = genericity_screen(triple, system, group)
-            if not verdict.ok:
-                spec_outcomes.append(
-                    SpecializationOutcome(triple, "inconclusive", "; ".join(verdict.reasons), ())
-                )
-                continue
+        reasons = genericity_screen(triple, system, group) if screen else ()
+        if reasons:
+            spec_outcomes.append(SpecializationOutcome(triple, "inconclusive", "; ".join(reasons), ()))
+            continue
         element_outcomes = []
         for g, order in targets:
-            key = (system, g, triple, witness_seed)
+            key = (system, g, triple)
             if key not in cache:
                 if g not in components:
                     components[g] = fixed_locus_components(g)
-                donors = (cache.get((system, h, triple, witness_seed)) for h in classes.get(g, ()))
+                donors = (cache.get((system, h, triple)) for h in classes.get(g, ()))
                 if any(d and all(o.verdict == "no-fixed-point" for o in d) for d in donors):
                     cache[key] = tuple(
                         ComponentOutcome(c.eigenvalue.to_text(), c.multiplicity, "no-fixed-point", None)
@@ -587,10 +579,7 @@ def check_freeness(
                     )
                 else:
                     context = system.context(triple)
-                    cache[key] = tuple(
-                        _examine_component(component, context, witness_seed)
-                        for component in components[g]
-                    )
+                    cache[key] = tuple(_examine_component(c, context) for c in components[g])
             element_outcomes.append(ElementOutcome(g.to_dict(), order, cache[key]))
         spec_outcomes.append(SpecializationOutcome(triple, "complete", None, tuple(element_outcomes)))
     return FreenessReport(group_name, scope, tuple(spec_outcomes))
@@ -599,16 +588,11 @@ def check_freeness(
 # -- genericity ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScreenResult:
-    ok: bool
-    reasons: tuple[str, ...]
-
-
-def genericity_screen(y, system: QuadricSystem, group: FiniteGroup) -> ScreenResult:
+def genericity_screen(y, system: QuadricSystem, group: FiniteGroup) -> tuple[str, ...]:
     """Necessary conditions for a parameter choice to exhibit the generic
-    picture.  Failures name every violated condition.  The specialized
-    pencil it reads stays with the system (`system.context`)."""
+    picture: the reasons it fails, naming every violated condition, and no
+    reasons when it passes.  The specialized pencil it reads stays with the
+    system (`system.context`)."""
     y1, y2, y3 = _y_triple(y)
     reasons = []
     if y1 == 0 or y2 == 0 or y3 == 0:
@@ -618,7 +602,7 @@ def genericity_screen(y, system: QuadricSystem, group: FiniteGroup) -> ScreenRes
     if y1 * y3 == y2 * y2 or y1 * y3 == -y2 * y2:
         reasons.append("y1*y3 = +/- y2^2 collapses coefficient ratios")
     if reasons:
-        return ScreenResult(False, tuple(reasons))
+        return tuple(reasons)
 
     base = base_point((y1, y2, y3))
     size = orbit_size(group, base)
@@ -628,7 +612,7 @@ def genericity_screen(y, system: QuadricSystem, group: FiniteGroup) -> ScreenRes
     rank = system.context((y1, y2, y3)).jacobian(base).rank()
     if rank != 3:
         reasons.append(f"jacobian rank at base point is {rank}, expected 3")
-    return ScreenResult(not reasons, tuple(reasons))
+    return tuple(reasons)
 
 
 def draw_specializations(
@@ -655,7 +639,7 @@ def draw_specializations(
         )
         if candidate in out:
             continue
-        if genericity_screen(candidate, system, group).ok:
+        if not genericity_screen(candidate, system, group):
             out.append(candidate)
     if len(out) < count:
         raise ValueError(f"{len(out)} of {MAX_DRAWS} drawn triples passed the screen, {count} needed")

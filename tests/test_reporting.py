@@ -403,7 +403,7 @@ class TestOrbitRecords:
         selections = resolve_selections(VerificationConfig(checks=("orbit",), group="all"))
         control = planted_control_system()
         y = (Fraction(1), Fraction(2), Fraction(3))
-        records = _orbit_records(selections, control, [y], {})
+        records = _orbit_records(selections, control, [(y, ())])
         assert [r.target for r in records] == ["G @ (1,2,3)", "G1 @ (1,2,3)", "G2 @ (1,2,3)"]
         # every group's first point is the base point, off the planted
         # variety; its one certificate serves all three records
@@ -457,7 +457,7 @@ class TestOrbitRecords:
         selections = resolve_selections(VerificationConfig(checks=("orbit",), group="all"))
         system = build_quadrics()
         triples = draw_specializations(3, 0, system, selections[0].group)
-        records = _orbit_records(selections, system, triples, {})
+        records = _orbit_records(selections, system, [(y, ()) for y in triples])
         assert [r.verdict for r in records] == ["pass"] * 9
         assert odp_calls == [base_point(y) for y in triples]
 
@@ -470,7 +470,7 @@ class TestOrbitRecords:
         names = ("t", "s", "d")
         probe = GroupSelection("probe", closure(gens, names=names), (), None)
         y = (Fraction(3, 7), Fraction(-5, 11), Fraction(13, 2))
-        (record,) = _orbit_records([probe], build_quadrics(), [y], {})
+        (record,) = _orbit_records([probe], build_quadrics(), [(y, ())])
         assert record.verdict == "fail"
         assert record.witnesses == (
             "256 distinct orbit points, expected 512",
@@ -613,6 +613,17 @@ class TestCanonicalDigests:
         assert main(argv + flags) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    def test_held_out_seed_all_digest(self, tmp_path, capsys):
+        # freeness records do not name their triples; the all report does, so
+        # a changed seed-1 draw shows here
+        out = tmp_path / "r.json"
+        argv = ["all", "--group", "all", "--specializations", "3", "--seed", "1"]
+        assert main(argv + ["--canonical", "--json", str(out)]) == 0
+        assert (
+            hashlib.sha256(out.read_bytes()).hexdigest()
+            == "85fa25f5e7a658bb77d3c897881ebd407de605208224f03e0601d8bcb8327c1c"
+        )
+
     def test_held_out_seed_freeness_digest(self, tmp_path, capsys):
         # seed 1 is not the benchmark's seed; the conjugacy transfer must
         # leave its full-scope freeness report byte-identical as well
@@ -662,6 +673,32 @@ class TestExitOne:
         assert (code == 1) == bool(certified)
         assert code == (1 if (scenario, command) in CERTIFIED_FAILURES else 0)
 
+    def test_false_claims_fail_with_witnesses(self, tmp_path, capsys):
+        # G's generators with four false claims and a localization subgroup
+        # that misses involutions of G: each failure is named in claim order
+        path = tmp_path / "g.json"
+        gens = [{"name": "t", **make_tau().to_dict()}, {"name": "s", **make_sigma().to_dict()}]
+        claims = [
+            {"type": "relation", "relation": "s t = t"},
+            {"type": "spectrum", "value": {"1": 1, "2": 63}},
+            {"type": "quotient_order", "subgroup": ["t"], "value": 4},
+            {"type": "semidirect_exponent", "normal_generator": "t", "conjugator": "s", "value": 3},
+        ]
+        path.write_text(json.dumps({"generators": gens, "claims": claims, "localization": ["t"]}))
+        out = tmp_path / "r.json"
+        argv = ["groups", "--group", "custom", "--custom-group", str(path), "--json", str(out)]
+        assert main(argv) == 1
+        (record,) = json.loads(out.read_text())["checks"]
+        assert record["verdict"] == "fail"
+        assert record["witnesses"] == [
+            "claim relation failed: sides differ: s t = t",
+            "claim spectrum failed: actual spectrum {1: 1, 2: 3, 4: 12, 8: 48}",
+            "claim quotient_order failed: actual quotient order 8",
+            "claim semidirect_exponent failed: exponent found 1",
+            "involution outside subgroup: {'perm': [4, 5, 6, 7, 0, 1, 2, 3], "
+            "'phases': [0, 0, 0, 0, 0, 0, 0, 0], 'N': 8}",
+        ]
+
 
 class TestCli:
     def test_groups_subcommand_exit_zero(self, capsys):
@@ -679,6 +716,31 @@ class TestCli:
 
     def test_screened_triple_exit_two(self, capsys):
         assert main(["freeness", "--group", "G", "--y", "1,0,3"]) == 2
+
+    @pytest.mark.parametrize("case", ["orbit-size", "jacobian-rank"])
+    def test_screen_reason_exit_two(self, tmp_path, capsys, case):
+        # the screen's checks past the coordinate conditions, at the generic
+        # triple (1,2,3): each makes the orbit record inconclusive
+        if case == "orbit-size":
+            # r: x_i -> x_{-i} with all phases 4 fixes the base point
+            r = MonomialMatrix(tuple(-i % 8 for i in range(8)), (4,) * 8)
+            path = tmp_path / "g.json"
+            gens = [{"name": "t", **make_tau().to_dict()}, {"name": "r", **r.to_dict()}]
+            path.write_text(json.dumps({"generators": gens}))
+            flags = ["--group", "custom", "--custom-group", str(path)]
+            reason = "screen: orbit has 8 distinct points, expected 16"
+        else:
+            # four copies of x1^2: its gradient at the base point spans a line
+            row = {"x_exponents": [0, 2] + [0] * 6, "y_exponents": [0] * 3, "coefficient": "[1]@2"}
+            path = tmp_path / "q.json"
+            path.write_text(json.dumps([[row]] * 4))
+            flags = ["--group", "G", "--custom-quadrics", str(path)]
+            reason = "screen: jacobian rank at base point is 1, expected 3"
+        out = tmp_path / "r.json"
+        assert main(["orbit", *flags, "--y", "1,2,3", "--json", str(out)]) == 2
+        (record,) = json.loads(out.read_text())["checks"]
+        assert record["verdict"] == "inconclusive"
+        assert record["witnesses"] == [reason]
 
     def test_unreadable_custom_file_exit_two(self, capsys):
         code = main(["groups", "--group", "custom", "--custom-group", "/nonexistent.json"])
@@ -851,6 +913,16 @@ class TestCli:
                 },
                 "input.json: localization needs phase modulus N = 8, not N = 16",
             ),
+            (
+                "--custom-group",
+                {
+                    "generators": [
+                        {"name": "a", "perm": list(range(8)), "phases": [0] * 8, "N": 8},
+                        {"name": "b", "perm": list(range(8)), "phases": [0] * 8, "N": 16},
+                    ]
+                },
+                "input.json: generators must share size and phase modulus",
+            ),
         ],
     )
     def test_malformed_input_exit_two(self, tmp_path, capsys, flag, content, message):
@@ -865,9 +937,7 @@ class TestCli:
         row = {"x_exponents": [2] + [0] * 7, "y_exponents": [0, 0, 0], "coefficient": "[1]@2"}
         path = tmp_path / "q.json"
         path.write_text(json.dumps([[row]] * 4))
-        monkeypatch.setattr(
-            variety, "genericity_screen", lambda *args: variety.ScreenResult(False, ("rejected",))
-        )
+        monkeypatch.setattr(variety, "genericity_screen", lambda *args: ("rejected",))
         assert main(["orbit", "--group", "G", "--custom-quadrics", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("quadcert: ") and err.count("\n") == 1

@@ -22,6 +22,12 @@ def test_orbit_summary_default_triple(capsys):
     assert "all ordinary double points: True" in out
 
 
+def test_orbit_summary_screened_triple(capsys):
+    assert load_script("orbit_summary").main(["--y", "1,0,3"]) == 2
+    out = capsys.readouterr().out
+    assert "fails the genericity screen: coordinate vanishes" in out
+
+
 def test_show_negative_controls(capsys):
     assert load_script("show_negative_controls").main() == 0
     out = capsys.readouterr().out

@@ -451,7 +451,7 @@ class TestODP:
     def test_second_specialization(self):
         y = (Fraction(2, 5), Fraction(1, 3), Fraction(-7, 4))
         system = build_quadrics()
-        assert genericity_screen(y, system, standard_group("G")).ok
+        assert genericity_screen(y, system, standard_group("G")) == ()
         cert = verify_odp(base_point(y), ODPContext.at(system, y))
         assert cert.passes
 
@@ -646,9 +646,10 @@ class TestFreeness:
         (outcome,) = all_report.specializations
         assert len(outcome.elements) == 7
 
-    def test_cache_keyed_on_system_and_seed(self):
+    def test_cache_keyed_on_system_and_triple(self):
         # one cache shared across systems must not leak the planted control's
-        # fixed points into the standard pencil's verdict
+        # fixed points into the standard pencil's verdict; another triple is
+        # examined afresh
         flip = closure([make_tau() ** 4])
         cache = {}
         for system, verdict in (
@@ -660,10 +661,7 @@ class TestFreeness:
             )
             assert report.verdict == verdict
         assert len(cache) == 2
-        check_freeness(
-            flip, build_quadrics(), [(1, 2, 3)], scope="all", screen=False, cache=cache,
-            witness_seed=1,
-        )
+        check_freeness(flip, build_quadrics(), [(3, 2, 1)], scope="all", screen=False, cache=cache)
         assert len(cache) == 3
 
     def test_equal_systems_share_hash_and_cache(self, monkeypatch):
@@ -776,9 +774,9 @@ def record_direct_examinations(monkeypatch):
         owner.update((id(c), g) for c in found)
         return found
 
-    def examine_one(component, context, witness_seed):
+    def examine_one(component, context):
         examined.add(owner[id(component)])
-        return examine(component, context, witness_seed)
+        return examine(component, context)
 
     monkeypatch.setattr(variety, "fixed_locus_components", decompose)
     monkeypatch.setattr(variety, "_examine_component", examine_one)
@@ -808,7 +806,7 @@ class TestConjugacyTransfer:
         context = ODPContext.at(system, y)
         for g, element in reported:
             assert element.element == g.to_dict()
-            direct = tuple(examine(c, context, 0) for c in fixed_locus_components(g))
+            direct = tuple(examine(c, context) for c in fixed_locus_components(g))
             assert element.components == direct
 
     def test_failing_generator_examines_every_element(self, monkeypatch):
@@ -863,7 +861,7 @@ class TestConjugacyTransfer:
         assert not all(b.invariance(g).ok for g in group.generators)
         context = ODPContext.at(b, Y123)
         direct = [
-            tuple(variety._examine_component(c, context, 0) for c in fixed_locus_components(g))
+            tuple(variety._examine_component(c, context) for c in fixed_locus_components(g))
             for g in group.elements[1:]
         ]
         (outcome,) = report.specializations
@@ -888,7 +886,7 @@ class TestConjugacyTransfer:
                 cache = {}
                 report = check_freeness(group, control, [y], scope="all", cache=cache, screen=False)
             assert report.verdict == "fixed-point-found"
-            settled.extend((g, outcomes, g in examined) for (_, g, _, _), outcomes in cache.items())
+            settled.extend((g, outcomes, g in examined) for (_, g, _), outcomes in cache.items())
         context = ODPContext.at(control, y)
         quadrics = context.quadrics
         fixed = 0
@@ -896,7 +894,7 @@ class TestConjugacyTransfer:
         for g, outcomes, was_examined in settled:
             if not was_examined:
                 transferred += 1
-                direct = tuple(examine(c, context, 0) for c in fixed_locus_components(g))
+                direct = tuple(examine(c, context) for c in fixed_locus_components(g))
                 assert outcomes == direct
                 assert all(c.verdict == "no-fixed-point" for c in outcomes)
                 continue
@@ -912,23 +910,17 @@ class TestConjugacyTransfer:
 
 class TestGenericityScreen:
     def test_reference_point_passes(self):
-        result = genericity_screen(Y123, build_quadrics(), standard_group("G"))
-        assert result.ok
-        assert result.reasons == ()
+        assert genericity_screen(Y123, build_quadrics(), standard_group("G")) == ()
 
     def test_zero_coordinate_fails(self):
-        result = genericity_screen((1, 0, 3), build_quadrics(), standard_group("G"))
-        assert not result.ok
-        assert any("vanishes" in r for r in result.reasons)
-        result = genericity_screen((0, 1, 0), build_quadrics(), standard_group("G"))
-        assert not result.ok
+        reasons = genericity_screen((1, 0, 3), build_quadrics(), standard_group("G"))
+        assert any("vanishes" in r for r in reasons)
+        assert genericity_screen((0, 1, 0), build_quadrics(), standard_group("G"))
 
     def test_coefficient_collision_fails(self):
-        result = genericity_screen((1, 1, 1), build_quadrics(), standard_group("G"))
-        assert not result.ok
-        assert any("collapses" in r for r in result.reasons)
-        result = genericity_screen((1, 2, -4), build_quadrics(), standard_group("G"))
-        assert not result.ok
+        reasons = genericity_screen((1, 1, 1), build_quadrics(), standard_group("G"))
+        assert any("collapses" in r for r in reasons)
+        assert genericity_screen((1, 2, -4), build_quadrics(), standard_group("G"))
 
     def test_draws_are_deterministic_and_generic(self):
         system = build_quadrics()
@@ -938,7 +930,7 @@ class TestGenericityScreen:
         assert first == second
         assert len(set(first)) == 3
         for y in first:
-            assert genericity_screen(y, system, group).ok
+            assert genericity_screen(y, system, group) == ()
             for v in y:
                 assert abs(v.numerator) <= 97 and v.denominator <= 97
         different = draw_specializations(3, 12, system, group)
