@@ -8,7 +8,6 @@ from fractions import Fraction
 
 from quadcert.groups import standard_group
 from quadcert.variety import (
-    ODPContext,
     build_quadrics,
     genericity_screen,
     singular_orbit,
@@ -33,7 +32,7 @@ def main(argv=None) -> int:
         return 2
 
     orbit = singular_orbit(system, group, y)
-    context = ODPContext.at(system, y)
+    context = system.context(y)
     print(f"orbit of the distinguished point under {args.group} at y=({args.y})")
     print(f"{len(orbit)} pairwise non-proportional points\n")
     all_pass = True

@@ -225,15 +225,6 @@ class ClaimResult:
     witness: str | None = None
 
 
-@dataclass(frozen=True)
-class StructureCertificate:
-    claim_results: tuple
-
-    @property
-    def all_ok(self) -> bool:
-        return all(r.ok for r in self.claim_results)
-
-
 def _normality_witness(group: FiniteGroup, sub: FiniteGroup) -> str | None:
     """First conjugate g n g^-1, over the group's generators g and the
     subgroup's generators n, that leaves the subgroup N, or None.
@@ -267,7 +258,7 @@ CLAIM_KEYS = {
 OPTIONAL_CLAIM_KEYS = {"semidirect_exponent": {"value": int}}
 
 
-def certify_structure(group: FiniteGroup, claims: Sequence[dict]) -> StructureCertificate:
+def certify_structure(group: FiniteGroup, claims: Sequence[dict]) -> tuple[ClaimResult, ...]:
     """Check a list of tagged claim records against the group.
 
     Claim types are those of CLAIM_KEYS (custom group files with any other
@@ -329,7 +320,7 @@ def certify_structure(group: FiniteGroup, claims: Sequence[dict]) -> StructureCe
                 witness = f"exponent {found}"
         results.append(ClaimResult(claim, ok, witness))
 
-    return StructureCertificate(tuple(results))
+    return tuple(results)
 
 
 @dataclass(frozen=True)

@@ -98,13 +98,8 @@ class Polynomial:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def is_homogeneous(self, degree: int | None = None) -> bool:
-        if not self.terms:
-            return True
-        degrees = {sum(e) for e in self.terms}
-        if len(degrees) != 1:
-            return False
-        return degree is None or degrees == {degree}
+    def is_homogeneous(self) -> bool:
+        return len({sum(e) for e in self.terms}) <= 1
 
     def sorted_exponents(self) -> list[tuple[int, ...]]:
         """Exponent tuples in descending grevlex order."""

@@ -322,12 +322,12 @@ def _groups_records(selections: Sequence[GroupSelection]) -> list[CheckRecord]:
     for sel in selections:
         start = time.perf_counter()
         witnesses = []
-        cert = certify_structure(sel.group, sel.claims)
-        for result in cert.claim_results:
+        results = certify_structure(sel.group, sel.claims)
+        for result in results:
             if not result.ok:
                 detail = f": {result.witness}" if result.witness else ""
                 witnesses.append(f"claim {result.claim.get('type')} failed{detail}")
-        ok = cert.all_ok
+        ok = all(r.ok for r in results)
         if sel.localization_words is not None:
             loc = involution_localization(sel.group, sel.localization_words, ambient)
             if not loc.ok:
@@ -449,14 +449,15 @@ def _freeness_records(
 ) -> list[CheckRecord]:
     """One record per group.  Triples were screened once by
     `_resolve_triples`: the ones that passed are examined without a second
-    screen, and each screened-out one makes the record inconclusive."""
+    screen, and each screened-out one makes the record inconclusive.  The
+    groups overlap in involutions; the system keeps each element's outcome,
+    so a shared element is examined once."""
     records = []
-    cache: dict = {}  # shared across groups: they overlap in involutions
     passed = [y for y, reasons in screened if not reasons]
     for sel in selections:
         start = time.perf_counter()
         report = check_freeness(
-            sel.group, system, passed, scope=scope, group_name=sel.label, cache=cache, screen=False
+            sel.group, system, passed, scope=scope, group_name=sel.label, screen=False
         )
         outcomes = iter(report.specializations)
         witnesses = []

@@ -55,14 +55,10 @@ class QuadricSystem:
                 raise ValueError("quadrics must live in the x0..x7, y1..y3 ring")
             if any(sum(e[:8]) != 2 for e in q.terms):
                 raise ValueError("every quadric term must have x-degree 2")
-        # hashed once: every freeness-cache key holds the system
-        object.__setattr__(self, "_hash", hash(self.quadrics))
         # what is proved about this system lives exactly as long as it does
         object.__setattr__(self, "_invariance", {})
         object.__setattr__(self, "_context", {})
-
-    def __hash__(self):
-        return self._hash
+        object.__setattr__(self, "_freeness", {})  # by (element, triple)
 
     def invariance(self, g: MonomialMatrix) -> "InvarianceResult":
         """`check_ideal_invariance(g, self)`, proved once per element."""
@@ -312,7 +308,6 @@ class ODPContext:
 
 @dataclass(frozen=True)
 class ODPCertificate:
-    point: tuple[CyclotomicNumber, ...]
     on_variety: bool
     jacobian_rank: int
     hessian_restricted_rank: int
@@ -335,20 +330,20 @@ def verify_odp(point: Sequence[CyclotomicNumber], context: ODPContext) -> ODPCer
     """
     coords = tuple(point)
     if not all(q.evaluate(coords).is_zero() for q in context.quadrics):
-        return ODPCertificate(coords, False, -1, -1, None)
+        return ODPCertificate(False, -1, -1, None)
 
     # one elimination gives the rank, the tangent space and the combination
     elim = context.jacobian(coords).rref()
     if elim.rank != 3:
-        return ODPCertificate(coords, True, elim.rank, -1, None)
+        return ODPCertificate(True, elim.rank, -1, None)
 
     (combo,) = elim.left_kernel()
     hess = context.combined_hessian(combo)
     if any(not v.is_zero() for v in hess.apply(coords)):
-        return ODPCertificate(coords, True, 3, -1, combo)
+        return ODPCertificate(True, 3, -1, combo)
 
     restricted = restrict_form(hess, elim.right_kernel())
-    return ODPCertificate(coords, True, 3, restricted.rank(), combo)
+    return ODPCertificate(True, 3, restricted.rank(), combo)
 
 
 # -- ideal invariance ---------------------------------------------------------
@@ -430,7 +425,6 @@ class ComponentOutcome:
 @dataclass(frozen=True)
 class ElementOutcome:
     element: dict
-    order: int
     components: tuple[ComponentOutcome, ...]
 
     @property
@@ -440,7 +434,6 @@ class ElementOutcome:
 
 @dataclass(frozen=True)
 class SpecializationOutcome:
-    y: tuple[Fraction, Fraction, Fraction]
     status: str  # "complete" | "inconclusive"
     reason: str | None
     elements: tuple[ElementOutcome, ...]
@@ -453,7 +446,6 @@ class SpecializationOutcome:
 @dataclass(frozen=True)
 class FreenessReport:
     group_name: str
-    scope: str
     specializations: tuple[SpecializationOutcome, ...]
 
     @property
@@ -527,7 +519,6 @@ def check_freeness(
     specializations: Sequence,
     scope: str = "involutions",
     group_name: str = "custom",
-    cache: dict | None = None,
     screen: bool = True,
 ) -> FreenessReport:
     """Prove the group acts without fixed points on the variety, for each
@@ -537,13 +528,15 @@ def check_freeness(
     any element is a fixed point of one of its order-2 powers) and is
     rejected for groups with non-2-power element orders; scope "all"
     examines every non-identity element and doubles as a validation of the
-    reduction.  A shared cache maps (system, element, y) to component
-    outcomes so overlapping groups do not recompute.
+    reduction.  Each element's outcome at a triple is a fact about the
+    system, which keeps it, so overlapping groups and repeated calls do not
+    recompute.
 
     When every generator passes ideal invariance (`system.invariance`), an
-    element with a free conjugate in the cache is recorded free unexamined;
-    README gives the argument, and why fixed points never transfer.  The
-    specialized pencil at each triple is the system's (`system.context`).
+    element with a conjugate already settled free is recorded free
+    unexamined; README gives the argument, and why fixed points never
+    transfer.  The specialized pencil at each triple is the system's
+    (`system.context`).
     """
     if scope not in ("involutions", "all"):
         raise ValueError(f"scope must be 'involutions' or 'all', not {scope!r}")
@@ -551,10 +544,10 @@ def check_freeness(
     bad = [k for k in orders.values() if k & (k - 1)]
     if scope == "involutions" and bad:
         raise ValueError(f"involutions-only scope needs a 2-group; found element order {bad[0]}")
-    targets = [(g, k) for g, k in orders.items() if scope == "all" or k == 2]
-    cache = {} if cache is None else cache
+    targets = [g for g, k in orders.items() if scope == "all" or k == 2]
     equivariant = all(system.invariance(h).ok for h in group.generators)
-    classes = group.conjugacy_classes(g for g, _ in targets) if equivariant else {}
+    classes = group.conjugacy_classes(targets) if equivariant else {}
+    memo = system._freeness
 
     # eigenspaces do not depend on the triple: found once per element
     components: dict[MonomialMatrix, list[EigenspaceComponent]] = {}
@@ -563,26 +556,25 @@ def check_freeness(
         triple = _y_triple(y)
         reasons = genericity_screen(triple, system, group) if screen else ()
         if reasons:
-            spec_outcomes.append(SpecializationOutcome(triple, "inconclusive", "; ".join(reasons), ()))
+            spec_outcomes.append(SpecializationOutcome("inconclusive", "; ".join(reasons), ()))
             continue
-        element_outcomes = []
-        for g, order in targets:
-            key = (system, g, triple)
-            if key not in cache:
-                if g not in components:
-                    components[g] = fixed_locus_components(g)
-                donors = (cache.get((system, h, triple)) for h in classes.get(g, ()))
-                if any(d and all(o.verdict == "no-fixed-point" for o in d) for d in donors):
-                    cache[key] = tuple(
-                        ComponentOutcome(c.eigenvalue.to_text(), c.multiplicity, "no-fixed-point", None)
-                        for c in components[g]
-                    )
-                else:
-                    context = system.context(triple)
-                    cache[key] = tuple(_examine_component(c, context) for c in components[g])
-            element_outcomes.append(ElementOutcome(g.to_dict(), order, cache[key]))
-        spec_outcomes.append(SpecializationOutcome(triple, "complete", None, tuple(element_outcomes)))
-    return FreenessReport(group_name, scope, tuple(spec_outcomes))
+        for g in targets:
+            if (g, triple) in memo:
+                continue
+            if g not in components:
+                components[g] = fixed_locus_components(g)
+            donors = (memo.get((h, triple)) for h in classes.get(g, ()))
+            if any(d and all(o.verdict == "no-fixed-point" for o in d) for d in donors):
+                memo[g, triple] = tuple(
+                    ComponentOutcome(c.eigenvalue.to_text(), c.multiplicity, "no-fixed-point", None)
+                    for c in components[g]
+                )
+            else:
+                context = system.context(triple)
+                memo[g, triple] = tuple(_examine_component(c, context) for c in components[g])
+        elements = tuple(ElementOutcome(g.to_dict(), memo[g, triple]) for g in targets)
+        spec_outcomes.append(SpecializationOutcome("complete", None, elements))
+    return FreenessReport(group_name, tuple(spec_outcomes))
 
 
 # -- genericity ---------------------------------------------------------------

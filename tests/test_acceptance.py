@@ -74,13 +74,6 @@ def triples(system, groups):
     return draw_specializations(3, 2026, system, groups["G"])
 
 
-@pytest.fixture(scope="module")
-def freeness_cache():
-    # shared between the two scope passes; the key is (matrix, y), so the
-    # involutions common to all three groups are certified exactly once
-    return {}
-
-
 def test_criterion_01_group_orders_and_types(groups):
     with criterion(1, "three projective groups of order 64, one abelian", bound=10.0):
         for name, group in groups.items():
@@ -170,7 +163,7 @@ def test_criterion_06_singular_orbit(system, groups, triples):
                 assert cert.hessian_restricted_rank == 4
 
 
-def test_criterion_07_freeness(system, groups, triples, freeness_cache):
+def test_criterion_07_freeness(system, groups, triples):
     with criterion(7, "free action, involutions scope and full scope agree", bound=600.0):
         for name, group in groups.items():
             narrow = check_freeness(
@@ -179,7 +172,6 @@ def test_criterion_07_freeness(system, groups, triples, freeness_cache):
                 triples,
                 scope="involutions",
                 group_name=name,
-                cache=freeness_cache,
             )
             assert narrow.verdict == "free", f"{name}: {narrow.verdict}"
             full = check_freeness(
@@ -188,7 +180,6 @@ def test_criterion_07_freeness(system, groups, triples, freeness_cache):
                 triples,
                 scope="all",
                 group_name=name,
-                cache=freeness_cache,
             )
             assert full.verdict == narrow.verdict == "free"
             for outcome in full.specializations:

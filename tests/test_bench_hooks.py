@@ -11,6 +11,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 HOOK_LISTS = ("TIMED", "COUNTED", "LEVELED")
 
@@ -48,20 +50,27 @@ def test_tracer_hook_names_resolve():
     assert not unresolved, f"bench/tracer.py names missing from quadcert: {unresolved}"
 
 
-def test_sweep_runs_in_process(monkeypatch):
+#: The sweep output at each seed, which every speedup must leave byte-identical.
+SWEEP_DIGESTS = {
+    0: "8398272165647cd57dc851cf1799602d09743579c6959b48c020638da6c8299e",
+    1: "cb9f39addf80e575cad075ee57c7b4db07bed09bac14bba850d810a42061b195",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SWEEP_DIGESTS))
+def test_sweep_runs_in_process(monkeypatch, seed):
     # bench/sweep.py calls quadcert in-process: standard_group, MonomialMatrix,
     # check_ideal_invariance, planted_control_system and check_freeness, and
-    # reads the freeness report tree; run it unchanged at seed 0
+    # reads the freeness report tree; run it unchanged
     bench = TRACER.parent
     monkeypatch.syspath_prepend(str(bench))
     spec = importlib.util.spec_from_file_location("bench_sweep", bench / "sweep.py")
     sweep = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(sweep)
-    ops = sweep.run(0)
+    ops = sweep.run(seed)
     assert [op["error"] for op in ops if op["error"]] == []
-    # the seed-0 sweep output every speedup must leave byte-identical
-    digest = hashlib.sha256(json.dumps({"seed": 0, "ops": ops}, sort_keys=True).encode())
-    assert digest.hexdigest() == "8398272165647cd57dc851cf1799602d09743579c6959b48c020638da6c8299e"
+    digest = hashlib.sha256(json.dumps({"seed": seed, "ops": ops}, sort_keys=True).encode())
+    assert digest.hexdigest() == SWEEP_DIGESTS[seed]
     planted = [op for op in ops if op["kind"] == "planted"]
     assert [op["verdict"] for op in planted] == ["fixed-point-found"] * 3
     (stock,) = [op for op in ops if op["kind"] == "stock"]

@@ -94,7 +94,7 @@ class TestArithmetic:
     def test_degree_and_homogeneity(self):
         q = xvar(0) * xvar(1) + xvar(3) ** 2
         assert q.total_degree() == 2
-        assert q.is_homogeneous(2)
+        assert q.is_homogeneous()
         assert not (q + xvar(5)).is_homogeneous()
         assert Polynomial.zero(X_VARIABLES).is_homogeneous()
         assert Polynomial.zero(X_VARIABLES).total_degree() == -1

@@ -593,21 +593,22 @@ class TestFixedLoci:
 
 
 class TestFreeness:
-    def test_standard_groups_involution_scope(self):
+    def test_standard_groups_involution_scope(self, monkeypatch):
         system = build_quadrics()
-        cache = {}
+        examined = record_direct_examinations(monkeypatch)
         for name in ("G", "G1", "G2"):
             report = check_freeness(
-                standard_group(name), system, [Y123], scope="involutions",
-                group_name=name, cache=cache,
+                standard_group(name), system, [Y123], scope="involutions", group_name=name
             )
             assert report.verdict == "free", name
             (outcome,) = report.specializations
             assert outcome.status == "complete"
             assert len(outcome.elements) == 3
-        # the three groups share their involutions, so the cache holds
-        # exactly one entry per involution
-        assert len(cache) == 3
+        # the three groups share their involutions, and the system keeps each
+        # outcome, so each involution is examined exactly once
+        involutions = set(examined)
+        assert len(involutions) == 3
+        assert len(examined) == sum(len(fixed_locus_components(g)) for g in involutions)
 
     def test_planted_control_finds_witness(self):
         control = planted_control_system()
@@ -646,51 +647,63 @@ class TestFreeness:
         (outcome,) = all_report.specializations
         assert len(outcome.elements) == 7
 
-    def test_cache_keyed_on_system_and_triple(self):
-        # one cache shared across systems must not leak the planted control's
-        # fixed points into the standard pencil's verdict; another triple is
-        # examined afresh
+    def test_cache_keyed_on_system_and_triple(self, monkeypatch):
+        # the planted control's fixed points must not leak into the standard
+        # pencil's verdict; another triple is examined afresh
         flip = closure([make_tau() ** 4])
-        cache = {}
+        (element,) = flip.elements[1:]
+        components = len(fixed_locus_components(element))
+        examined = record_direct_examinations(monkeypatch)
         for system, verdict in (
             (planted_control_system(), "fixed-point-found"),
             (build_quadrics(), "free"),
         ):
-            report = check_freeness(
-                flip, system, [(1, 2, 3)], scope="all", screen=False, cache=cache
-            )
+            report = check_freeness(flip, system, [(1, 2, 3)], scope="all", screen=False)
             assert report.verdict == verdict
-        assert len(cache) == 2
-        check_freeness(flip, build_quadrics(), [(3, 2, 1)], scope="all", screen=False, cache=cache)
-        assert len(cache) == 3
+        assert len(examined) == 2 * components
+        check_freeness(flip, build_quadrics(), [(3, 2, 1)], scope="all", screen=False)
+        assert len(examined) == 3 * components
 
-    def test_equal_systems_share_hash_and_cache(self, monkeypatch):
-        # a system rebuilt term by term is equal, hashes equal, and finds the
-        # first system's cache entries; its hash is computed once, on building
+    def test_system_keeps_outcomes(self, monkeypatch):
+        # a second call on the same system examines nothing; a system rebuilt
+        # term by term is equal but keeps its own outcomes, so it examines again
         first = build_quadrics()
         second = QuadricSystem(
             tuple(Polynomial(PENCIL_VARIABLES, dict(q.terms)) for q in first.quadrics)
         )
         assert second == first and second is not first
-        assert hash(second) == hash(first)
         flip = closure([make_tau() ** 4])
-        cache = {}
-        check_freeness(flip, first, [Y123], scope="all", screen=False, cache=cache)
-        assert len(cache) == 1
-        examined = []
-        monkeypatch.setattr(variety, "_examine_component", lambda *a: examined.append(a))
-        hashed = []
-        original = Polynomial.__hash__
-        monkeypatch.setattr(Polynomial, "__hash__", lambda q: hashed.append(q) or original(q))
-        report = check_freeness(flip, second, [Y123], scope="all", screen=False, cache=cache)
-        assert report.verdict == "free"
-        assert len(cache) == 1 and examined == []
-        assert hashed == []
+        examined = record_direct_examinations(monkeypatch)
+        first_report = check_freeness(flip, first, [Y123], scope="all", screen=False)
+        once = len(examined)
+        assert once > 0
+        again = check_freeness(flip, first, [Y123], scope="all", screen=False)
+        assert len(examined) == once
+        assert again.specializations == first_report.specializations
+        fresh = check_freeness(flip, second, [Y123], scope="all", screen=False)
+        assert len(examined) == 2 * once
+        assert fresh.specializations == first_report.specializations
+
+    def test_planted_control_decomposes_each_element_once(self, monkeypatch):
+        # G, G1 and G2 on one planted-control system at one triple settle the
+        # 127 distinct non-identity elements of G u G1 u G2, each decomposed once
+        calls = []
+        original = variety.fixed_locus_components
+        monkeypatch.setattr(
+            variety, "fixed_locus_components", lambda g: calls.append(g) or original(g)
+        )
+        control = planted_control_system()
+        for name in ("G", "G1", "G2"):
+            report = check_freeness(
+                standard_group(name), control, [Y123], scope="all", group_name=name, screen=False
+            )
+            assert report.verdict == "fixed-point-found", name
+        assert len(calls) == len(set(calls)) == 127
 
     def test_eigenspaces_once_per_element(self, monkeypatch):
-        # an element's eigenspaces do not depend on the triple, and the shared
-        # cache covers what G already examined: the 127 distinct non-identity
-        # elements of G u G1 u G2 are decomposed once each over three triples
+        # an element's eigenspaces do not depend on the triple, and the system
+        # keeps what G already settled: the 127 distinct non-identity elements
+        # of G u G1 u G2 are decomposed once each over three triples
         calls = []
         original = variety.fixed_locus_components
 
@@ -702,14 +715,16 @@ class TestFreeness:
         system = build_quadrics()
         groups = [standard_group(name) for name in ("G", "G1", "G2")]
         triples = draw_specializations(3, 0, system, groups[0])
-        cache = {}
+        settled = set()
         for name, group in zip(("G", "G1", "G2"), groups):
             report = check_freeness(
-                group, system, triples, scope="all", group_name=name, cache=cache, screen=False
+                group, system, triples, scope="all", group_name=name, screen=False
             )
             assert report.verdict == "free", name
+            for i, outcome in enumerate(report.specializations):
+                settled.update((repr(e.element), i) for e in outcome.elements)
         assert len(calls) == len(set(calls)) == 127
-        assert len(cache) == 3 * 127
+        assert len(settled) == 3 * 127
 
     def test_fixed_locus_without_witness(self):
         # the +1 eigenspace of diag(1,1,1,1,-1,-1,-1,-1) meets the variety in
@@ -763,9 +778,10 @@ class TestFreeness:
 
 
 def record_direct_examinations(monkeypatch):
-    """Patch the freeness machinery to note which elements are examined
-    component by component; the returned set fills as check_freeness runs."""
-    examined = set()
+    """Patch the freeness machinery to note which elements are examined: the
+    returned list gains the element once per component examined, as
+    check_freeness runs."""
+    examined = []
     owner = {}
     components, examine = variety.fixed_locus_components, variety._examine_component
 
@@ -775,7 +791,7 @@ def record_direct_examinations(monkeypatch):
         return found
 
     def examine_one(component, context):
-        examined.add(owner[id(component)])
+        examined.append(owner[id(component)])
         return examine(component, context)
 
     monkeypatch.setattr(variety, "fixed_locus_components", decompose)
@@ -793,15 +809,15 @@ class TestConjugacyTransfer:
         y = draw_specializations(3, 0, system, groups[0])[0]
         examine = variety._examine_component
         examined = record_direct_examinations(monkeypatch)
-        cache = {}
         reported = []
         for group in groups:
-            report = check_freeness(group, system, [y], scope="all", cache=cache, screen=False)
+            report = check_freeness(group, system, [y], scope="all", screen=False)
             assert report.verdict == "free"
             (outcome,) = report.specializations
             reported.extend(zip(group.elements[1:], outcome.elements))
-        assert len(cache) == 127
-        transferred = {key[1] for key in cache} - examined
+        settled = {g for g, _ in reported}
+        assert len(settled) == 127
+        transferred = settled - set(examined)
         assert transferred  # G1 and G2 have classes of 2 and 8 elements
         context = ODPContext.at(system, y)
         for g, element in reported:
@@ -849,15 +865,14 @@ class TestConjugacyTransfer:
     def test_memo_never_crosses_systems(self):
         # B fails invariance under G2, so nothing may transfer there, even
         # after the stock system, which every generator preserves, ran first
-        # in the same process with the same cache
+        # in the same process
         def x(i, j, coeff=1):
             return Polynomial.monomial(PENCIL_VARIABLES, variety._pencil_monomial((i, j)), coeff)
 
         b = QuadricSystem((x(6, 6) - x(4, 6), x(4, 5), x(6, 7, 2), x(3, 4) + x(4, 4) - x(4, 6)))
         group = standard_group("G2")
-        cache = {}
-        check_freeness(group, build_quadrics(), [Y123], scope="all", cache=cache, screen=False)
-        report = check_freeness(group, b, [Y123], scope="all", cache=cache, screen=False)
+        check_freeness(group, build_quadrics(), [Y123], scope="all", screen=False)
+        report = check_freeness(group, b, [Y123], scope="all", screen=False)
         assert not all(b.invariance(g).ok for g in group.generators)
         context = ODPContext.at(b, Y123)
         direct = [
@@ -872,21 +887,25 @@ class TestConjugacyTransfer:
         # every standard group preserves the planted control system, so free
         # elements transfer there; elements with a fixed point keep their own
         # examination and a witness that re-verifies by evaluation.  Each
-        # group has its own cache: in G1 and G2 the fixed-point elements come
-        # in classes of two, which a shared cache would have settled in G
-        control = planted_control_system()
+        # group gets a fresh control system, which keeps its own outcomes: in
+        # G1 and G2 the fixed-point elements come in classes of two, which a
+        # shared system would have settled in G
         y = (Fraction(-5, 7), Fraction(3, 11), Fraction(13, 2))
         examine = variety._examine_component
         settled = []
         for name in ("G", "G1", "G2"):
             group = standard_group(name)
+            control = planted_control_system()
             assert all(check_ideal_invariance(g, control).ok for g in group.generators)
             with monkeypatch.context() as patch:
                 examined = record_direct_examinations(patch)
-                cache = {}
-                report = check_freeness(group, control, [y], scope="all", cache=cache, screen=False)
+                report = check_freeness(group, control, [y], scope="all", screen=False)
             assert report.verdict == "fixed-point-found"
-            settled.extend((g, outcomes, g in examined) for (_, g, _), outcomes in cache.items())
+            (outcome,) = report.specializations
+            settled.extend(
+                (g, element.components, g in examined)
+                for g, element in zip(group.elements[1:], outcome.elements)
+            )
         context = ODPContext.at(control, y)
         quadrics = context.quadrics
         fixed = 0
