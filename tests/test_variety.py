@@ -649,19 +649,23 @@ class TestFreeness:
 
     def test_cache_keyed_on_system_and_triple(self, monkeypatch):
         # the planted control's fixed points must not leak into the standard
-        # pencil's verdict; another triple is examined afresh
+        # pencil's verdict; on the same system, a repeated triple is not
+        # examined again and another triple is examined afresh
         flip = closure([make_tau() ** 4])
         (element,) = flip.elements[1:]
         components = len(fixed_locus_components(element))
+        standard = build_quadrics()
         examined = record_direct_examinations(monkeypatch)
         for system, verdict in (
             (planted_control_system(), "fixed-point-found"),
-            (build_quadrics(), "free"),
+            (standard, "free"),
         ):
             report = check_freeness(flip, system, [(1, 2, 3)], scope="all", screen=False)
             assert report.verdict == verdict
         assert len(examined) == 2 * components
-        check_freeness(flip, build_quadrics(), [(3, 2, 1)], scope="all", screen=False)
+        check_freeness(flip, standard, [(1, 2, 3)], scope="all", screen=False)
+        assert len(examined) == 2 * components
+        check_freeness(flip, standard, [(3, 2, 1)], scope="all", screen=False)
         assert len(examined) == 3 * components
 
     def test_system_keeps_outcomes(self, monkeypatch):
