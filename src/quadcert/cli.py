@@ -36,6 +36,13 @@ _CONFIG_KEYS = {
     "custom_quadrics": str | None,
     "canonical": bool,
 }
+# the config keys whose VerificationConfig field has another name
+_FIELDS = {
+    "y": "y_triples",
+    "json": "output_path",
+    "custom_group": "custom_group_path",
+    "custom_quadrics": "custom_quadrics_path",
+}
 
 
 def parse_triple(text: str) -> tuple[Fraction, Fraction, Fraction]:
@@ -97,31 +104,14 @@ def _load_config_file(path: str) -> dict:
 
 
 def assemble_config(args: argparse.Namespace) -> VerificationConfig:
-    """Merge precedence: explicit flag, then config file, then default."""
-    file_values = _load_config_file(args.config) if args.config else {}
-
-    def pick(flag_value, key, default):
-        if flag_value is not None:
-            return flag_value
-        if key in file_values:
-            return file_values[key]
-        return default
-
+    """Merge precedence: explicit flag, then config file, then the
+    defaults of VerificationConfig.  A flag's dest is its config key."""
+    values = _load_config_file(args.config) if args.config else {}
+    values.update((k, getattr(args, k)) for k in _CONFIG_KEYS if getattr(args, k) is not None)
+    if "y" in values:
+        values["y"] = tuple(parse_triple(t) for t in values["y"])
     checks = CHECK_IDS if args.command == "all" else (args.command,)
-    raw_y = pick(args.y, "y", [])
-    triples = tuple(parse_triple(t) for t in raw_y)
-    return VerificationConfig(
-        checks=tuple(checks),
-        group=pick(args.group, "group", "all"),
-        y_triples=triples,
-        specializations=pick(args.specializations, "specializations", 3),
-        seed=pick(args.seed, "seed", 0),
-        scope=pick(args.scope, "scope", "involutions"),
-        output_path=pick(args.json, "json", None),
-        custom_group_path=pick(args.custom_group, "custom_group", None),
-        custom_quadrics_path=pick(args.custom_quadrics, "custom_quadrics", None),
-        canonical=pick(args.canonical, "canonical", False),
-    )
+    return VerificationConfig(checks, **{_FIELDS.get(k, k): v for k, v in values.items()})
 
 
 def main(argv=None) -> int:

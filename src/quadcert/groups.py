@@ -331,10 +331,6 @@ class InvolutionCertificate:
     outside_subgroup_witness: str | None
     outside_ambient_witness: str | None
 
-    @property
-    def ok(self) -> bool:
-        return self.all_in_subgroup and self.subgroup_contained_in_ambient
-
 
 def involution_localization(
     group: FiniteGroup, subgroup_words: Sequence[str], ambient: FiniteGroup

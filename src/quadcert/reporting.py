@@ -41,7 +41,6 @@ from .variety import (
 
 CHECK_IDS = ("groups", "invariance", "orbit", "freeness")
 GROUP_CHOICES = ("G", "G1", "G2", "all", "custom")
-VERDICTS = ("pass", "fail", "inconclusive")
 
 
 def _render_triple(y) -> str:
@@ -98,13 +97,17 @@ class VerificationConfig:
 class CheckRecord:
     check_id: str
     target: str
-    verdict: str
     witnesses: tuple[str, ...] = ()
     timing: float = 0.0
+    inconclusive: bool = False
 
-    def __post_init__(self):
-        if self.verdict not in VERDICTS:
-            raise ValueError(f"verdict must be one of {VERDICTS}, not {self.verdict!r}")
+    @property
+    def verdict(self) -> str:
+        """A record needing a triple the screen rejected is inconclusive;
+        otherwise it fails exactly when it carries witnesses."""
+        if self.inconclusive:
+            return "inconclusive"
+        return "fail" if self.witnesses else "pass"
 
     def to_dict(self, canonical: bool = False) -> dict:
         return {
@@ -222,15 +225,16 @@ def load_custom_group(path: str) -> GroupSelection:
     names = []
     matrices = []
     for i, rec in enumerate(raw_gens):
-        names.append(str(rec.get("name", f"g{i}")))
-        if names[-1] in IDENTITY_WORDS or not GENERATOR_NAME.fullmatch(names[-1]):
+        name = rec.get("name", f"g{i}")
+        if not (isinstance(name, str) and GENERATOR_NAME.fullmatch(name)) or name in IDENTITY_WORDS:
             raise ValueError(
-                f"{path}: generator name {names[-1]!r} must match {GENERATOR_NAME.pattern}"
+                f"{path}: generator name {name!r} must match {GENERATOR_NAME.pattern}"
                 f" and not be one of {sorted(IDENTITY_WORDS)}"
             )
+        names.append(name)
         matrices.append(MonomialMatrix.from_dict(rec))
         if matrices[-1].size != 8:
-            raise ValueError(f"{path}: generator {names[-1]!r} must permute 8 coordinates")
+            raise ValueError(f"{path}: generator {name!r} must permute 8 coordinates")
     if len(set(names)) != len(names):
         raise ValueError(f"{path}: duplicate generator names")
     raw_claims = data.get("claims", [])
@@ -264,14 +268,26 @@ def load_custom_group(path: str) -> GroupSelection:
         raise ValueError(f"{path}: localization must be a list of words")
     if words and matrices[0].N != 8:  # G's modulus: elements with another N never compare equal
         raise ValueError(f"{path}: localization needs phase modulus N = 8, not N = {matrices[0].N}")
+    label = data.get("name", "custom")
+    if not isinstance(label, str):
+        raise ValueError(f"{path}: name must be a string")
     try:
         group = closure(matrices, projective=True, names=tuple(names))
+        # every word is evaluated here, so no subcommand meets a bad one later
+        checked = list(words or ())
+        for claim in claims:
+            if claim["type"] == "relation":
+                group.verify_relation(claim["relation"])  # one '=', both sides
+            checked += claim.get("subgroup", [])
+            checked += [claim[k] for k in ("normal_generator", "conjugator") if k in claim]
+        for word in checked:
+            group.evaluate_word(word)
     except (RuntimeError, ValueError) as exc:
-        # the element cap, or generators of different phase moduli: the input
-        # is unusable, not a failed check
+        # the element cap, generators of different phase moduli, or a word
+        # that does not evaluate: the input is unusable, not a failed check
         raise ValueError(f"{path}: {exc}") from None
     return GroupSelection(
-        label=str(data.get("name", "custom")),
+        label=label,
         group=group,
         claims=tuple(claims),
         localization_words=tuple(words) if words else None,
@@ -321,29 +337,16 @@ def _groups_records(selections: Sequence[GroupSelection]) -> list[CheckRecord]:
     records = []
     for sel in selections:
         start = time.perf_counter()
-        witnesses = []
-        results = certify_structure(sel.group, sel.claims)
-        for result in results:
-            if not result.ok:
-                detail = f": {result.witness}" if result.witness else ""
-                witnesses.append(f"claim {result.claim.get('type')} failed{detail}")
-        ok = all(r.ok for r in results)
+        witnesses = [
+            f"claim {r.claim.get('type')} failed" + (f": {r.witness}" if r.witness else "")
+            for r in certify_structure(sel.group, sel.claims)
+            if not r.ok
+        ]
         if sel.localization_words is not None:
             loc = involution_localization(sel.group, sel.localization_words, ambient)
-            if not loc.ok:
-                ok = False
-                for text in (loc.outside_subgroup_witness, loc.outside_ambient_witness):
-                    if text:
-                        witnesses.append(text)
-        records.append(
-            CheckRecord(
-                check_id="groups",
-                target=sel.label,
-                verdict="pass" if ok else "fail",
-                witnesses=tuple(witnesses),
-                timing=time.perf_counter() - start,
-            )
-        )
+            witnesses += filter(None, (loc.outside_subgroup_witness, loc.outside_ambient_witness))
+        timing = time.perf_counter() - start
+        records.append(CheckRecord("groups", sel.label, tuple(witnesses), timing))
     return records
 
 
@@ -362,18 +365,8 @@ def _invariance_records(
             seen.add(name)
             start = time.perf_counter()
             result = system.invariance(matrix)
-            witnesses = ()
-            if not result.ok:
-                witnesses = (f"uncancelled monomial {result.witness_text()}",)
-            records.append(
-                CheckRecord(
-                    check_id="invariance",
-                    target=name,
-                    verdict="pass" if result.ok else "fail",
-                    witnesses=witnesses,
-                    timing=time.perf_counter() - start,
-                )
-            )
+            witnesses = () if result.ok else (f"uncancelled monomial {result.witness_text()}",)
+            records.append(CheckRecord("invariance", name, witnesses, time.perf_counter() - start))
     return records
 
 
@@ -402,16 +395,9 @@ def _orbit_records(
             witnesses = [f"screen: {r}" for r in reasons]
             if not reasons:
                 witnesses = _orbit_witnesses(sel.group, system, y, certificates)
-            verdict = "inconclusive" if reasons else "fail" if witnesses else "pass"
-            records.append(
-                CheckRecord(
-                    check_id="orbit",
-                    target=f"{sel.label} @ ({_render_triple(y)})",
-                    verdict=verdict,
-                    witnesses=tuple(witnesses),
-                    timing=time.perf_counter() - start,
-                )
-            )
+            target, timing = f"{sel.label} @ ({_render_triple(y)})", time.perf_counter() - start
+            inconclusive = bool(reasons)
+            records.append(CheckRecord("orbit", target, tuple(witnesses), timing, inconclusive))
     return records
 
 
@@ -454,6 +440,7 @@ def _freeness_records(
     so a shared element is examined once."""
     records = []
     passed = [y for y, reasons in screened if not reasons]
+    inconclusive = len(passed) < len(screened)  # even with a fixed point found
     for sel in selections:
         start = time.perf_counter()
         report = check_freeness(
@@ -479,19 +466,8 @@ def _freeness_records(
                         f"({label}) element {element.element} "
                         f"eigenvalue {comp.eigenvalue}: {found}"
                     )
-        if len(passed) < len(screened):
-            verdict = "inconclusive"  # dominates a found fixed point
-        else:
-            verdict = "fail" if report.verdict == "fixed-point-found" else "pass"
-        records.append(
-            CheckRecord(
-                check_id="freeness",
-                target=f"{sel.label}[{scope}]",
-                verdict=verdict,
-                witnesses=tuple(witnesses),
-                timing=time.perf_counter() - start,
-            )
-        )
+        target, timing = f"{sel.label}[{scope}]", time.perf_counter() - start
+        records.append(CheckRecord("freeness", target, tuple(witnesses), timing, inconclusive))
     return records
 
 

@@ -503,10 +503,9 @@ def _examine_component(component: EigenspaceComponent, context: ODPContext) -> C
     # the restricted locus is nonempty; hunt for an explicit point
     for candidate in _component_witness_candidates(dim):
         if all(p.evaluate(candidate).is_zero() for p in restricted):
+            # never zero: basis rows are nonzero on disjoint cycles, candidates nonzero
             zero = CyclotomicNumber.zero()
             point = [sum((b[j] * c for b, c in zip(basis, candidate)), zero) for j in range(8)]
-            if all(v.is_zero() for v in point):
-                continue
             if all(q.evaluate(point).is_zero() for q in quadrics):
                 witness = tuple(c.to_text() for c in point)
                 return ComponentOutcome(eigentext, dim, "fixed-point", witness)

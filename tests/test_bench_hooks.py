@@ -2,7 +2,8 @@
 wraps quadcert functions by name: every name it lists must resolve, or a
 traced benchmark run fails.  The tracer is parsed, not imported, so these
 tests do not install its hooks.  The sweep workload (bench/sweep.py) calls
-the public checks in-process and reads their report trees."""
+the public checks in-process and reads their report trees.  The benchmark
+accepts a CLI round only if its report passes bench/checkers.py."""
 
 import ast
 import hashlib
@@ -13,22 +14,38 @@ from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+from quadcert.cli import main
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+TRACER = BENCH / "tracer.py"
 HOOK_LISTS = ("TIMED", "COUNTED", "LEVELED")
 
 
-def hook_entries():
-    tree = ast.parse(TRACER.read_text(encoding="utf-8"))
-    lists = {
+def literal_constants(path: Path, names) -> dict:
+    """The named module-level literals of a script, parsed, not run."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = {
         node.targets[0].id: ast.literal_eval(node.value)
         for node in tree.body
         if isinstance(node, ast.Assign)
         and len(node.targets) == 1
         and isinstance(node.targets[0], ast.Name)
-        and node.targets[0].id in HOOK_LISTS
+        and node.targets[0].id in names
     }
-    assert sorted(lists) == sorted(HOOK_LISTS)
+    assert sorted(found) == sorted(names)
+    return found
+
+
+def hook_entries():
+    lists = literal_constants(TRACER, HOOK_LISTS)
     return [entry for name in HOOK_LISTS for entry in lists[name]]
+
+
+def bench_module(name: str):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_tracer_hook_names_resolve():
@@ -62,12 +79,8 @@ def test_sweep_runs_in_process(monkeypatch, seed):
     # bench/sweep.py calls quadcert in-process: standard_group, MonomialMatrix,
     # check_ideal_invariance, planted_control_system and check_freeness, and
     # reads the freeness report tree; run it unchanged
-    bench = TRACER.parent
-    monkeypatch.syspath_prepend(str(bench))
-    spec = importlib.util.spec_from_file_location("bench_sweep", bench / "sweep.py")
-    sweep = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(sweep)
-    ops = sweep.run(seed)
+    monkeypatch.syspath_prepend(str(BENCH))
+    ops = bench_module("sweep").run(seed)
     assert [op["error"] for op in ops if op["error"]] == []
     digest = hashlib.sha256(json.dumps({"seed": seed, "ops": ops}, sort_keys=True).encode())
     assert digest.hexdigest() == SWEEP_DIGESTS[seed]
@@ -75,3 +88,26 @@ def test_sweep_runs_in_process(monkeypatch, seed):
     assert [op["verdict"] for op in planted] == ["fixed-point-found"] * 3
     (stock,) = [op for op in ops if op["kind"] == "stock"]
     assert stock["witness"] == "x1*x7"
+
+
+#: The CLI workloads of bench/run.py, less `--seed`, `--canonical` and `--json`.
+CLI_WORKLOADS = {
+    "campaign": ["all", "--group", "all", "--specializations", "3"],
+    "crossval": ["freeness", "--group", "all", "--scope", "all", "--specializations", "3"],
+}
+
+
+@pytest.mark.parametrize("workload", sorted(CLI_WORKLOADS))
+def test_canonical_report_passes_benchmark_checker(tmp_path, capsys, workload):
+    # the benchmark's set-up code, then its round and the rule it accepts
+    # the round's report by: a change to the report's shape fails here
+    # before it fails every benchmark round
+    exec(literal_constants(BENCH / "run.py", ["SETUP_CODE"])["SETUP_CODE"], {})
+    out = tmp_path / "report.json"
+    assert main([*CLI_WORKLOADS[workload], "--seed", "0", "--canonical", "--json", str(out)]) == 0
+    report = json.loads(out.read_text())
+    checkers = bench_module("checkers")
+    if workload == "campaign":
+        assert checkers.campaign_failures(report, 0, checkers.standard_groups()) == (0, [])
+    else:
+        assert checkers.crossval_failures(report, 0) == (0, [])

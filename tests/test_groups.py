@@ -386,7 +386,6 @@ class TestInvolutions:
             assert cert.involution_count == 3
             assert cert.all_in_subgroup
             assert cert.subgroup_contained_in_ambient
-            assert cert.ok
             assert group.subgroup(localization_subgroup_words(name)).order == 16
 
     def test_localization_failure_has_witness(self):

@@ -81,12 +81,30 @@ class TestConfig:
 
 
 class TestVerdicts:
-    def test_record_rejects_unknown_verdict(self):
-        with pytest.raises(ValueError, match="verdict"):
-            CheckRecord(check_id="groups", target="G", verdict="maybe")
+    PASSING = CheckRecord("groups", "G")
+    FAILING = CheckRecord("groups", "G", ("claim order failed: actual order 32",))
+    INCONCLUSIVE = CheckRecord("orbit", "G @ (1,0,3)", ("screen: y2 = 0",), inconclusive=True)
 
-    def record(self, verdict):
-        return CheckRecord(check_id="groups", target="G", verdict=verdict)
+    @pytest.mark.parametrize(
+        "witnesses, inconclusive, verdict",
+        [
+            ((), False, "pass"),
+            (("w",), False, "fail"),
+            ((), True, "inconclusive"),
+            (("w",), True, "inconclusive"),
+        ],
+    )
+    def test_verdict_follows_witnesses(self, witnesses, inconclusive, verdict):
+        record = CheckRecord("groups", "G", witnesses, inconclusive=inconclusive)
+        assert record.verdict == verdict
+        # the derived verdict is serialized, the `inconclusive` flag is not
+        assert list(record.to_dict().items()) == [
+            ("id", "groups"),
+            ("target", "G"),
+            ("verdict", verdict),
+            ("witnesses", list(witnesses)),
+            ("timing", 0.0),
+        ]
 
     def test_empty_report_passes(self):
         report = VerificationReport("0", make_config(), ())
@@ -95,17 +113,13 @@ class TestVerdicts:
 
     def test_fail_dominates_inconclusive(self):
         report = VerificationReport(
-            "0",
-            make_config(),
-            (self.record("pass"), self.record("inconclusive"), self.record("fail")),
+            "0", make_config(), (self.PASSING, self.INCONCLUSIVE, self.FAILING)
         )
         assert report.overall == "fail"
         assert report.exit_code == 1
 
     def test_inconclusive_dominates_pass(self):
-        report = VerificationReport(
-            "0", make_config(), (self.record("pass"), self.record("inconclusive"))
-        )
+        report = VerificationReport("0", make_config(), (self.PASSING, self.INCONCLUSIVE))
         assert report.overall == "inconclusive"
         assert report.exit_code == 2
 
@@ -923,6 +937,38 @@ class TestCli:
                 },
                 "input.json: generators must share size and phase modulus",
             ),
+            (
+                # str(None) would be a generator called None
+                "--custom-group",
+                {"generators": [{"name": None, "perm": list(range(8)), "phases": [0] * 8}]},
+                "input.json: generator name None must match",
+            ),
+            (
+                "--custom-group",
+                {"name": ["x"], "generators": [{"perm": list(range(8)), "phases": [0] * 8}]},
+                "input.json: name must be a string",
+            ),
+            (
+                "--custom-group",
+                {
+                    "generators": [{"name": "t", **make_tau().to_dict()}],
+                    "claims": [{"type": "relation", "relation": "x^2 = identity"}],
+                },
+                "input.json: unknown generator 'x'",
+            ),
+            (
+                "--custom-group",
+                {"generators": [{"name": "d", **make_tau().to_dict()}], "localization": ["d^"]},
+                "input.json: bad word token 'd^'",
+            ),
+            (
+                "--custom-group",
+                {
+                    "generators": [{"name": "t", **make_tau().to_dict()}],
+                    "claims": [{"type": "relation", "relation": "t^8 = identity = t^16"}],
+                },
+                "input.json: relation needs exactly one '='",
+            ),
         ],
     )
     def test_malformed_input_exit_two(self, tmp_path, capsys, flag, content, message):
@@ -967,6 +1013,16 @@ class TestCli:
         assert first == "quadcert: internal error: KeyError: 'internal'"
         assert rest.startswith("Traceback (most recent call last):")
 
+    def test_unknown_word_exit_two_under_freeness(self, tmp_path, capsys):
+        # words are checked when the file loads, not only by `groups`
+        path = tmp_path / "g.json"
+        gens = [{"name": "t", **make_tau().to_dict()}]
+        claims = [{"type": "relation", "relation": "x^2 = identity"}]
+        path.write_text(json.dumps({"generators": gens, "claims": claims}))
+        argv = ["freeness", "--group", "custom", "--custom-group", str(path), "--y", "1,2,3"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"quadcert: {path}: unknown generator 'x'\n"
+
     def test_scope_all_non_two_group_exit_two(self, tmp_path, capsys):
         # default involutions scope is refused for a 3-cycle; diagnostic, not traceback
         path = write_custom_group(
@@ -995,6 +1051,10 @@ not_an_int = st.one_of(
     st.none(), st.booleans(), st.floats(allow_nan=False), st.text(max_size=4), st.just([1]),
     st.just({"1": 1}),
 )
+not_a_string = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), st.just(["x"]),
+    st.just({"x": 1}),
+)
 not_an_object = st.one_of(not_a_list.filter(lambda v: not isinstance(v, dict)), st.just([1]))
 bad_int_list = st.one_of(
     not_a_list,
@@ -1019,7 +1079,7 @@ bad_literal = st.one_of(
 @st.composite
 def malformed_groups(draw):
     """A custom group file with exactly one defect."""
-    defect = draw(st.integers(0, 8))
+    defect = draw(st.integers(0, 10))
     doc = {"generators": [dict(IDENTITY_GENERATOR)]}
     if defect == 0:
         return draw(not_an_object)
@@ -1044,10 +1104,28 @@ def malformed_groups(draw):
         claim = {"type": kind, **{key: None for key in CLAIM_KEYS[kind]}}
         del claim[draw(st.sampled_from(sorted(CLAIM_KEYS[kind])))]
         doc["claims"] = [claim]
-    else:
+    elif defect == 8:
         doc["localization"] = draw(
             st.one_of(st.just([1]), st.just([None]), not_a_list.filter(lambda v: v is not None))
         )
+    elif defect == 9:
+        # the group's name or its generator's
+        draw(st.sampled_from([doc, doc["generators"][0]]))["name"] = draw(not_a_string)
+    else:
+        # a word with an unknown generator or a malformed token, wherever
+        # words go; the one generator is g0
+        word = draw(st.sampled_from(["x", "g0 x^2", "g0^", "g0^y", "2", "g0*g0", "g0 = g0"]))
+        place = draw(st.sampled_from(["relation", "subgroup", "normal_generator", "conjugator",
+                                      "localization"]))
+        if place == "relation":
+            doc["claims"] = [{"type": "relation", "relation": f"{word} = identity"}]
+        elif place == "subgroup":
+            doc["claims"] = [{"type": "normal_subgroup", "subgroup": [word]}]
+        elif place == "localization":
+            doc["localization"] = [word]
+        else:
+            claim = {"type": "semidirect_exponent", "normal_generator": "g0", "conjugator": "g0"}
+            doc["claims"] = [{**claim, place: word}]
     return doc
 
 
