@@ -8,6 +8,7 @@ Jacobians and Hessians, where exact Gaussian elimination is the whole point.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -296,17 +297,11 @@ class MonomialMatrix:
             out.append(cycle)
         return out
 
-    def eigenspaces(self) -> list[EigenspaceComponent]:
-        """Exact eigen-decomposition, components merged by eigenvalue.
-
-        For a cycle of length L with total phase k the eigenvalues are
-        zeta_{N*L}^(k + N*t), t = 0..L-1, each contributing one eigenvector
-        supported on the cycle; the recurrence v[c_{t+1}] =
-        v[c_t] * lambda^-1 * zeta_N^phases[c_t] pins the coordinates.
-        Multiplicities over the merged components always sum to `size`.
-        """
-        by_eigenvalue: dict[CyclotomicNumber, list[tuple]] = {}
-        order_list: list[CyclotomicNumber] = []
+    def _cycle_eigenvalues(self):
+        """The eigenvalues each cycle contributes, as (cycle, order, k) for
+        zeta_order^k: a cycle of length L with total phase k0 gives
+        zeta_{N*L}^(k0 + N*t), t = 0..L-1, each with one eigenvector
+        supported on the cycle."""
         for cycle in self.cycles():
             length = len(cycle)
             total = sum(self.phases[c] for c in cycle) % self.N
@@ -317,20 +312,35 @@ class MonomialMatrix:
                     f"(cycle length {length}, phase order {self.N})"
                 )
             for t in range(length):
-                lam = root_of_unity(order, total + self.N * t)
-                lam_inv = root_of_unity(order, -(total + self.N * t))
-                coords = [_ZERO] * self.size
-                acc = _ONE
-                for c in cycle:
-                    coords[c] = acc
-                    acc = acc * lam_inv * root_of_unity(self.N, self.phases[c])
-                if lam not in by_eigenvalue:
-                    by_eigenvalue[lam] = []
-                    order_list.append(lam)
-                by_eigenvalue[lam].append(tuple(coords))
+                yield cycle, order, total + self.N * t
+
+    def eigenvalues(self) -> list[tuple[CyclotomicNumber, int]]:
+        """(eigenvalue, multiplicity) pairs in the order of `eigenspaces`,
+        counted off the cycles without building eigenvectors."""
+        counts = Counter(root_of_unity(order, k) for _, order, k in self._cycle_eigenvalues())
+        return sorted(counts.items(), key=lambda item: item[0].sort_key())
+
+    def eigenspaces(self) -> list[EigenspaceComponent]:
+        """Exact eigen-decomposition, components merged by eigenvalue, in
+        the order of `eigenvalues`.
+
+        The eigenvector of eigenvalue lambda on a cycle c_0, c_1, ... is
+        pinned by the recurrence v[c_{t+1}] = v[c_t] * lambda^-1 *
+        zeta_N^phases[c_t] from v[c_0] = 1.  Multiplicities over the merged
+        components always sum to `size`.
+        """
+        by_eigenvalue: dict[CyclotomicNumber, list[tuple]] = {}
+        for cycle, order, k in self._cycle_eigenvalues():
+            lam_inv = root_of_unity(order, -k)
+            coords = [_ZERO] * self.size
+            acc = _ONE
+            for c in cycle:
+                coords[c] = acc
+                acc = acc * lam_inv * root_of_unity(self.N, self.phases[c])
+            by_eigenvalue.setdefault(root_of_unity(order, k), []).append(tuple(coords))
         components = [
-            EigenspaceComponent(lam, tuple(by_eigenvalue[lam]))
-            for lam in sorted(order_list, key=lambda v: v.sort_key())
+            EigenspaceComponent(lam, tuple(vectors))
+            for lam, vectors in sorted(by_eigenvalue.items(), key=lambda item: item[0].sort_key())
         ]
         assert sum(c.multiplicity for c in components) == self.size
         return components

@@ -21,6 +21,7 @@ from .groups import (
     involution_localization,
     localization_subgroup_words,
     standard_claims,
+    standard_generators,
     standard_group,
 )
 from .linalg import MonomialMatrix
@@ -215,77 +216,79 @@ def load_custom_group(path: str) -> GroupSelection:
     """
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    try:
+        return _custom_group(data)
+    except (RuntimeError, ValueError) as exc:
+        # the element cap, generators of different phase moduli, or any
+        # other defect: the input is unusable, not a failed check
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _custom_group(data) -> GroupSelection:
     if not isinstance(data, dict):
-        raise ValueError(f"{path}: custom group must be a JSON object")
+        raise ValueError("custom group must be a JSON object")
     raw_gens = data.get("generators")
     if not raw_gens:
-        raise ValueError(f"{path}: no generators")
+        raise ValueError("no generators")
     if not isinstance(raw_gens, list) or not all(isinstance(rec, dict) for rec in raw_gens):
-        raise ValueError(f"{path}: generators must be a list of objects")
+        raise ValueError("generators must be a list of objects")
     names = []
     matrices = []
     for i, rec in enumerate(raw_gens):
         name = rec.get("name", f"g{i}")
         if not (isinstance(name, str) and GENERATOR_NAME.fullmatch(name)) or name in IDENTITY_WORDS:
             raise ValueError(
-                f"{path}: generator name {name!r} must match {GENERATOR_NAME.pattern}"
+                f"generator name {name!r} must match {GENERATOR_NAME.pattern}"
                 f" and not be one of {sorted(IDENTITY_WORDS)}"
             )
         names.append(name)
         matrices.append(MonomialMatrix.from_dict(rec))
         if matrices[-1].size != 8:
-            raise ValueError(f"{path}: generator {name!r} must permute 8 coordinates")
+            raise ValueError(f"generator {name!r} must permute 8 coordinates")
     if len(set(names)) != len(names):
-        raise ValueError(f"{path}: duplicate generator names")
+        raise ValueError("duplicate generator names")
     raw_claims = data.get("claims", [])
     if not isinstance(raw_claims, list) or not all(isinstance(c, dict) for c in raw_claims):
-        raise ValueError(f"{path}: claims must be a list of objects")
+        raise ValueError("claims must be a list of objects")
     claims = []
     for claim in raw_claims:
         claim = dict(claim)
         kind = claim.get("type")
         if not isinstance(kind, str) or kind not in CLAIM_KEYS:
-            raise ValueError(f"{path}: unknown claim type {kind!r}")
+            raise ValueError(f"unknown claim type {kind!r}")
         required = CLAIM_KEYS[kind]
         for key in required:
             if key not in claim:
-                raise ValueError(f"{path}: {kind} claim lacks the key {key!r}")
+                raise ValueError(f"{kind} claim lacks the key {key!r}")
         for key, expected in {**required, **OPTIONAL_CLAIM_KEYS.get(kind, {})}.items():
             if key in claim and not _has_type(claim[key], expected):
-                raise ValueError(
-                    f"{path}: {kind} claim value of {key!r} must be {_TYPE_NAMES[expected]}"
-                )
+                raise ValueError(f"{kind} claim value of {key!r} must be {_TYPE_NAMES[expected]}")
         if kind in ("spectrum", "spectrum_of_subgroup"):
             value = claim["value"]
             if not all(str(k).isdigit() and _has_type(v, int) for k, v in value.items()):
-                raise ValueError(f"{path}: {kind} claim value must map orders to counts")
+                raise ValueError(f"{kind} claim value must map orders to counts")
             claim["value"] = {int(k): v for k, v in value.items()}
         claims.append(claim)
     words = data.get("localization")
     if words is not None and not (
         isinstance(words, list) and all(isinstance(w, str) for w in words)
     ):
-        raise ValueError(f"{path}: localization must be a list of words")
+        raise ValueError("localization must be a list of words")
     if words and matrices[0].N != 8:  # G's modulus: elements with another N never compare equal
-        raise ValueError(f"{path}: localization needs phase modulus N = 8, not N = {matrices[0].N}")
+        raise ValueError(f"localization needs phase modulus N = 8, not N = {matrices[0].N}")
     label = data.get("name", "custom")
     if not isinstance(label, str):
-        raise ValueError(f"{path}: name must be a string")
-    try:
-        group = closure(matrices, projective=True, names=tuple(names))
-        # every word is evaluated here, so no subcommand meets a bad one later
-        checked = list(words or ())
-        for claim in claims:
-            if claim["type"] == "relation":
-                group.verify_relation(claim["relation"])  # one '=', both sides
-            checked += claim.get("subgroup", [])
-            checked += [claim[k] for k in ("normal_generator", "conjugator") if k in claim]
-        for word in checked:
-            group.evaluate_word(word)
-    except (RuntimeError, ValueError) as exc:
-        # the element cap, generators of different phase moduli, or a word
-        # that does not evaluate: the input is unusable, not a failed check
-        raise ValueError(f"{path}: {exc}") from None
+        raise ValueError("name must be a string")
+    group = closure(matrices, projective=True, names=tuple(names))
+    # every word is evaluated here, so no subcommand meets a bad one later
+    checked = list(words or ())
+    for claim in claims:
+        if claim["type"] == "relation":
+            group.verify_relation(claim["relation"])  # one '=', both sides
+        checked += claim.get("subgroup", [])
+        checked += [claim[k] for k in ("normal_generator", "conjugator") if k in claim]
+    for word in checked:
+        group.evaluate_word(word)
     return GroupSelection(
         label=label,
         group=group,
@@ -332,8 +335,12 @@ def resolve_system(config: VerificationConfig) -> QuadricSystem:
 
 
 def _groups_records(selections: Sequence[GroupSelection]) -> list[CheckRecord]:
-    # the involution containment target is always the first standard group
-    ambient = standard_group("G")
+    # the involution containment target is always the first standard group,
+    # taken from a selection with G's generators, which closes to G itself
+    generators = standard_generators("G")[1]
+    ambient = next((s.group for s in selections if s.group.generators == generators), None)
+    if ambient is None:
+        ambient = standard_group("G")
     records = []
     for sel in selections:
         start = time.perf_counter()
@@ -437,7 +444,12 @@ def _freeness_records(
     `_resolve_triples`: the ones that passed are examined without a second
     screen, and each screened-out one makes the record inconclusive.  The
     groups overlap in involutions; the system keeps each element's outcome,
-    so a shared element is examined once."""
+    so a shared element is examined once.  Every selection's generators are
+    proved first (`system.invariance`), so each group's conjugacy transfer
+    conjugates by the symmetries of all of them."""
+    for sel in selections:
+        for g in sel.group.generators:
+            system.invariance(g)
     records = []
     passed = [y for y, reasons in screened if not reasons]
     inconclusive = len(passed) < len(screened)  # even with a fixed point found

@@ -533,9 +533,12 @@ def check_freeness(
 
     When every generator passes ideal invariance (`system.invariance`), an
     element with a conjugate already settled free is recorded free
-    unexamined; README gives the argument, and why fixed points never
-    transfer.  The specialized pencil at each triple is the system's
-    (`system.context`).
+    unexamined, its components counted off its eigenvalues.  The conjugators
+    are every element the system has proved invariant, of the group's size
+    and phase modulus, whatever group asked for the proof; README gives the
+    argument, and why fixed points never transfer.  So the outcomes do not
+    depend on the order of calls, only which elements get examined does.
+    The specialized pencil at each triple is the system's (`system.context`).
     """
     if scope not in ("involutions", "all"):
         raise ValueError(f"scope must be 'involutions' or 'all', not {scope!r}")
@@ -544,11 +547,19 @@ def check_freeness(
     if scope == "involutions" and bad:
         raise ValueError(f"involutions-only scope needs a 2-group; found element order {bad[0]}")
     targets = [g for g, k in orders.items() if scope == "all" or k == 2]
-    equivariant = all(system.invariance(h).ok for h in group.generators)
-    classes = group.conjugacy_classes(targets) if equivariant else {}
+    classes = {}
+    if all(system.invariance(h).ok for h in group.generators):
+        one = group.identity()
+        kind = type(one)  # recast, so that conjugates stay normalized like the group's elements
+        conjugators = dict.fromkeys(
+            kind(h.perm, h.phases, h.N)
+            for h, proved in system._invariance.items()
+            if proved.ok and h.size == one.size and h.N == one.N
+        )
+        classes = group.conjugacy_classes(targets, conjugators)
     memo = system._freeness
 
-    # eigenspaces do not depend on the triple: found once per element
+    # eigenspaces do not depend on the triple: found once per examined element
     components: dict[MonomialMatrix, list[EigenspaceComponent]] = {}
     spec_outcomes = []
     for y in specializations:
@@ -560,17 +571,17 @@ def check_freeness(
         for g in targets:
             if (g, triple) in memo:
                 continue
-            if g not in components:
-                components[g] = fixed_locus_components(g)
             donors = (memo.get((h, triple)) for h in classes.get(g, ()))
             if any(d and all(o.verdict == "no-fixed-point" for o in d) for d in donors):
                 memo[g, triple] = tuple(
-                    ComponentOutcome(c.eigenvalue.to_text(), c.multiplicity, "no-fixed-point", None)
-                    for c in components[g]
+                    ComponentOutcome(value.to_text(), multiplicity, "no-fixed-point", None)
+                    for value, multiplicity in g.point_matrix().eigenvalues()
                 )
-            else:
-                context = system.context(triple)
-                memo[g, triple] = tuple(_examine_component(c, context) for c in components[g])
+                continue
+            if g not in components:
+                components[g] = fixed_locus_components(g)
+            context = system.context(triple)
+            memo[g, triple] = tuple(_examine_component(c, context) for c in components[g])
         elements = tuple(ElementOutcome(g.to_dict(), memo[g, triple]) for g in targets)
         spec_outcomes.append(SpecializationOutcome("complete", None, elements))
     return FreenessReport(group_name, tuple(spec_outcomes))

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from quadcert import groups
 from quadcert.groups import (
     CLAIM_KEYS,
+    GROUP_NAMES,
     OPTIONAL_CLAIM_KEYS,
     ProjectiveElement,
     _normality_witness,
@@ -353,6 +354,22 @@ class TestConjugacyClasses:
         distinct = set(classes[g] for g in targets)
         assert dict(Counter(len(c) for c in distinct)) == sizes
         assert sum(len(c) for c in distinct) == len(targets)
+
+    def test_classes_under_conjugators_outside_the_group(self):
+        # conjugating by the five generators of G, G1 and G2, which generate
+        # a group of order 256, walks the same classes as conjugating by each
+        # of its elements, without closing it: the 127 non-identity elements
+        # of G u G1 u G2 fall into 27 of them
+        groups = [standard_group(name) for name in GROUP_NAMES]
+        conjugators = list(dict.fromkeys(h for group in groups for h in group.generators))
+        overgroup = closure(conjugators)
+        assert len(conjugators) == 5 and overgroup.order == 256
+        targets = list(dict.fromkeys(g for group in groups for g in group.elements[1:]))
+        classes = groups[0].conjugacy_classes(targets, conjugators)
+        for g in targets:
+            assert classes[g] == {h * g * h.inverse() for h in overgroup.elements}
+        assert len(targets) == 127
+        assert len({classes[g] for g in targets}) == 27
 
     def test_each_involution_is_its_own_class(self):
         # why the involutions-only campaign never transfers a freeness verdict

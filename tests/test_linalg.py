@@ -288,10 +288,22 @@ class TestEigenspaces:
                     image = matrix.apply(vec)
                     assert image == tuple(comp.eigenvalue * v for v in vec)
 
+    def test_eigenvalues_are_the_eigenspaces_counted(self):
+        # counted off the cycles, in the same order, for every t^a s^b and
+        # t^a s1^b: the elements of G and G1
+        for s in (sigma(), sigma1()):
+            for a in range(8):
+                for b in range(8):
+                    g = tau() ** a * s ** b
+                    expected = [(c.eigenvalue, c.multiplicity) for c in g.eigenspaces()]
+                    assert g.eigenvalues() == expected
+
     def test_unsupported_cycle_length(self):
         three_cycle = MonomialMatrix((1, 2, 0, 3, 4, 5, 6, 7), (0,) * 8)
         with pytest.raises(ValueError):
             three_cycle.eigenspaces()
+        with pytest.raises(ValueError):
+            three_cycle.eigenvalues()
 
     def test_component_dataclass(self):
         comp = EigenspaceComponent(ONE, ((ONE, ZERO),))

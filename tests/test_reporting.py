@@ -15,6 +15,8 @@ from quadcert.reporting import (
     GroupSelection,
     VerificationConfig,
     VerificationReport,
+    _freeness_records,
+    _groups_records,
     _orbit_records,
     load_custom_group,
     load_custom_quadrics,
@@ -404,6 +406,28 @@ class TestRunScenarios:
         assert json.loads(out.read_text())["overall"] == "pass"
 
 
+class TestGroupsRecords:
+    @pytest.mark.parametrize("group, reused", [("all", True), ("G1", False)])
+    def test_involution_ambient_is_g(self, monkeypatch, group, reused):
+        # the ambient of every localization is G: the G selection's own
+        # group when G is selected, else G built once
+        ambients = []
+        localize = reporting.involution_localization
+
+        def noting(group, words, ambient):
+            ambients.append(ambient)
+            return localize(group, words, ambient)
+
+        monkeypatch.setattr(reporting, "involution_localization", noting)
+        selections = resolve_selections(VerificationConfig(checks=("groups",), group=group))
+        records = _groups_records(selections)
+        assert [r.verdict for r in records] == ["pass"] * len(selections)
+        assert len(ambients) == len(selections)
+        assert all(a.element_set == standard_group("G").element_set for a in ambients)
+        assert all(a is ambients[0] for a in ambients)
+        assert (ambients[0] is selections[0].group) == reused
+
+
 class TestOrbitRecords:
     def test_shared_certificate_failures_name_own_orbit_points(self, monkeypatch):
         calls = []
@@ -551,6 +575,23 @@ class TestFreenessRecords:
         )
         assert run(config).overall == "pass"
         assert contexts == triples
+
+    def test_every_generator_proved_before_the_first_group(self, monkeypatch):
+        # G's classes are walked with G1's and G2's symmetries too, so the
+        # five generators are proved before G's freeness runs
+        system = build_quadrics()
+        selections = resolve_selections(VerificationConfig(checks=("freeness",), group="all"))
+        proved = []
+        check = reporting.check_freeness
+
+        def noting(group, system, *args, **kwargs):
+            proved.append(len(system._invariance))
+            return check(group, system, *args, **kwargs)
+
+        monkeypatch.setattr(reporting, "check_freeness", noting)
+        records = _freeness_records(selections, system, [((1, 2, 3), ())], "all")
+        assert [r.verdict for r in records] == ["pass"] * 3
+        assert proved == [5] * 3
 
     def test_inconclusive_dominates_fixed_point_in_triple_order(self, tmp_path):
         group_path = write_custom_group(
@@ -968,6 +1009,16 @@ class TestCli:
                     "claims": [{"type": "relation", "relation": "t^8 = identity = t^16"}],
                 },
                 "input.json: relation needs exactly one '='",
+            ),
+            (
+                "--custom-group",
+                {"generators": [{"perm": list(range(8)), "phases": ["a"] + [0] * 7}]},
+                "input.json: monomial matrix needs integer perm, phases and N",
+            ),
+            (
+                "--custom-group",
+                {"generators": [{"perm": list(range(8)), "phases": [0] * 8, "N": 3}]},
+                "input.json: phase order N=3 not in supported tower",
             ),
         ],
     )

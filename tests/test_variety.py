@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -690,32 +690,27 @@ class TestFreeness:
 
     def test_planted_control_decomposes_each_element_once(self, monkeypatch):
         # G, G1 and G2 on one planted-control system at one triple settle the
-        # 127 distinct non-identity elements of G u G1 u G2, each decomposed once
-        calls = []
-        original = variety.fixed_locus_components
-        monkeypatch.setattr(
-            variety, "fixed_locus_components", lambda g: calls.append(g) or original(g)
-        )
+        # 127 distinct non-identity elements of G u G1 u G2.  An element with
+        # a free conjugate settled first is counted off its eigenvalues, so
+        # only the 73 examined directly are decomposed, each once
+        examined = record_direct_examinations(monkeypatch)
+        decomposed = record_decompositions(monkeypatch)
         control = planted_control_system()
         for name in ("G", "G1", "G2"):
             report = check_freeness(
                 standard_group(name), control, [Y123], scope="all", group_name=name, screen=False
             )
             assert report.verdict == "fixed-point-found", name
-        assert len(calls) == len(set(calls)) == 127
+        assert len(decomposed) == len(set(decomposed)) == 73
+        assert set(decomposed) == set(examined)
 
     def test_eigenspaces_once_per_element(self, monkeypatch):
         # an element's eigenspaces do not depend on the triple, and the system
-        # keeps what G already settled: the 127 distinct non-identity elements
-        # of G u G1 u G2 are decomposed once each over three triples
-        calls = []
-        original = variety.fixed_locus_components
-
-        def counting(g):
-            calls.append(g)
-            return original(g)
-
-        monkeypatch.setattr(variety, "fixed_locus_components", counting)
+        # keeps what G already settled: of the 127 distinct non-identity
+        # elements of G u G1 u G2, settled at three triples, only the ones
+        # examined directly are decomposed, each once
+        examined = record_direct_examinations(monkeypatch)
+        decomposed = record_decompositions(monkeypatch)
         system = build_quadrics()
         groups = [standard_group(name) for name in ("G", "G1", "G2")]
         triples = draw_specializations(3, 0, system, groups[0])
@@ -727,7 +722,8 @@ class TestFreeness:
             assert report.verdict == "free", name
             for i, outcome in enumerate(report.specializations):
                 settled.update((repr(e.element), i) for e in outcome.elements)
-        assert len(calls) == len(set(calls)) == 127
+        assert len(decomposed) == len(set(decomposed)) == 73
+        assert set(decomposed) == set(examined)
         assert len(settled) == 3 * 127
 
     def test_fixed_locus_without_witness(self):
@@ -803,31 +799,54 @@ def record_direct_examinations(monkeypatch):
     return examined
 
 
+def record_decompositions(monkeypatch):
+    """Patch fixed_locus_components to note each element it decomposes; the
+    returned list gains the element once per call."""
+    decomposed = []
+    decompose = variety.fixed_locus_components
+
+    def noting(g):
+        decomposed.append(g)
+        return decompose(g)
+
+    monkeypatch.setattr(variety, "fixed_locus_components", noting)
+    return decomposed
+
+
 class TestConjugacyTransfer:
     def test_transferred_outcomes_match_direct_examination(self, monkeypatch):
         # the cross-validation of the transfer: every non-identity element of
         # G u G1 u G2, examined directly at the first seed-0 triple, gets
-        # exactly the outcome check_freeness reports for it
-        system = build_quadrics()
+        # exactly the outcome check_freeness reports for it.  On the first
+        # system each group conjugates by the generators proved so far; on
+        # the second all five are proved first, as the freeness layer does,
+        # so G, which is abelian, transfers along G1's and G2's symmetries
         groups = [standard_group(name) for name in ("G", "G1", "G2")]
-        y = draw_specializations(3, 0, system, groups[0])[0]
+        y = draw_specializations(3, 0, build_quadrics(), groups[0])[0]
         examine = variety._examine_component
-        examined = record_direct_examinations(monkeypatch)
-        reported = []
-        for group in groups:
-            report = check_freeness(group, system, [y], scope="all", screen=False)
-            assert report.verdict == "free"
-            (outcome,) = report.specializations
-            reported.extend(zip(group.elements[1:], outcome.elements))
-        settled = {g for g, _ in reported}
-        assert len(settled) == 127
-        transferred = settled - set(examined)
-        assert transferred  # G1 and G2 have classes of 2 and 8 elements
-        context = ODPContext.at(system, y)
-        for g, element in reported:
-            assert element.element == g.to_dict()
-            direct = tuple(examine(c, context) for c in fixed_locus_components(g))
-            assert element.components == direct
+        context = ODPContext.at(build_quadrics(), y)
+        direct = {}
+        for prove_first in (False, True):
+            system = build_quadrics()
+            if prove_first:
+                assert all(system.invariance(h).ok for group in groups for h in group.generators)
+            with monkeypatch.context() as patch:
+                examined = record_direct_examinations(patch)
+                reported = []
+                for group in groups:
+                    report = check_freeness(group, system, [y], scope="all", screen=False)
+                    assert report.verdict == "free"
+                    (outcome,) = report.specializations
+                    reported.extend(zip(group.elements[1:], outcome.elements))
+            settled = {g for g, _ in reported}
+            assert len(settled) == 127
+            assert settled - set(examined)  # G1 and G2 have classes of 2 and 8 elements
+            assert bool(set(groups[0].elements[1:]) - set(examined)) == prove_first
+            for g, element in reported:
+                assert element.element == g.to_dict()
+                if g not in direct:
+                    direct[g] = tuple(examine(c, context) for c in fixed_locus_components(g))
+                assert element.components == direct[g]
 
     def test_failing_generator_examines_every_element(self, monkeypatch):
         # diag(1,1,1,1,-1,-1,-1,-1) does not preserve the pencil, so the
@@ -929,6 +948,70 @@ class TestConjugacyTransfer:
                     eigenvalue = CyclotomicNumber.from_text(c.eigenvalue)
                     assert g.point_matrix().apply(point) == tuple(eigenvalue * v for v in point)
         assert fixed and transferred
+
+    def test_failing_element_never_conjugates(self):
+        # on the planted control, the swap of x1 and x4 fails invariance but
+        # conjugates sigma^4, which is free there, onto g, which has a fixed
+        # point; <sigma^4, g> is abelian and both generators pass, so g keeps
+        # its own examination and its fixed point
+        control = planted_control_system()
+        swap = MonomialMatrix((0, 4, 2, 3, 1, 5, 6, 7), (0,) * 8)
+        s4 = make_sigma() ** 4
+        g = swap * s4 * swap.inverse()
+        group = closure([s4, g], names=("s4", "g"))
+        assert all(control.invariance(h).ok for h in group.generators)
+        assert not control.invariance(swap).ok
+        assert g in group.conjugacy_classes([s4], [swap])[s4]
+        report = check_freeness(group, control, [Y123], scope="all", screen=False)
+        (outcome,) = report.specializations
+        by_element = dict(zip(group.elements[1:], outcome.elements))
+        assert not by_element[s4].has_fixed_point and by_element[g].has_fixed_point
+        context = ODPContext.at(control, Y123)
+        for h, element in by_element.items():
+            direct = tuple(variety._examine_component(c, context) for c in fixed_locus_components(h))
+            assert element.components == direct
+
+    @pytest.mark.parametrize(
+        "make_system", [build_quadrics, planted_control_system], ids=["stock", "planted"]
+    )
+    def test_outcomes_do_not_depend_on_call_order(self, monkeypatch, make_system):
+        # each group conjugates by every symmetry proved before it runs, so
+        # which elements are examined depends on the order of the calls;
+        # the outcomes do not
+        groups = {name: standard_group(name) for name in ("G", "G1", "G2")}
+        outcomes, examined_sets = [], set()
+        for order in permutations(groups):
+            system = make_system()
+            with monkeypatch.context() as patch:
+                examined = record_direct_examinations(patch)
+                reports = {
+                    name: check_freeness(groups[name], system, [Y123], scope="all", screen=False)
+                    for name in order
+                }
+            outcomes.append({name: r.specializations for name, r in reports.items()})
+            examined_sets.add(frozenset(examined))
+        assert all(o == outcomes[0] for o in outcomes)
+        assert len(examined_sets) > 1
+
+    def test_conjugators_share_the_phase_modulus(self):
+        # G2 written at N = 16, on a system that has proved the N = 8
+        # generators of G, G1 and G2: its classes are walked with its own
+        # N = 16 generators only, since a product across moduli is undefined,
+        # and every outcome is the N = 8 group's
+        system = build_quadrics()
+        groups = [standard_group(name) for name in ("G", "G1", "G2")]
+        assert all(system.invariance(h).ok for group in groups for h in group.generators)
+        g2 = groups[2]
+        sixteen = closure(
+            [MonomialMatrix(h.perm, [2 * p for p in h.phases], 16) for h in g2.generators],
+            names=g2.names,
+        )
+        report = check_freeness(sixteen, system, [Y123], scope="all", screen=False)
+        assert report.verdict == "free"
+        eight = check_freeness(g2, system, [Y123], scope="all", screen=False)
+        (wide,) = report.specializations
+        (narrow,) = eight.specializations
+        assert [e.components for e in wide.elements] == [e.components for e in narrow.elements]
 
 
 class TestGenericityScreen:
