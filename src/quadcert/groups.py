@@ -119,36 +119,33 @@ class FiniteGroup:
             raise ValueError(f"relation needs exactly one '=': {relation!r}")
         return self.evaluate_word(sides[0]) == self.evaluate_word(sides[1])
 
-    def conjugacy_classes(
-        self,
-        elements: Iterable[MonomialMatrix],
-        conjugators: Iterable[MonomialMatrix] | None = None,
-    ) -> dict:
-        """Map each given element, and each of its conjugates h*g*h^-1, to
-        its class under the group the conjugators generate: by default this
-        group's generators.  A class is walked once, by conjugating with the
-        conjugators until nothing new appears; that group is never closed."""
-        if conjugators is None:
-            conjugators = self.generators
-        pairs = [(h, h.inverse()) for h in conjugators]
-        classes: dict[MonomialMatrix, frozenset] = {}
-        for g in elements:
-            if g not in classes:
-                members, frontier = {g}, [g]
-                while frontier:
-                    c = frontier.pop()
-                    for h, inverse in pairs:
-                        if (d := h * c * inverse) not in members:
-                            members.add(d)
-                            frontier.append(d)
-                classes.update(dict.fromkeys(members, frozenset(members)))
-        return classes
-
     def subgroup(self, words: Sequence[str]) -> "FiniteGroup":
         """Closure of word values inside the same group, names kept as the
         word texts."""
         gens = [self.evaluate_word(w) for w in words]
         return closure(gens, projective=self.projective, names=tuple(words))
+
+
+def conjugacy_classes(
+    elements: Iterable[MonomialMatrix], conjugators: Iterable[MonomialMatrix]
+) -> dict:
+    """Map each given element, and each of its conjugates h*g*h^-1, to its
+    class under the group the conjugators generate.  A class is walked once,
+    by conjugating with the conjugators until nothing new appears; that group
+    is never closed."""
+    pairs = [(h, h.inverse()) for h in conjugators]
+    classes: dict[MonomialMatrix, frozenset] = {}
+    for g in elements:
+        if g not in classes:
+            members, frontier = {g}, [g]
+            while frontier:
+                c = frontier.pop()
+                for h, inverse in pairs:
+                    if (d := h * c * inverse) not in members:
+                        members.add(d)
+                        frontier.append(d)
+            classes.update(dict.fromkeys(members, frozenset(members)))
+    return classes
 
 
 def closure(

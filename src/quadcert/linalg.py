@@ -50,21 +50,6 @@ class ExactMatrix:
     def __repr__(self):
         return f"ExactMatrix({self.rows}x{self.cols})"
 
-    def apply(self, vector: Sequence) -> tuple:
-        vec = [as_cyclotomic(v) for v in vector]
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        out = []
-        for i in range(self.rows):
-            acc = _ZERO
-            for k, v in enumerate(vec):
-                a = self.entries[i][k]
-                if a.is_zero() or v.is_zero():
-                    continue
-                acc = acc + a * v
-            out.append(acc)
-        return tuple(out)
-
     def rref(self, transform: bool = True) -> "Elimination":
         """Gauss-Jordan elimination to reduced row echelon form R.  With
         transform, each row also carries its row of T, starting from the

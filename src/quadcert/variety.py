@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .cyclotomic import CyclotomicNumber, root_of_unity
-from .groups import FiniteGroup
+from .groups import FiniteGroup, conjugacy_classes
 from .linalg import EigenspaceComponent, ExactMatrix, MonomialMatrix
 from .groebner import projective_zero_set_empty
 from .polynomials import PENCIL_VARIABLES, Polynomial, X_VARIABLES, s_variables
@@ -219,38 +219,27 @@ def singular_orbit(system: QuadricSystem, group: FiniteGroup, y) -> list[OrbitPo
 # -- ordinary double point certification --------------------------------------
 
 
-def quadric_hessian(quadric: Polynomial) -> ExactMatrix:
-    """The constant Hessian of a quadratic form, read off its coefficients:
-    c*x_i*x_j puts c at (i, j) and (j, i), and c*x_i^2 puts 2c at (i, i)."""
-    n = len(quadric.variables)
-    rows = [[CyclotomicNumber.zero()] * n for _ in range(n)]
+def quadric_hessian(quadric: Polynomial) -> tuple[tuple[int, int, CyclotomicNumber], ...]:
+    """The nonzero entries (i, j, value) of a quadratic form's constant
+    Hessian, read off its coefficients: c*x_i*x_j gives (i, j, c) and
+    (j, i, c), and c*x_i^2 gives (i, i, 2c)."""
+    entries = []
     for exponents, coeff in quadric.terms.items():
         i, j = (k for k, e in enumerate(exponents) for _ in range(e))
-        if i == j:
-            rows[i][i] = coeff + coeff
-        else:
-            rows[i][j] = rows[j][i] = coeff
-    return ExactMatrix(rows)
+        entries += [(i, i, coeff + coeff)] if i == j else [(i, j, coeff), (j, i, coeff)]
+    return tuple(entries)
 
 
-def restrict_form(
-    hessian: ExactMatrix, basis: Sequence[Sequence[CyclotomicNumber]]
-) -> ExactMatrix:
+def restrict_form(hessian: Sequence, basis: Sequence[Sequence[CyclotomicNumber]]) -> ExactMatrix:
     """The Gram matrix G = B H B^T of the form 1/2 x^T H x restricted to the
-    span of the rows B_a of basis: G[a][b] = sum B_a[i] H[i][j] B_b[j], summed
-    over the nonzero entries of the symmetric H only."""
-    support = [
-        (i, j, v)
-        for i, row in enumerate(hessian.entries)
-        for j, v in enumerate(row)
-        if not v.is_zero()
-    ]
+    span of the rows B_a of basis, for the symmetric H given by its entries
+    (i, j, v): G[a][b] = sum B_a[i] v B_b[j].  Entries at one position add."""
     k = len(basis)
     gram = [[CyclotomicNumber.zero()] * k for _ in range(k)]
     for a in range(k):
         for b in range(a, k):
             total = CyclotomicNumber.zero()
-            for i, j, v in support:
+            for i, j, v in hessian:
                 left, right = basis[a][i], basis[b][j]
                 if not (left.is_zero() or right.is_zero()):
                     total = total + left * v * right
@@ -259,8 +248,8 @@ def restrict_form(
 
 
 def form_polynomial(gram: ExactMatrix, variables: Sequence[str]) -> Polynomial:
-    """The quadratic form 1/2 s^T G s, the inverse of quadric_hessian:
-    G[a][b] on s_a*s_b for a < b and G[a][a]/2 on s_a^2."""
+    """The quadratic form 1/2 s^T G s of a Gram matrix G: G[a][b] on s_a*s_b
+    for a < b and G[a][a]/2 on s_a^2."""
     n = len(variables)
     terms = {}
     for a in range(n):
@@ -275,35 +264,36 @@ def form_polynomial(gram: ExactMatrix, variables: Sequence[str]) -> Polynomial:
 
 @dataclass(frozen=True)
 class ODPContext:
-    """The pencil specialized at one parameter triple, with the constant
-    Hessian H_q of each quadric.  Built once per triple by
-    `QuadricSystem.context` and shared by the singular-point certificates
-    and the fixed-locus restrictions there."""
+    """The pencil specialized at one parameter triple, with the nonzero
+    entries (i, j, value) of each quadric's constant Hessian H_q.  Built once
+    per triple by `QuadricSystem.context` and shared by the singular-point
+    certificates and the fixed-locus restrictions there."""
 
     quadrics: tuple[Polynomial, ...]
-    hessians: tuple[ExactMatrix, ...]
+    hessians: tuple[tuple[tuple[int, int, CyclotomicNumber], ...], ...]
 
     @classmethod
     def at(cls, system: QuadricSystem, y) -> "ODPContext":
         quadrics = system.specialized(y)
         return cls(quadrics, tuple(quadric_hessian(q) for q in quadrics))
 
-    def jacobian(self, point) -> ExactMatrix:
+    def jacobian(self, point: Sequence[CyclotomicNumber]) -> ExactMatrix:
         """The 4x8 Jacobian at a point: the gradient of q is H_q * p."""
-        return ExactMatrix([h.apply(point) for h in self.hessians])
-
-    def combined_hessian(self, coeffs) -> ExactMatrix:
-        """The Hessian of sum_k coeffs[k] * q_k, i.e. sum_k coeffs[k] * H_k."""
-        n = self.hessians[0].rows
-        rows = [[CyclotomicNumber.zero()] * n for _ in range(n)]
-        for c, h in zip(coeffs, self.hessians):
-            if c.is_zero():
-                continue
-            for i, row in enumerate(h.entries):
-                for j, v in enumerate(row):
-                    if not v.is_zero():
-                        rows[i][j] = rows[i][j] + c * v
+        rows = [[CyclotomicNumber.zero()] * len(point) for _ in self.hessians]
+        for row, hessian in zip(rows, self.hessians):
+            for i, j, v in hessian:
+                if not point[j].is_zero():
+                    row[i] = row[i] + v * point[j]
         return ExactMatrix(rows)
+
+    def combined_hessian(self, coeffs) -> list[tuple[int, int, CyclotomicNumber]]:
+        """The entries of sum_k coeffs[k] * H_k, the Hessian of sum_k coeffs[k] * q_k."""
+        return [
+            (i, j, c * v)
+            for c, hessian in zip(coeffs, self.hessians)
+            if not c.is_zero()
+            for i, j, v in hessian
+        ]
 
 
 @dataclass(frozen=True)
@@ -321,12 +311,12 @@ class ODPCertificate:
 def verify_odp(point: Sequence[CyclotomicNumber], context: ODPContext) -> ODPCertificate:
     """Exact ordinary-double-point certificate at one point.
 
-    Steps: all four quadrics vanish; the 4x8 Jacobian has rank exactly 3;
-    the left-kernel combination of quadrics has a constant Hessian H with
-    H*p = 0; and H restricted to the Jacobian kernel (which contains p)
-    has rank exactly 4, i.e. the combination cuts a nondegenerate quadric
-    cone transverse to the other three.  The verdict depends only on the
-    projective point, so one certificate serves every multiple of it.
+    Steps: all four quadrics vanish; the 4x8 Jacobian J has rank exactly 3;
+    and the Hessian H of the combination c in J's left kernel, restricted
+    to J's right kernel (which contains p), has rank exactly 4, i.e. the
+    combination cuts a nondegenerate quadric cone transverse to the other
+    three.  H*p = c*J(p) = 0 by construction.  The verdict depends only on
+    the projective point, so one certificate serves every multiple of it.
     """
     coords = tuple(point)
     if not all(q.evaluate(coords).is_zero() for q in context.quadrics):
@@ -338,11 +328,7 @@ def verify_odp(point: Sequence[CyclotomicNumber], context: ODPContext) -> ODPCer
         return ODPCertificate(True, elim.rank, -1, None)
 
     (combo,) = elim.left_kernel()
-    hess = context.combined_hessian(combo)
-    if any(not v.is_zero() for v in hess.apply(coords)):
-        return ODPCertificate(True, 3, -1, combo)
-
-    restricted = restrict_form(hess, elim.right_kernel())
+    restricted = restrict_form(context.combined_hessian(combo), elim.right_kernel())
     return ODPCertificate(True, 3, restricted.rank(), combo)
 
 
@@ -531,7 +517,7 @@ def check_freeness(
     system, which keeps it, so overlapping groups and repeated calls do not
     recompute.
 
-    When every generator passes ideal invariance (`system.invariance`), an
+    The group's generators are proved first (`system.invariance`); then an
     element with a conjugate already settled free is recorded free
     unexamined, its components counted off its eigenvalues.  The conjugators
     are every element the system has proved invariant, of the group's size
@@ -547,20 +533,21 @@ def check_freeness(
     if scope == "involutions" and bad:
         raise ValueError(f"involutions-only scope needs a 2-group; found element order {bad[0]}")
     targets = [g for g, k in orders.items() if scope == "all" or k == 2]
-    classes = {}
-    if all(system.invariance(h).ok for h in group.generators):
-        one = group.identity()
-        kind = type(one)  # recast, so that conjugates stay normalized like the group's elements
-        conjugators = dict.fromkeys(
-            kind(h.perm, h.phases, h.N)
-            for h, proved in system._invariance.items()
-            if proved.ok and h.size == one.size and h.N == one.N
-        )
-        classes = group.conjugacy_classes(targets, conjugators)
+    for h in group.generators:
+        system.invariance(h)
+    one = group.identity()
+    kind = type(one)  # recast, so that conjugates stay normalized like the group's elements
+    conjugators = dict.fromkeys(
+        kind(h.perm, h.phases, h.N)
+        for h, proved in system._invariance.items()
+        if proved.ok and h.size == one.size and h.N == one.N
+    )
+    classes = conjugacy_classes(targets, conjugators)
     memo = system._freeness
 
-    # eigenspaces do not depend on the triple: found once per examined element
+    # eigenspaces and eigenvalues do not depend on the triple: found once per element
     components: dict[MonomialMatrix, list[EigenspaceComponent]] = {}
+    free: dict[MonomialMatrix, tuple[ComponentOutcome, ...]] = {}
     spec_outcomes = []
     for y in specializations:
         triple = _y_triple(y)
@@ -571,12 +558,14 @@ def check_freeness(
         for g in targets:
             if (g, triple) in memo:
                 continue
-            donors = (memo.get((h, triple)) for h in classes.get(g, ()))
+            donors = (memo.get((h, triple)) for h in classes[g])
             if any(d and all(o.verdict == "no-fixed-point" for o in d) for d in donors):
-                memo[g, triple] = tuple(
-                    ComponentOutcome(value.to_text(), multiplicity, "no-fixed-point", None)
-                    for value, multiplicity in g.point_matrix().eigenvalues()
-                )
+                if g not in free:
+                    free[g] = tuple(
+                        ComponentOutcome(value.to_text(), multiplicity, "no-fixed-point", None)
+                        for value, multiplicity in g.point_matrix().eigenvalues()
+                    )
+                memo[g, triple] = free[g]
                 continue
             if g not in components:
                 components[g] = fixed_locus_components(g)

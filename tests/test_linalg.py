@@ -24,6 +24,11 @@ def matmul(a, b):
     )
 
 
+def matvec(m, v):
+    """The dense product of an ExactMatrix with a vector."""
+    return tuple(sum((a * x for a, x in zip(row, v)), ZERO) for row in m.entries)
+
+
 def transpose(m):
     return ExactMatrix(zip(*m.entries))
 
@@ -71,7 +76,7 @@ class TestExactMatrix:
         kernel = m.right_kernel()
         assert len(kernel) == 1
         v = kernel[0]
-        assert all(x.is_zero() for x in m.apply(v))
+        assert all(x.is_zero() for x in matvec(m, v))
         # kernel direction is (-zeta_8, 1) up to scale
         assert v[0] * ONE == -zeta(8) * v[1]
 
@@ -97,7 +102,7 @@ class TestExactMatrix:
             kernel = m.right_kernel()
             assert m.rank() + len(kernel) == cols
             for v in kernel:
-                assert all(x.is_zero() for x in m.apply(v))
+                assert all(x.is_zero() for x in matvec(m, v))
             assert m.rank() == transpose(m).rank()
 
     def test_shape_errors(self):
@@ -138,11 +143,11 @@ def test_elimination_properties(m):
     left = m.left_kernel()
     assert len(left) == m.rows - m.rank()
     for w in left:
-        assert all(v.is_zero() for v in transpose(m).apply(w))
+        assert all(v.is_zero() for v in matvec(transpose(m), w))
     right = m.right_kernel()
     assert len(right) == m.cols - m.rank()
     for v in right:
-        assert all(x.is_zero() for x in m.apply(v))
+        assert all(x.is_zero() for x in matvec(m, v))
 
 
 class TestMonomialBasics:
@@ -232,7 +237,7 @@ class TestPointAction:
         pool = [ZERO, ONE, zeta(8, 5), CyclotomicNumber.from_rational(2)]
         for g in (tau(), sigma(), sigma1(), sigma() * tau()):
             p = [rng.choice(pool) for _ in range(8)]
-            assert g.apply(p) == dense(g).apply(p)
+            assert g.apply(p) == matvec(dense(g), p)
 
     def test_apply_composes_as_matrices(self):
         p = [CyclotomicNumber.from_rational(k) for k in (0, 1, 2, 3, 0, -3, -2, -1)]
@@ -285,7 +290,7 @@ class TestEigenspaces:
                 assert comp.eigenvalue not in seen
                 seen.add(comp.eigenvalue)
                 for vec in comp.basis:
-                    image = matrix.apply(vec)
+                    image = matvec(matrix, vec)
                     assert image == tuple(comp.eigenvalue * v for v in vec)
 
     def test_eigenvalues_are_the_eigenspaces_counted(self):

@@ -593,6 +593,28 @@ class TestFreenessRecords:
         assert [r.verdict for r in records] == ["pass"] * 3
         assert proved == [5] * 3
 
+    def test_seed_zero_crossval_work(self, monkeypatch, tmp_path, capsys):
+        # the benchmark's crossval run examines 498 components of the 127
+        # elements of G u G1 u G2 at 3 triples, decomposes 27 of them and
+        # tests 114 restricted systems for emptiness: a lost transfer or a
+        # repeated decomposition raises these counts
+        counts = dict.fromkeys(
+            ("_examine_component", "fixed_locus_components", "projective_zero_set_empty"), 0
+        )
+
+        def counting(name, original):
+            def count(*args):
+                counts[name] += 1
+                return original(*args)
+
+            return count
+
+        for name in counts:
+            monkeypatch.setattr(variety, name, counting(name, getattr(variety, name)))
+        argv = ["freeness", "--group", "all", "--scope", "all", "--specializations", "3"]
+        assert main(argv + ["--seed", "0", "--json", str(tmp_path / "r.json")]) == 0
+        assert list(counts.values()) == [498, 27, 114]
+
     def test_inconclusive_dominates_fixed_point_in_triple_order(self, tmp_path):
         group_path = write_custom_group(
             tmp_path / "g.json", list(range(8)), [0, 4, 0, 4, 0, 4, 0, 4], name="t4"

@@ -9,6 +9,7 @@ from quadcert import variety
 from quadcert.cyclotomic import CyclotomicNumber, degree_at, root_of_unity
 from quadcert.groups import (
     closure,
+    conjugacy_classes,
     make_sigma,
     make_sigma1,
     make_sigma2,
@@ -506,7 +507,8 @@ class TestRestriction:
         p = base_point(Y123)
         cert = verify_odp(p, context)
         kernel = context.jacobian(p).right_kernel()
-        assert all(v.is_zero() for vec in kernel for v in context.jacobian(p).apply(vec))
+        images = matmul(context.jacobian(p), ExactMatrix(zip(*kernel)))
+        assert all(v.is_zero() for row in images.entries for v in row)
 
         def rationals(rows):
             assert all(v.level == 1 for row in rows for v in row)
@@ -538,12 +540,48 @@ def quadratic_forms(draw):
 @given(quadratic_forms())
 @settings(max_examples=60, deadline=None)
 def test_hessian_read_matches_second_derivatives(q):
+    # the entries are the nonzero second derivatives, each position once
     zeros = [CyclotomicNumber.zero()] * 8
-    expected = [
-        [q.partial_derivative(j).partial_derivative(k).evaluate(zeros) for k in range(8)]
+    second = {
+        (j, k): q.partial_derivative(j).partial_derivative(k).evaluate(zeros)
         for j in range(8)
+        for k in range(8)
+    }
+    entries = quadric_hessian(q)
+    assert len({(i, j) for i, j, _ in entries}) == len(entries)
+    assert {(i, j): v for i, j, v in entries} == {
+        position: v for position, v in second.items() if not v.is_zero()
+    }
+
+
+SCALARS = [
+    CyclotomicNumber.zero(),
+    CyclotomicNumber.one(),
+    -CyclotomicNumber.one(),
+    root_of_unity(8),
+    root_of_unity(16, 3),
+    CyclotomicNumber.from_rational(Fraction(1, 2)),
+]
+
+
+@given(
+    st.lists(quadratic_forms(), min_size=3, max_size=3),
+    st.lists(st.sampled_from(SCALARS), min_size=4, max_size=4),
+    st.lists(st.lists(st.sampled_from(SCALARS), min_size=8, max_size=8), min_size=1, max_size=3),
+)
+@settings(max_examples=40, deadline=None)
+def test_combined_hessian_restricts_linearly(forms, coeffs, basis):
+    # the fourth quadric shares its monomials with the first two, so the
+    # combined entries repeat positions, which restrict_form adds
+    quadrics = (*forms, forms[0] + forms[1])
+    context = ODPContext(quadrics, tuple(quadric_hessian(q) for q in quadrics))
+    parts = [restrict_form(h, basis) for h in context.hessians]
+    k, zero = len(basis), CyclotomicNumber.zero()
+    expected = [
+        [sum((c * part.entries[a][b] for c, part in zip(coeffs, parts)), zero) for b in range(k)]
+        for a in range(k)
     ]
-    assert [list(row) for row in quadric_hessian(q).entries] == expected
+    assert restrict_form(context.combined_hessian(coeffs), basis) == ExactMatrix(expected)
 
 
 @given(quadratic_forms())
@@ -848,25 +886,36 @@ class TestConjugacyTransfer:
                     direct[g] = tuple(examine(c, context) for c in fixed_locus_components(g))
                 assert element.components == direct[g]
 
-    def test_failing_generator_examines_every_element(self, monkeypatch):
-        # diag(1,1,1,1,-1,-1,-1,-1) does not preserve the pencil, so the
-        # group it generates with the coordinate cycle s may not transfer,
-        # although its involutions fall into classes of several elements
+    def test_failing_generator_never_conjugates(self, monkeypatch):
+        # diag(1,1,1,1,-1,-1,-1,-1) does not preserve the pencil, so in the
+        # group it generates with the coordinate cycle s only s conjugates:
+        # freeness transfers along s, and every outcome is the one direct
+        # examination gives
         s = MonomialMatrix((1, 2, 3, 4, 5, 6, 7, 0), (0,) * 8)
         probe = MonomialMatrix.diagonal((0, 0, 0, 0, 4, 4, 4, 4))
         group = closure([s, probe], names=("s", "d"))
         system = build_quadrics()
         involutions = [g for g in group.elements if not g.is_identity() and (g * g).is_identity()]
-        classes = group.conjugacy_classes(involutions)
-        assert max(len(c) for c in classes.values()) > 1
-        calls = []
-        original = variety._examine_component
+        examine = variety._examine_component
+        conjugators = []
         monkeypatch.setattr(
-            variety, "_examine_component", lambda *args: calls.append(1) or original(*args)
+            variety,
+            "conjugacy_classes",
+            lambda targets, hs: conjugators.extend(hs) or conjugacy_classes(targets, hs),
         )
-        check_freeness(group, system, [Y123], scope="involutions", screen=False)
+        examined = record_direct_examinations(monkeypatch)
+        report = check_freeness(group, system, [Y123], scope="involutions", screen=False)
         assert [system.invariance(g).ok for g in group.generators] == [True, False]
-        assert len(calls) == sum(len(fixed_locus_components(g)) for g in involutions)
+        assert conjugators == [group.generators[0]]
+        assert set(involutions) - set(examined)
+        assert len(examined) == 28 < sum(len(fixed_locus_components(g)) for g in involutions)
+        context = ODPContext.at(system, Y123)
+        (outcome,) = report.specializations
+        for g, element in zip(involutions, outcome.elements):
+            assert element.element == g.to_dict()
+            assert element.components == tuple(
+                examine(c, context) for c in fixed_locus_components(g)
+            )
 
     def test_invariant_memo_is_read_not_reproved(self, monkeypatch):
         # the system keeps its verdicts: a second call on it proves nothing,
@@ -886,9 +935,10 @@ class TestConjugacyTransfer:
         assert len(calls) == 2 * len(group.generators)
 
     def test_memo_never_crosses_systems(self):
-        # B fails invariance under G2, so nothing may transfer there, even
-        # after the stock system, which every generator preserves, ran first
-        # in the same process
+        # B is preserved by none of G2's generators, so it has proved no
+        # symmetry and nothing may transfer there, even after the stock
+        # system, which every generator preserves, ran first in the same
+        # process
         def x(i, j, coeff=1):
             return Polynomial.monomial(PENCIL_VARIABLES, variety._pencil_monomial((i, j)), coeff)
 
@@ -961,7 +1011,7 @@ class TestConjugacyTransfer:
         group = closure([s4, g], names=("s4", "g"))
         assert all(control.invariance(h).ok for h in group.generators)
         assert not control.invariance(swap).ok
-        assert g in group.conjugacy_classes([s4], [swap])[s4]
+        assert g in conjugacy_classes([s4], [swap])[s4]
         report = check_freeness(group, control, [Y123], scope="all", screen=False)
         (outcome,) = report.specializations
         by_element = dict(zip(group.elements[1:], outcome.elements))
