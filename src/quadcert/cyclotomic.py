@@ -144,12 +144,6 @@ class CyclotomicNumber:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         if other.__class__ is not CyclotomicNumber:
             other = _coerce(other)

@@ -69,9 +69,6 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def __len__(self):
-        return len(self.elements)
-
     def __contains__(self, g: MonomialMatrix) -> bool:
         return g in self.element_set
 

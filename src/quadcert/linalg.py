@@ -13,14 +13,13 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .cyclotomic import (
+    ONE,
     SUPPORTED_ORDERS,
+    ZERO,
     CyclotomicNumber,
     as_cyclotomic,
     root_of_unity,
 )
-
-_ZERO = CyclotomicNumber.zero()
-_ONE = CyclotomicNumber.one()
 
 
 class ExactMatrix:
@@ -57,7 +56,7 @@ class ExactMatrix:
         n = self.cols
         width = self.rows if transform else 0
         work = [
-            list(row) + [_ONE if j == i else _ZERO for j in range(width)]
+            list(row) + [ONE if j == i else ZERO for j in range(width)]
             for i, row in enumerate(self.entries)
         ]
         pivots = []
@@ -119,8 +118,8 @@ class Elimination:
         for free in range(cols):
             if free in self.pivots:
                 continue
-            vec = [_ZERO] * cols
-            vec[free] = _ONE
+            vec = [ZERO] * cols
+            vec[free] = ONE
             for i, pc in enumerate(self.pivots):
                 vec[pc] = -self.reduced[i][free]
             basis.append(tuple(vec))
@@ -256,7 +255,7 @@ class MonomialMatrix:
         vec = [as_cyclotomic(v) for v in point]
         if len(vec) != self.size:
             raise ValueError("point length mismatch")
-        out = [_ZERO] * self.size
+        out = [ZERO] * self.size
         for j, v in enumerate(vec):
             if v.is_zero():
                 continue
@@ -317,8 +316,8 @@ class MonomialMatrix:
         by_eigenvalue: dict[CyclotomicNumber, list[tuple]] = {}
         for cycle, order, k in self._cycle_eigenvalues():
             lam_inv = root_of_unity(order, -k)
-            coords = [_ZERO] * self.size
-            acc = _ONE
+            coords = [ZERO] * self.size
+            acc = ONE
             for c in cycle:
                 coords[c] = acc
                 acc = acc * lam_inv * root_of_unity(self.N, self.phases[c])

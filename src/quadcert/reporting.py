@@ -26,7 +26,6 @@ from .groups import (
 )
 from .linalg import MonomialMatrix
 from .variety import (
-    ODPCertificate,
     OrbitPoint,
     QuadricSystem,
     base_point,
@@ -391,24 +390,24 @@ def _orbit_records(
     failing generator certifies every point of `singular_orbit` instead.
     Invariance is an identity in x and y: the system proves it once per
     generator matrix (`system.invariance`), in the invariance layer when that
-    ran, and keeps the specialized pencil per triple (`system.context`).
-    Each distinct projective point is certified once per triple, and its
-    certificate serves every group."""
-    certificates: dict[tuple, ODPCertificate] = {}  # by (triple, projective point key)
+    ran, and keeps one context per triple (`system.context`).  Each distinct
+    projective point is certified once per triple and system: the triple's
+    context keeps its certificate, which serves every group and every later
+    call."""
     records = []
     for sel in selections:
         for y, reasons in screened:
             start = time.perf_counter()
             witnesses = [f"screen: {r}" for r in reasons]
             if not reasons:
-                witnesses = _orbit_witnesses(sel.group, system, y, certificates)
+                witnesses = _orbit_witnesses(sel.group, system, y)
             target, timing = f"{sel.label} @ ({_render_triple(y)})", time.perf_counter() - start
             inconclusive = bool(reasons)
             records.append(CheckRecord("orbit", target, tuple(witnesses), timing, inconclusive))
     return records
 
 
-def _orbit_witnesses(group: FiniteGroup, system: QuadricSystem, y, certificates: dict) -> list[str]:
+def _orbit_witnesses(group: FiniteGroup, system: QuadricSystem, y) -> list[str]:
     """What fails in the group's orbit record at a triple that passed the
     screen; no witnesses means the record passes."""
     base = base_point(y)
@@ -418,13 +417,14 @@ def _orbit_witnesses(group: FiniteGroup, system: QuadricSystem, y, certificates:
     else:
         points = singular_orbit(system, group, y)
         size = len(points)
+    context = system.context(y)
     witnesses = []
     if size != group.order:
         witnesses.append(f"{size} distinct orbit points, expected {group.order}")
     for point in points:
-        cert = certificates.get((y, point.key))
+        cert = context.certificates.get(point.key)
         if cert is None:
-            cert = certificates[y, point.key] = verify_odp(point.coordinates, system.context(y))
+            cert = context.certificates[point.key] = verify_odp(point.coordinates, context)
         if not cert.passes:
             # rendered from this group's own orbit, whichever group computed
             # the certificate
@@ -443,10 +443,10 @@ def _freeness_records(
     """One record per group.  Triples were screened once by
     `_resolve_triples`: the ones that passed are examined without a second
     screen, and each screened-out one makes the record inconclusive.  The
-    groups overlap in involutions; the system keeps each element's outcome,
-    so a shared element is examined once.  Every selection's generators are
-    proved first (`system.invariance`), so each group's conjugacy transfer
-    conjugates by the symmetries of all of them."""
+    groups overlap in involutions; each triple's context keeps each
+    element's outcome, so a shared element is examined once.  Every
+    selection's generators are proved first (`system.invariance`), so each
+    group's conjugacy transfer conjugates by the symmetries of all of them."""
     for sel in selections:
         for g in sel.group.generators:
             system.invariance(g)

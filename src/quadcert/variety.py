@@ -58,7 +58,6 @@ class QuadricSystem:
         # what is proved about this system lives exactly as long as it does
         object.__setattr__(self, "_invariance", {})
         object.__setattr__(self, "_context", {})
-        object.__setattr__(self, "_freeness", {})  # by (element, triple)
 
     def invariance(self, g: MonomialMatrix) -> "InvarianceResult":
         """`check_ideal_invariance(g, self)`, proved once per element."""
@@ -266,11 +265,15 @@ def form_polynomial(gram: ExactMatrix, variables: Sequence[str]) -> Polynomial:
 class ODPContext:
     """The pencil specialized at one parameter triple, with the nonzero
     entries (i, j, value) of each quadric's constant Hessian H_q.  Built once
-    per triple by `QuadricSystem.context` and shared by the singular-point
-    certificates and the fixed-locus restrictions there."""
+    per triple by `QuadricSystem.context`; it keeps what is proved there, by
+    point key and by element, outside its fields: `certificates`, `freeness`."""
 
     quadrics: tuple[Polynomial, ...]
     hessians: tuple[tuple[tuple[int, int, CyclotomicNumber], ...], ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "certificates", {})
+        object.__setattr__(self, "freeness", {})
 
     @classmethod
     def at(cls, system: QuadricSystem, y) -> "ODPContext":
@@ -513,9 +516,9 @@ def check_freeness(
     any element is a fixed point of one of its order-2 powers) and is
     rejected for groups with non-2-power element orders; scope "all"
     examines every non-identity element and doubles as a validation of the
-    reduction.  Each element's outcome at a triple is a fact about the
-    system, which keeps it, so overlapping groups and repeated calls do not
-    recompute.
+    reduction.  Each triple that passes the screen has the system's context
+    (`system.context`), which keeps each element's outcome there, so
+    overlapping groups and repeated calls do not recompute.
 
     The group's generators are proved first (`system.invariance`); then an
     element with a conjugate already settled free is recorded free
@@ -524,7 +527,7 @@ def check_freeness(
     and phase modulus, whatever group asked for the proof; README gives the
     argument, and why fixed points never transfer.  So the outcomes do not
     depend on the order of calls, only which elements get examined does.
-    The specialized pencil at each triple is the system's (`system.context`).
+    Only the classes of elements still unsettled at some triple are walked.
     """
     if scope not in ("involutions", "all"):
         raise ValueError(f"scope must be 'involutions' or 'all', not {scope!r}")
@@ -535,6 +538,10 @@ def check_freeness(
     targets = [g for g, k in orders.items() if scope == "all" or k == 2]
     for h in group.generators:
         system.invariance(h)
+    triples = [_y_triple(y) for y in specializations]
+    reasons = [genericity_screen(t, system, group) if screen else () for t in triples]
+    contexts = [system.context(t) for t, r in zip(triples, reasons) if not r]
+    unsettled = [g for g in targets if any(g not in c.freeness for c in contexts)]
     one = group.identity()
     kind = type(one)  # recast, so that conjugates stay normalized like the group's elements
     conjugators = dict.fromkeys(
@@ -542,37 +549,34 @@ def check_freeness(
         for h, proved in system._invariance.items()
         if proved.ok and h.size == one.size and h.N == one.N
     )
-    classes = conjugacy_classes(targets, conjugators)
-    memo = system._freeness
+    classes = conjugacy_classes(unsettled, conjugators)
 
-    # eigenspaces and eigenvalues do not depend on the triple: found once per element
-    components: dict[MonomialMatrix, list[EigenspaceComponent]] = {}
-    free: dict[MonomialMatrix, tuple[ComponentOutcome, ...]] = {}
-    spec_outcomes = []
-    for y in specializations:
-        triple = _y_triple(y)
-        reasons = genericity_screen(triple, system, group) if screen else ()
-        if reasons:
-            spec_outcomes.append(SpecializationOutcome("inconclusive", "; ".join(reasons), ()))
-            continue
-        for g in targets:
-            if (g, triple) in memo:
-                continue
-            donors = (memo.get((h, triple)) for h in classes[g])
+    for g in unsettled:
+        # eigenspaces and eigenvalues do not depend on the triple: found once
+        components = free = None
+        for context in (c for c in contexts if g not in c.freeness):
+            donors = (context.freeness.get(h) for h in classes[g])
             if any(d and all(o.verdict == "no-fixed-point" for o in d) for d in donors):
-                if g not in free:
-                    free[g] = tuple(
+                if free is None:
+                    free = tuple(
                         ComponentOutcome(value.to_text(), multiplicity, "no-fixed-point", None)
                         for value, multiplicity in g.point_matrix().eigenvalues()
                     )
-                memo[g, triple] = free[g]
+                context.freeness[g] = free
                 continue
-            if g not in components:
-                components[g] = fixed_locus_components(g)
-            context = system.context(triple)
-            memo[g, triple] = tuple(_examine_component(c, context) for c in components[g])
-        elements = tuple(ElementOutcome(g.to_dict(), memo[g, triple]) for g in targets)
-        spec_outcomes.append(SpecializationOutcome("complete", None, elements))
+            if components is None:
+                components = fixed_locus_components(g)
+            context.freeness[g] = tuple(_examine_component(c, context) for c in components)
+
+    settled = iter(contexts)
+    spec_outcomes = []
+    for r in reasons:
+        if r:
+            spec_outcomes.append(SpecializationOutcome("inconclusive", "; ".join(r), ()))
+        else:
+            freeness = next(settled).freeness
+            elements = tuple(ElementOutcome(g.to_dict(), freeness[g]) for g in targets)
+            spec_outcomes.append(SpecializationOutcome("complete", None, elements))
     return FreenessReport(group_name, tuple(spec_outcomes))
 
 

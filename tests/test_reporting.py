@@ -517,6 +517,34 @@ class TestOrbitRecords:
         )
         assert len(odp_calls) > 1 and odp_calls[0] == base_point(y)
 
+    def test_certificates_kept_per_system(self, odp_calls):
+        # at (1,2,3) G's base point is off the planted control and an
+        # ordinary double point of the stock pencil: each system certifies
+        # it on its own context, and neither reads the other's certificate
+        (selection,) = resolve_selections(VerificationConfig(checks=("orbit",), group="G"))
+        y = (Fraction(1), Fraction(2), Fraction(3))
+        (control,) = _orbit_records([selection], planted_control_system(), [(y, ())])
+        (stock,) = _orbit_records([selection], build_quadrics(), [(y, ())])
+        assert control.verdict == "fail"
+        (witness,) = control.witnesses
+        assert "on_variety=False" in witness
+        assert stock.verdict == "pass"
+        assert odp_calls == [base_point(y)] * 2
+
+    def test_certificates_live_as_long_as_the_system(self, odp_calls):
+        # a second orbit run on the same system reads the certificates that
+        # its triples' contexts kept, and certifies nothing again
+        selections = resolve_selections(VerificationConfig(checks=("orbit",), group="all"))
+        system = build_quadrics()
+        triples = draw_specializations(2, 0, system, selections[0].group)
+        screened = [(y, ()) for y in triples]
+        first = _orbit_records(selections, system, screened)
+        assert odp_calls == [base_point(y) for y in triples]
+        again = _orbit_records(selections, system, screened)
+        assert odp_calls == [base_point(y) for y in triples]
+        assert [r.witnesses for r in again] == [r.witnesses for r in first]
+        assert [r.verdict for r in again] == ["pass"] * 6
+
 
 class TestFreenessRecords:
     def test_triples_screened_once(self, monkeypatch):

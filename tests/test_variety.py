@@ -726,6 +726,20 @@ class TestFreeness:
         assert len(examined) == 2 * once
         assert fresh.specializations == first_report.specializations
 
+    def test_equal_triples_share_one_context(self, monkeypatch):
+        # (1, 2, 3) and its Fraction spelling are one triple: the second call
+        # reads the outcomes the first left on that triple's context
+        system = build_quadrics()
+        flip = closure([make_tau() ** 4])
+        examined = record_direct_examinations(monkeypatch)
+        first = check_freeness(flip, system, [(1, 2, 3)], scope="all", screen=False)
+        once = len(examined)
+        assert once > 0
+        again = check_freeness(flip, system, [Y123], scope="all", screen=False)
+        assert len(examined) == once
+        assert system.context((1, 2, 3)) is system.context(Y123)
+        assert again.specializations == first.specializations
+
     def test_planted_control_decomposes_each_element_once(self, monkeypatch):
         # G, G1 and G2 on one planted-control system at one triple settle the
         # 127 distinct non-identity elements of G u G1 u G2.  An element with
@@ -916,6 +930,22 @@ class TestConjugacyTransfer:
             assert element.components == tuple(
                 examine(c, context) for c in fixed_locus_components(g)
             )
+
+    def test_settled_classes_are_not_walked(self, monkeypatch):
+        # a repeated call finds every target settled at its triple and walks
+        # no class; a new triple leaves every target unsettled again
+        walked = []
+        monkeypatch.setattr(
+            variety,
+            "conjugacy_classes",
+            lambda targets, hs: walked.append(list(targets)) or conjugacy_classes(targets, hs),
+        )
+        group, system = standard_group("G1"), build_quadrics()
+        first = check_freeness(group, system, [Y123], scope="all", screen=False)
+        again = check_freeness(group, system, [Y123], scope="all", screen=False)
+        assert again.specializations == first.specializations
+        check_freeness(group, system, [Y123, (3, 2, 1)], scope="all", screen=False)
+        assert walked == [list(group.elements[1:]), [], list(group.elements[1:])]
 
     def test_invariant_memo_is_read_not_reproved(self, monkeypatch):
         # the system keeps its verdicts: a second call on it proves nothing,
