@@ -1,16 +1,16 @@
 """Certifier for the order-64 monomial group actions on a pencil of
 quadric complete intersections in P^7.
 
-The variety is cut out by four quadrics in x0..x7 whose coefficients depend
-on three rational parameters y1, y2, y3; each quadric is one polynomial in
-the flat ring x0..x7, y1..y3 with every term of x-degree 2.  Everything proved
-here is proved exactly: ideal invariance as a polynomial identity in x and
-y, the 64-point singular orbit and its ordinary-double-point certificates
-at chosen rational parameter values, and fixed-point-freeness element by
-element via exact eigenspace analysis plus one Macaulay-matrix rank per
-restricted fixed-locus system: full rank modulo a 64-bit prime certifies
-emptiness, as reduction mod the prime is a ring homomorphism (a minor
-nonzero there is nonzero); otherwise the exact rank decides.
+The variety is cut out by four quadrics in x0..x7 with coefficients in three
+rational parameters y1, y2, y3; each is one polynomial in the flat ring x0..x7,
+y1..y3 of x-degree 2, held at a triple as its Hessian H: p^T H p = 2 q(p).
+Everything proved here is proved exactly: ideal invariance as a polynomial
+identity in x and y, the 64-point singular orbit and its ordinary-double-point
+certificates at chosen rational parameter values, and fixed-point-freeness
+element by element via exact eigenspace analysis plus one Macaulay-matrix rank
+per restricted fixed-locus system: full rank modulo a 64-bit prime certifies
+emptiness, as reduction mod the prime is a ring homomorphism (a minor nonzero
+there is nonzero); otherwise the exact rank decides.
 """
 
 from __future__ import annotations
@@ -263,12 +263,11 @@ def form_polynomial(gram: ExactMatrix, variables: Sequence[str]) -> Polynomial:
 
 @dataclass(frozen=True)
 class ODPContext:
-    """The pencil specialized at one parameter triple, with the nonzero
+    """The pencil specialized at one parameter triple, held only as the nonzero
     entries (i, j, value) of each quadric's constant Hessian H_q.  Built once
     per triple by `QuadricSystem.context`; it keeps what is proved there, by
-    point key and by element, outside its fields: `certificates`, `freeness`."""
+    point key and by element, outside its field: `certificates`, `freeness`."""
 
-    quadrics: tuple[Polynomial, ...]
     hessians: tuple[tuple[tuple[int, int, CyclotomicNumber], ...], ...]
 
     def __post_init__(self):
@@ -277,8 +276,11 @@ class ODPContext:
 
     @classmethod
     def at(cls, system: QuadricSystem, y) -> "ODPContext":
-        quadrics = system.specialized(y)
-        return cls(quadrics, tuple(quadric_hessian(q) for q in quadrics))
+        return cls(tuple(quadric_hessian(q) for q in system.specialized(y)))
+
+    def vanishes(self, point: Sequence[CyclotomicNumber]) -> bool:
+        """Whether every quadric vanishes at the point: p^T H_q p = 2 q(p)."""
+        return all(restrict_form(h, (point,)).entries[0][0].is_zero() for h in self.hessians)
 
     def jacobian(self, point: Sequence[CyclotomicNumber]) -> ExactMatrix:
         """The 4x8 Jacobian at a point: the gradient of q is H_q * p."""
@@ -314,19 +316,18 @@ class ODPCertificate:
 def verify_odp(point: Sequence[CyclotomicNumber], context: ODPContext) -> ODPCertificate:
     """Exact ordinary-double-point certificate at one point.
 
-    Steps: all four quadrics vanish; the 4x8 Jacobian J has rank exactly 3;
-    and the Hessian H of the combination c in J's left kernel, restricted
-    to J's right kernel (which contains p), has rank exactly 4, i.e. the
-    combination cuts a nondegenerate quadric cone transverse to the other
+    Steps: all four quadrics vanish (`context.vanishes`); the 4x8 Jacobian J has
+    rank exactly 3; and the Hessian H of the combination c in J's left kernel,
+    restricted to J's right kernel (which contains p), has rank exactly 4, i.e.
+    the combination cuts a nondegenerate quadric cone transverse to the other
     three.  H*p = c*J(p) = 0 by construction.  The verdict depends only on
     the projective point, so one certificate serves every multiple of it.
     """
-    coords = tuple(point)
-    if not all(q.evaluate(coords).is_zero() for q in context.quadrics):
+    if not context.vanishes(point):
         return ODPCertificate(False, -1, -1, None)
 
     # one elimination gives the rank, the tangent space and the combination
-    elim = context.jacobian(coords).rref()
+    elim = context.jacobian(point).rref()
     if elim.rank != 3:
         return ODPCertificate(True, elim.rank, -1, None)
 
@@ -471,33 +472,32 @@ def _component_witness_candidates(dimension: int):
 
 
 def _examine_component(component: EigenspaceComponent, context: ODPContext) -> ComponentOutcome:
+    """A line is its own point; a larger eigenspace is free when its restricted
+    forms have no common zero, else a ladder of its points hunts for a witness."""
     eigentext = component.eigenvalue.to_text()
     basis = component.basis
     dim = component.multiplicity
-    quadrics = context.quadrics
 
     if dim == 1:
         vec = basis[0]
-        if all(q.evaluate(vec).is_zero() for q in quadrics):
+        if context.vanishes(vec):
             witness = tuple(c.to_text() for c in vec)
             return ComponentOutcome(eigentext, 1, "fixed-point", witness)
         return ComponentOutcome(eigentext, 1, "no-fixed-point", None)
 
     svars = s_variables(dim)
-    restricted = [form_polynomial(restrict_form(h, basis), svars) for h in context.hessians]
+    restricted = (form_polynomial(restrict_form(h, basis), svars) for h in context.hessians)
     live = [p for p in restricted if not p.is_zero()]
     if live and projective_zero_set_empty(live):
         return ComponentOutcome(eigentext, dim, "no-fixed-point", None)
 
-    # the restricted locus is nonempty; hunt for an explicit point
+    zero = CyclotomicNumber.zero()
     for candidate in _component_witness_candidates(dim):
-        if all(p.evaluate(candidate).is_zero() for p in restricted):
-            # never zero: basis rows are nonzero on disjoint cycles, candidates nonzero
-            zero = CyclotomicNumber.zero()
-            point = [sum((b[j] * c for b, c in zip(basis, candidate)), zero) for j in range(8)]
-            if all(q.evaluate(point).is_zero() for q in quadrics):
-                witness = tuple(c.to_text() for c in point)
-                return ComponentOutcome(eigentext, dim, "fixed-point", witness)
+        # never zero: basis rows are nonzero on disjoint cycles, candidates nonzero
+        point = [sum((b[j] * c for b, c in zip(basis, candidate)), zero) for j in range(8)]
+        if context.vanishes(point):
+            witness = tuple(c.to_text() for c in point)
+            return ComponentOutcome(eigentext, dim, "fixed-point", witness)
     return ComponentOutcome(eigentext, dim, "fixed-locus-no-witness", None)
 
 

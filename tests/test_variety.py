@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from quadcert import variety
 from quadcert.cyclotomic import CyclotomicNumber, degree_at, root_of_unity
@@ -494,7 +494,7 @@ class TestRestriction:
                     Polynomial(svars, {e: vec[j] for e, vec in zip(unit, component.basis)})
                     for j in range(8)
                 ]
-                for q, h in zip(context.quadrics, context.hessians):
+                for q, h in zip(system.specialized(y), context.hessians):
                     gram = restrict_form(h, component.basis)
                     assert form_polynomial(gram, svars) == q.substitute(images)
                     checked += 1
@@ -574,7 +574,7 @@ def test_combined_hessian_restricts_linearly(forms, coeffs, basis):
     # the fourth quadric shares its monomials with the first two, so the
     # combined entries repeat positions, which restrict_form adds
     quadrics = (*forms, forms[0] + forms[1])
-    context = ODPContext(quadrics, tuple(quadric_hessian(q) for q in quadrics))
+    context = ODPContext(tuple(quadric_hessian(q) for q in quadrics))
     parts = [restrict_form(h, basis) for h in context.hessians]
     k, zero = len(basis), CyclotomicNumber.zero()
     expected = [
@@ -589,6 +589,80 @@ def test_combined_hessian_restricts_linearly(forms, coeffs, basis):
 def test_form_polynomial_inverts_hessian(q):
     unit_rows = [[CyclotomicNumber(1, [int(i == j)]) for j in range(8)] for i in range(8)]
     assert form_polynomial(restrict_form(quadric_hessian(q), unit_rows), X_VARIABLES) == q
+
+
+RATIONAL_COORDINATES = [CyclotomicNumber.from_rational(v) for v in (0, 1, -1, 2, Fraction(-2, 3))]
+ZETA8_COORDINATES = [
+    CyclotomicNumber.zero(),
+    CyclotomicNumber.one(),
+    zeta8(1),
+    zeta8(3),
+    zeta8(2) + CyclotomicNumber.one(),
+]
+
+
+@given(
+    st.lists(quadratic_forms(), min_size=4, max_size=4),
+    st.sampled_from([RATIONAL_COORDINATES, ZETA8_COORDINATES]).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=8, max_size=8)
+    ),
+    st.lists(st.booleans(), min_size=4, max_size=4),
+)
+@settings(max_examples=60, deadline=None)
+def test_vanishing_through_entries_matches_evaluation(forms, point, moved):
+    # each form marked in `moved` loses a multiple of x_a^2 that puts the
+    # point on it, so both verdicts occur and the doubled diagonal entries
+    # decide them
+    a = next((i for i, v in enumerate(point) if not v.is_zero()), None)
+    assume(a is not None)
+    square = Polynomial.monomial(X_VARIABLES, x_pair(a, a))
+    forms = [
+        q - square.scale(q.evaluate(point) / (point[a] * point[a])) if m else q
+        for q, m in zip(forms, moved)
+    ]
+    for q in forms:
+        assert ODPContext((quadric_hessian(q),)).vanishes(point) == q.evaluate(point).is_zero()
+    context = ODPContext(tuple(quadric_hessian(q) for q in forms))
+    assert context.vanishes(point) == all(q.evaluate(point).is_zero() for q in forms)
+
+
+def test_vanishing_at_points_of_the_variety():
+    # the stock pencil's base point and a Q(zeta_8) multiple of it, and every
+    # coordinate point of the planted control, lie on the variety; the point
+    # with all coordinates 1 lies on neither
+    one, zero = CyclotomicNumber.one(), CyclotomicNumber.zero()
+    units = [tuple(one if k == i else zero for k in range(8)) for i in range(8)]
+    ones = (one,) * 8
+    base = base_point(Y123)
+    stock, planted = build_quadrics(), planted_control_system()
+    cases = [
+        (stock, base, True),
+        (stock, tuple(zeta8(1) * c for c in base), True),
+        (stock, ones, False),
+        *((planted, unit, True) for unit in units),
+        (planted, ones, False),
+    ]
+    for system, point, on in cases:
+        assert all(q.evaluate(point).is_zero() for q in system.specialized(Y123)) is on
+        assert ODPContext.at(system, Y123).vanishes(point) is on
+
+
+def test_vanishing_never_evaluates_a_polynomial(monkeypatch):
+    # the ODP certificate and G1's freeness outcomes come out the same with
+    # Polynomial.evaluate disabled: every vanishing test reads the Hessian
+    # entries, and the ladder's witnesses on the planted control are found
+    makers = (build_quadrics, planted_control_system)
+    group = standard_group("G1")
+    expected = [check_freeness(group, make(), [Y123], scope="all", screen=False) for make in makers]
+    assert [report.verdict for report in expected] == ["free", "fixed-point-found"]
+
+    def refuse(polynomial, point):
+        raise AssertionError("Polynomial.evaluate called")
+
+    monkeypatch.setattr(Polynomial, "evaluate", refuse)
+    assert verify_odp(base_point(Y123), ODPContext.at(build_quadrics(), Y123)).passes
+    for make, report in zip(makers, expected):
+        assert check_freeness(group, make(), [Y123], scope="all", screen=False) == report
 
 
 class TestFixedLoci:
@@ -1010,7 +1084,7 @@ class TestConjugacyTransfer:
                 for g, element in zip(group.elements[1:], outcome.elements)
             )
         context = ODPContext.at(control, y)
-        quadrics = context.quadrics
+        quadrics = control.specialized(y)
         fixed = 0
         transferred = 0
         for g, outcomes, was_examined in settled:
