@@ -3,7 +3,8 @@ quadric complete intersections in P^7.
 
 The variety is cut out by four quadrics in x0..x7 with coefficients in three
 rational parameters y1, y2, y3; each is one polynomial in the flat ring x0..x7,
-y1..y3 of x-degree 2, held at a triple as its Hessian H: p^T H p = 2 q(p).
+y1..y3 of x-degree 2, held at a triple as its coefficients (i, j, c), one per
+monomial c*x_i*x_j, and restricted to a subspace as a form of the same kind.
 Everything proved here is proved exactly: ideal invariance as a polynomial
 identity in x and y, the 64-point singular orbit and its ordinary-double-point
 certificates at chosen rational parameter values, and fixed-point-freeness
@@ -218,57 +219,54 @@ def singular_orbit(system: QuadricSystem, group: FiniteGroup, y) -> list[OrbitPo
 # -- ordinary double point certification --------------------------------------
 
 
-def quadric_hessian(quadric: Polynomial) -> tuple[tuple[int, int, CyclotomicNumber], ...]:
-    """The nonzero entries (i, j, value) of a quadratic form's constant
-    Hessian, read off its coefficients: c*x_i*x_j gives (i, j, c) and
-    (j, i, c), and c*x_i^2 gives (i, i, 2c)."""
-    entries = []
-    for exponents, coeff in quadric.terms.items():
-        i, j = (k for k, e in enumerate(exponents) for _ in range(e))
-        entries += [(i, i, coeff + coeff)] if i == j else [(i, j, coeff), (j, i, coeff)]
-    return tuple(entries)
+def quadric_terms(quadric: Polynomial) -> tuple[tuple[int, int, CyclotomicNumber], ...]:
+    """A quadratic form's coefficients (i, j, c), i <= j, one per monomial
+    c*x_i*x_j."""
+    return tuple(
+        (*(k for k, e in enumerate(m) for _ in range(e)), c) for m, c in quadric.terms.items()
+    )
 
 
-def restrict_form(hessian: Sequence, basis: Sequence[Sequence[CyclotomicNumber]]) -> ExactMatrix:
-    """The Gram matrix G = B H B^T of the form 1/2 x^T H x restricted to the
-    span of the rows B_a of basis, for the symmetric H given by its entries
-    (i, j, v): G[a][b] = sum B_a[i] v B_b[j].  Entries at one position add."""
-    k = len(basis)
-    gram = [[CyclotomicNumber.zero()] * k for _ in range(k)]
-    for a in range(k):
-        for b in range(a, k):
-            total = CyclotomicNumber.zero()
-            for i, j, v in hessian:
-                left, right = basis[a][i], basis[b][j]
-                if not (left.is_zero() or right.is_zero()):
-                    total = total + left * v * right
-            gram[a][b] = gram[b][a] = total
+def restrict_terms(terms: Sequence, basis: Sequence[Sequence[CyclotomicNumber]]) -> list:
+    """The nonzero coefficients (a, b, c), a <= b, of the form q o B^T in one
+    coordinate s_a per row B_a of basis, for q given by its terms: c*x_i*x_j
+    gives c*B_a[i]*B_b[j] on s_a*s_b, and c*B_a[j]*B_b[i] too when a < b, as
+    the rows are taken in both orders.  Terms at one position add."""
+    support = [[(a, v) for a, v in enumerate(column) if not v.is_zero()] for column in zip(*basis)]
+    sums: dict[tuple[int, int], CyclotomicNumber] = {}
+    for i, j, c in terms:
+        for a, u in support[i]:
+            for b, v in support[j]:
+                key = (a, b) if a <= b else (b, a)
+                sums[key] = sums[key] + c * u * v if key in sums else c * u * v
+    return [(a, b, total) for (a, b), total in sorted(sums.items()) if not total.is_zero()]
+
+
+def restrict_form(terms: Sequence, basis: Sequence[Sequence[CyclotomicNumber]]) -> ExactMatrix:
+    """The Gram matrix B H B^T of the form q restricted to the span of the
+    rows of basis, H the Hessian of q: each restricted term (a, b, c) puts
+    2c at (a, a), or c at (a, b) and at (b, a)."""
+    gram = [[CyclotomicNumber.zero()] * len(basis) for _ in basis]
+    for a, b, c in restrict_terms(terms, basis):
+        gram[a][b] = gram[b][a] = c + c if a == b else c
     return ExactMatrix(gram)
 
 
-def form_polynomial(gram: ExactMatrix, variables: Sequence[str]) -> Polynomial:
-    """The quadratic form 1/2 s^T G s of a Gram matrix G: G[a][b] on s_a*s_b
-    for a < b and G[a][a]/2 on s_a^2."""
+def form_polynomial(terms: Sequence, variables: Sequence[str]) -> Polynomial:
+    """The form sum c*s_a*s_b of restricted terms (a, b, c)."""
     n = len(variables)
-    terms = {}
-    for a in range(n):
-        for b in range(a, n):
-            value = gram.entries[a][b]
-            if value.is_zero():
-                continue
-            exponents = tuple(int(k == a) + int(k == b) for k in range(n))
-            terms[exponents] = value * Fraction(1, 2) if a == b else value
-    return Polynomial(variables, terms)
+    monomials = {tuple((k == a) + (k == b) for k in range(n)): c for a, b, c in terms}
+    return Polynomial(variables, monomials)
 
 
 @dataclass(frozen=True)
 class ODPContext:
-    """The pencil specialized at one parameter triple, held only as the nonzero
-    entries (i, j, value) of each quadric's constant Hessian H_q.  Built once
+    """The pencil specialized at one parameter triple, held only as each
+    quadric's coefficients (i, j, c), i <= j (`quadric_terms`).  Built once
     per triple by `QuadricSystem.context`; it keeps what is proved there, by
     point key and by element, outside its field: `certificates`, `freeness`."""
 
-    hessians: tuple[tuple[tuple[int, int, CyclotomicNumber], ...], ...]
+    terms: tuple[tuple[tuple[int, int, CyclotomicNumber], ...], ...]
 
     def __post_init__(self):
         object.__setattr__(self, "certificates", {})
@@ -276,29 +274,27 @@ class ODPContext:
 
     @classmethod
     def at(cls, system: QuadricSystem, y) -> "ODPContext":
-        return cls(tuple(quadric_hessian(q) for q in system.specialized(y)))
+        return cls(tuple(quadric_terms(q) for q in system.specialized(y)))
 
     def vanishes(self, point: Sequence[CyclotomicNumber]) -> bool:
-        """Whether every quadric vanishes at the point: p^T H_q p = 2 q(p)."""
-        return all(restrict_form(h, (point,)).entries[0][0].is_zero() for h in self.hessians)
+        """Whether every quadric vanishes at p: q restricted to p's span is q(p)*s^2."""
+        return not any(restrict_terms(terms, (point,)) for terms in self.terms)
 
     def jacobian(self, point: Sequence[CyclotomicNumber]) -> ExactMatrix:
-        """The 4x8 Jacobian at a point: the gradient of q is H_q * p."""
-        rows = [[CyclotomicNumber.zero()] * len(point) for _ in self.hessians]
-        for row, hessian in zip(rows, self.hessians):
-            for i, j, v in hessian:
+        """The 4x8 Jacobian at p: a term c*x_i*x_j adds c*p_j at i and c*p_i at j."""
+        rows = [[CyclotomicNumber.zero()] * len(point) for _ in self.terms]
+        for row, terms in zip(rows, self.terms):
+            for i, j, c in terms:
                 if not point[j].is_zero():
-                    row[i] = row[i] + v * point[j]
+                    row[i] = row[i] + (c + c if i == j else c) * point[j]
+                if i < j and not point[i].is_zero():
+                    row[j] = row[j] + c * point[i]
         return ExactMatrix(rows)
 
-    def combined_hessian(self, coeffs) -> list[tuple[int, int, CyclotomicNumber]]:
-        """The entries of sum_k coeffs[k] * H_k, the Hessian of sum_k coeffs[k] * q_k."""
-        return [
-            (i, j, c * v)
-            for c, hessian in zip(coeffs, self.hessians)
-            if not c.is_zero()
-            for i, j, v in hessian
-        ]
+    def combination(self, coeffs) -> list[tuple[int, int, CyclotomicNumber]]:
+        """The terms of sum_k coeffs[k] * q_k; terms at one position repeat."""
+        scaled = [(c, terms) for c, terms in zip(coeffs, self.terms) if not c.is_zero()]
+        return [(i, j, c * v) for c, terms in scaled for i, j, v in terms]
 
 
 @dataclass(frozen=True)
@@ -320,8 +316,9 @@ def verify_odp(point: Sequence[CyclotomicNumber], context: ODPContext) -> ODPCer
     rank exactly 3; and the Hessian H of the combination c in J's left kernel,
     restricted to J's right kernel (which contains p), has rank exactly 4, i.e.
     the combination cuts a nondegenerate quadric cone transverse to the other
-    three.  H*p = c*J(p) = 0 by construction.  The verdict depends only on
-    the projective point, so one certificate serves every multiple of it.
+    three; this rank is the only use of a symmetric matrix (`restrict_form`).
+    H*p = c*J(p) = 0 by construction.  The verdict depends only on the
+    projective point, so one certificate serves every multiple of it.
     """
     if not context.vanishes(point):
         return ODPCertificate(False, -1, -1, None)
@@ -332,7 +329,7 @@ def verify_odp(point: Sequence[CyclotomicNumber], context: ODPContext) -> ODPCer
         return ODPCertificate(True, elim.rank, -1, None)
 
     (combo,) = elim.left_kernel()
-    restricted = restrict_form(context.combined_hessian(combo), elim.right_kernel())
+    restricted = restrict_form(context.combination(combo), elim.right_kernel())
     return ODPCertificate(True, 3, restricted.rank(), combo)
 
 
@@ -472,8 +469,11 @@ def _component_witness_candidates(dimension: int):
 
 
 def _examine_component(component: EigenspaceComponent, context: ODPContext) -> ComponentOutcome:
-    """A line is its own point; a larger eigenspace is free when its restricted
-    forms have no common zero, else a ladder of its points hunts for a witness."""
+    """A line is its own point; a larger eigenspace is free when its live
+    restricted forms have no common zero, else a ladder of its points hunts
+    for a witness.  A component the ladder misses is `fixed-locus-no-witness`:
+    it meets the variety by the exact Macaulay rank or, with fewer live forms
+    than coordinates, by the dimension count, and then no rank is taken."""
     eigentext = component.eigenvalue.to_text()
     basis = component.basis
     dim = component.multiplicity
@@ -486,8 +486,7 @@ def _examine_component(component: EigenspaceComponent, context: ODPContext) -> C
         return ComponentOutcome(eigentext, 1, "no-fixed-point", None)
 
     svars = s_variables(dim)
-    restricted = (form_polynomial(restrict_form(h, basis), svars) for h in context.hessians)
-    live = [p for p in restricted if not p.is_zero()]
+    live = [form_polynomial(r, svars) for t in context.terms if (r := restrict_terms(t, basis))]
     if live and projective_zero_set_empty(live):
         return ComponentOutcome(eigentext, dim, "no-fixed-point", None)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -5,7 +6,7 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from quadcert import variety
+from quadcert import groebner, variety
 from quadcert.cyclotomic import CyclotomicNumber, degree_at, root_of_unity
 from quadcert.groups import (
     closure,
@@ -41,8 +42,9 @@ from quadcert.variety import (
     orbit_size,
     planted_control_system,
     projective_point_key,
-    quadric_hessian,
+    quadric_terms,
     restrict_form,
+    restrict_terms,
     singular_orbit,
     verify_odp,
 )
@@ -494,9 +496,9 @@ class TestRestriction:
                     Polynomial(svars, {e: vec[j] for e, vec in zip(unit, component.basis)})
                     for j in range(8)
                 ]
-                for q, h in zip(system.specialized(y), context.hessians):
-                    gram = restrict_form(h, component.basis)
-                    assert form_polynomial(gram, svars) == q.substitute(images)
+                for q, terms in zip(system.specialized(y), context.terms):
+                    restricted = restrict_terms(terms, component.basis)
+                    assert form_polynomial(restricted, svars) == q.substitute(images)
                     checked += 1
         assert checked == 4 * (176 + 6)  # 176 planes and 6 four-spaces
 
@@ -515,7 +517,7 @@ class TestRestriction:
             return [[v.coeffs[0] for v in row] for row in rows]
 
         assert fraction_matrix_rank_by_minors(rationals(kernel)) == 5
-        gram = restrict_form(context.combined_hessian(cert.null_combination), kernel)
+        gram = restrict_form(context.combination(cert.null_combination), kernel)
         assert fraction_matrix_rank_by_minors(rationals(gram.entries)) == 4
 
 
@@ -540,16 +542,21 @@ def quadratic_forms(draw):
 @given(quadratic_forms())
 @settings(max_examples=60, deadline=None)
 def test_hessian_read_matches_second_derivatives(q):
-    # the entries are the nonzero second derivatives, each position once
+    # the symmetric Hessian built from the terms, each monomial once with
+    # i <= j, has the second derivatives as its nonzero entries
     zeros = [CyclotomicNumber.zero()] * 8
     second = {
         (j, k): q.partial_derivative(j).partial_derivative(k).evaluate(zeros)
         for j in range(8)
         for k in range(8)
     }
-    entries = quadric_hessian(q)
-    assert len({(i, j) for i, j, _ in entries}) == len(entries)
-    assert {(i, j): v for i, j, v in entries} == {
+    terms = quadric_terms(q)
+    assert all(i <= j for i, j, _ in terms)
+    assert len({(i, j) for i, j, _ in terms}) == len(terms)
+    hessian = {}
+    for i, j, c in terms:
+        hessian[i, j] = hessian[j, i] = c + c if i == j else c
+    assert hessian == {
         position: v for position, v in second.items() if not v.is_zero()
     }
 
@@ -572,23 +579,67 @@ SCALARS = [
 @settings(max_examples=40, deadline=None)
 def test_combined_hessian_restricts_linearly(forms, coeffs, basis):
     # the fourth quadric shares its monomials with the first two, so the
-    # combined entries repeat positions, which restrict_form adds
+    # combined terms repeat positions, which restrict_form adds
     quadrics = (*forms, forms[0] + forms[1])
-    context = ODPContext(tuple(quadric_hessian(q) for q in quadrics))
-    parts = [restrict_form(h, basis) for h in context.hessians]
+    context = ODPContext(tuple(quadric_terms(q) for q in quadrics))
+    parts = [restrict_form(terms, basis) for terms in context.terms]
     k, zero = len(basis), CyclotomicNumber.zero()
     expected = [
         [sum((c * part.entries[a][b] for c, part in zip(coeffs, parts)), zero) for b in range(k)]
         for a in range(k)
     ]
-    assert restrict_form(context.combined_hessian(coeffs), basis) == ExactMatrix(expected)
+    assert restrict_form(context.combination(coeffs), basis) == ExactMatrix(expected)
 
 
 @given(quadratic_forms())
 @settings(max_examples=60, deadline=None)
 def test_form_polynomial_inverts_hessian(q):
     unit_rows = [[CyclotomicNumber(1, [int(i == j)]) for j in range(8)] for i in range(8)]
-    assert form_polynomial(restrict_form(quadric_hessian(q), unit_rows), X_VARIABLES) == q
+    assert form_polynomial(restrict_terms(quadric_terms(q), unit_rows), X_VARIABLES) == q
+
+
+@given(
+    quadratic_forms(),
+    st.lists(st.lists(st.sampled_from(SCALARS), min_size=8, max_size=8), min_size=1, max_size=2)
+    .flatmap(lambda rows: st.lists(st.sampled_from(rows), min_size=1, max_size=3)),
+)
+@settings(max_examples=60, deadline=None)
+def test_restriction_matches_substitution_and_dense_gram(q, basis):
+    # rows drawn from a pool of one or two repeat often, and their zero and
+    # Q(zeta_8) entries let a product B_a[j]*B_b[i] with i < j survive, which
+    # unit rows never do: the restricted terms are q o B^T, and the Gram
+    # matrix is the dense B H B^T of the second derivatives
+    k, terms = len(basis), quadric_terms(q)
+    svars = s_variables(k)
+    units = [tuple(int(t == a) for t in range(k)) for a in range(k)]
+    images = [Polynomial(svars, {e: row[j] for e, row in zip(units, basis)}) for j in range(8)]
+    assert form_polynomial(restrict_terms(terms, basis), svars) == q.substitute(images)
+    zeros = [CyclotomicNumber.zero()] * 8
+    hessian = ExactMatrix(
+        [q.partial_derivative(i).partial_derivative(j).evaluate(zeros) for j in range(8)]
+        for i in range(8)
+    )
+    dense = matmul(matmul(ExactMatrix(basis), hessian), ExactMatrix(zip(*basis)))
+    assert restrict_form(terms, basis) == dense
+
+
+def test_restriction_to_a_point_takes_two_products_per_term(monkeypatch):
+    # the context holds one term per monomial, 5 per stock quadric; q(p) at
+    # the all-ones point multiplies each coefficient by two coordinates
+    assert [f.name for f in dataclasses.fields(ODPContext)] == ["terms"]
+    context = ODPContext.at(build_quadrics(), Y123)
+    assert [len(terms) for terms in context.terms] == [5, 5, 5, 5]
+    products = []
+    multiply = CyclotomicNumber.__mul__
+
+    def counted(a, b):
+        products.append((a, b))
+        return multiply(a, b)
+
+    monkeypatch.setattr(CyclotomicNumber, "__mul__", counted)
+    ones = (CyclotomicNumber.one(),) * 8
+    assert restrict_terms(context.terms[0], (ones,)) != []
+    assert len(products) == 10
 
 
 RATIONAL_COORDINATES = [CyclotomicNumber.from_rational(v) for v in (0, 1, -1, 2, Fraction(-2, 3))]
@@ -611,8 +662,7 @@ ZETA8_COORDINATES = [
 @settings(max_examples=60, deadline=None)
 def test_vanishing_through_entries_matches_evaluation(forms, point, moved):
     # each form marked in `moved` loses a multiple of x_a^2 that puts the
-    # point on it, so both verdicts occur and the doubled diagonal entries
-    # decide them
+    # point on it, so both verdicts occur, decided by its square terms
     a = next((i for i, v in enumerate(point) if not v.is_zero()), None)
     assume(a is not None)
     square = Polynomial.monomial(X_VARIABLES, x_pair(a, a))
@@ -621,8 +671,8 @@ def test_vanishing_through_entries_matches_evaluation(forms, point, moved):
         for q, m in zip(forms, moved)
     ]
     for q in forms:
-        assert ODPContext((quadric_hessian(q),)).vanishes(point) == q.evaluate(point).is_zero()
-    context = ODPContext(tuple(quadric_hessian(q) for q in forms))
+        assert ODPContext((quadric_terms(q),)).vanishes(point) == q.evaluate(point).is_zero()
+    context = ODPContext(tuple(quadric_terms(q) for q in forms))
     assert context.vanishes(point) == all(q.evaluate(point).is_zero() for q in forms)
 
 
@@ -649,8 +699,8 @@ def test_vanishing_at_points_of_the_variety():
 
 def test_vanishing_never_evaluates_a_polynomial(monkeypatch):
     # the ODP certificate and G1's freeness outcomes come out the same with
-    # Polynomial.evaluate disabled: every vanishing test reads the Hessian
-    # entries, and the ladder's witnesses on the planted control are found
+    # Polynomial.evaluate disabled: every vanishing test reads the quadrics'
+    # terms, and the ladder's witnesses on the planted control are found
     makers = (build_quadrics, planted_control_system)
     group = standard_group("G1")
     expected = [check_freeness(group, make(), [Y123], scope="all", screen=False) for make in makers]
@@ -877,6 +927,33 @@ class TestFreeness:
         assert (plus.multiplicity, minus.multiplicity) == (4, 4)
         assert (plus.verdict, plus.witness) == ("fixed-locus-no-witness", None)
         assert (minus.verdict, minus.witness) == ("no-fixed-point", None)
+
+    def test_fixed_locus_without_witness_by_dimension_count(self, monkeypatch):
+        # the transposition x0 <-> x1 fixes a 7-dimensional eigenspace, on
+        # which the four stock quadrics leave 4 live forms in 7 coordinates:
+        # they meet by the dimension count, with no rank taken, and no trial
+        # point of the ladder lies on their common zeros
+        swap = closure([MonomialMatrix((1, 0, 2, 3, 4, 5, 6, 7), (0,) * 8, 2)], names=("t",))
+        ranks = []
+        full_rank_mod_prime, exact_rank = groebner._full_rank_mod_prime, ExactMatrix.rank
+        monkeypatch.setattr(
+            groebner, "_full_rank_mod_prime", lambda *a: ranks.append(a) or full_rank_mod_prime(*a)
+        )
+        monkeypatch.setattr(ExactMatrix, "rank", lambda m: ranks.append(m) or exact_rank(m))
+        report = check_freeness(swap, build_quadrics(), [Y123], scope="all", screen=False)
+        assert report.verdict == "fixed-point-found"
+        (outcome,) = report.specializations
+        (element,) = outcome.elements
+        by_value = {c.eigenvalue: c for c in element.components}
+        plus = by_value[CyclotomicNumber.one().to_text()]
+        minus = by_value[(-CyclotomicNumber.one()).to_text()]
+        assert (plus.multiplicity, minus.multiplicity) == (7, 1)
+        assert (plus.verdict, plus.witness) == ("fixed-locus-no-witness", None)
+        assert (minus.verdict, minus.witness) == ("no-fixed-point", None)
+        assert ranks == []
+        (component,) = [c for c in fixed_locus_components(swap.elements[1]) if c.multiplicity == 7]
+        context = ODPContext.at(build_quadrics(), Y123)
+        assert [bool(restrict_terms(t, component.basis)) for t in context.terms] == [True] * 4
 
     def test_involution_scope_needs_two_group(self):
         # S3 on the first three coordinates: involutions and order-3 elements
