@@ -1,10 +1,11 @@
 """Projective emptiness by one Macaulay-matrix rank, and Groebner bases over
 the cyclotomic coefficient field.
 
-`projective_zero_set_empty` decides emptiness of fixed-locus systems by a
-rank taken mod PRIME first: reduction mod PRIME is a ring homomorphism, so a
-maximal minor nonzero mod PRIME is nonzero and full rank there proves full
-rank over Q(zeta_64); otherwise the exact rank of the same matrix decides.
+`projective_zero_set_empty` decides emptiness of fixed-locus systems, each
+restricted quadric given by its terms as they stand, by a rank taken mod
+PRIME first: reduction mod PRIME is a ring homomorphism, so a maximal minor
+nonzero mod PRIME is nonzero and full rank there proves full rank over
+Q(zeta_64); otherwise the exact rank of the same matrix decides.
 
 `buchberger` is only the tests' reference now, so its MAX_BASIS error cannot
 be reached from the CLI.  It is deterministic (pair selection, divisor
@@ -254,47 +255,35 @@ def _full_rank_mod_prime(rows: list[dict[int, int]], ncols: int) -> bool:
     return False
 
 
-def projective_zero_set_empty(system: Sequence[Polynomial]) -> bool:
-    """Whether a homogeneous system has no projective solution over any
-    extension field.
+def projective_zero_set_empty(forms: Sequence, nvars: int) -> bool:
+    """Whether quadratic forms in nvars coordinates, each given by its terms
+    (a, b, c), a <= b, one per monomial c*s_a*s_b (as `restrict_terms`
+    returns them), have no common projective zero over any extension field.
 
-    k forms in n variables with k >= n have none exactly when their
-    multiples of degree D = sum(d_i - 1) + 1 over the n largest degrees span
-    every monomial of degree D (Macaulay's bound; Lazard 1983): the
-    Macaulay matrix, one row per multiple and one column per monomial, has
-    full column rank.  Fewer forms always meet, a nonzero constant never
-    vanishes, and an all-zero system comes back False.
+    k forms with k >= nvars have none exactly when their multiples of degree
+    nvars + 1 span every monomial of that degree (Macaulay's bound for
+    quadrics; Lazard 1983): the Macaulay matrix, one row per form times a
+    monomial of degree nvars - 1 and one column per monomial, has full
+    column rank.  Fewer forms always meet.
     """
-    polys = [p for p in system if not p.is_zero()]
-    if not polys:
+    if len(forms) < nvars:
         return False
-    for p in polys:
-        if not p.is_homogeneous():
-            raise ValueError("projective emptiness needs homogeneous polynomials")
-        if p.variables != polys[0].variables:
-            raise ValueError("forms live in different rings")
-    nvars = len(polys[0].variables)
-    degrees = [p.total_degree() for p in polys]
-    if 0 in degrees:
-        return True
-    if len(polys) < nvars:
-        return False
-    degree = sum(d - 1 for d in sorted(degrees, reverse=True)[:nvars]) + 1
-    columns = {m: i for i, m in enumerate(_monomials(nvars, degree))}
+    columns = {m: i for i, m in enumerate(_monomials(nvars, nvars + 1))}
+    shifts = _monomials(nvars, nvars - 1)
     # row layout: the form and the column of each of its terms, shifted
     layout = [
-        (k, [columns[tuple(i + j for i, j in zip(e, shift))] for e in polys[k].terms])
-        for k, d in enumerate(degrees)
-        for shift in _monomials(nvars, degree - d)
+        (k, [columns[tuple(n + (t == a) + (t == b) for t, n in enumerate(shift))] for a, b, _ in f])
+        for k, f in enumerate(forms)
+        for shift in shifts
     ]
     # mod PRIME only full rank certifies; the exact rank decides the rest
-    residues = [[_residue(c) for c in p.terms.values()] for p in polys]
+    residues = [[_residue(c) for _, _, c in form] for form in forms]
     if not any(None in r for r in residues):
         rows = [{c: v for c, v in zip(cols, residues[k]) if v} for k, cols in layout]
         if _full_rank_mod_prime(rows, len(columns)):
             return True
     exact = [[ZERO] * len(columns) for _ in layout]
     for row, (k, cols) in zip(exact, layout):
-        for c, v in zip(cols, polys[k].terms.values()):
+        for c, (_, _, v) in zip(cols, forms[k]):
             row[c] = v
     return ExactMatrix(exact).rank() == len(columns)

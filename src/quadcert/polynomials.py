@@ -22,10 +22,6 @@ Y_VARIABLES = ("y1", "y2", "y3")
 PENCIL_VARIABLES = X_VARIABLES + Y_VARIABLES
 
 
-def s_variables(count: int) -> tuple[str, ...]:
-    return tuple(f"s{i}" for i in range(count))
-
-
 def grevlex_key(exponents: tuple[int, ...]):
     """Sort key realizing grevlex: compare total degree, then the reversed
     exponent tuple with signs flipped (ties break toward smaller exponents in
@@ -97,9 +93,6 @@ class Polynomial:
         if not self.terms:
             return -1
         return max(sum(e) for e in self.terms)
-
-    def is_homogeneous(self) -> bool:
-        return len({sum(e) for e in self.terms}) <= 1
 
     def sorted_exponents(self) -> list[tuple[int, ...]]:
         """Exponent tuples in descending grevlex order."""

@@ -25,7 +25,7 @@ from .cyclotomic import CyclotomicNumber, root_of_unity
 from .groups import FiniteGroup, conjugacy_classes
 from .linalg import EigenspaceComponent, ExactMatrix, MonomialMatrix
 from .groebner import projective_zero_set_empty
-from .polynomials import PENCIL_VARIABLES, Polynomial, X_VARIABLES, s_variables
+from .polynomials import PENCIL_VARIABLES, Polynomial, X_VARIABLES
 
 MAX_SPECIALIZATION_HEIGHT = 97
 #: Candidate triples draw_specializations screens before giving up.
@@ -252,13 +252,6 @@ def restrict_form(terms: Sequence, basis: Sequence[Sequence[CyclotomicNumber]]) 
     return ExactMatrix(gram)
 
 
-def form_polynomial(terms: Sequence, variables: Sequence[str]) -> Polynomial:
-    """The form sum c*s_a*s_b of restricted terms (a, b, c)."""
-    n = len(variables)
-    monomials = {tuple((k == a) + (k == b) for k in range(n)): c for a, b, c in terms}
-    return Polynomial(variables, monomials)
-
-
 @dataclass(frozen=True)
 class ODPContext:
     """The pencil specialized at one parameter triple, held only as each
@@ -277,8 +270,15 @@ class ODPContext:
         return cls(tuple(quadric_terms(q) for q in system.specialized(y)))
 
     def vanishes(self, point: Sequence[CyclotomicNumber]) -> bool:
-        """Whether every quadric vanishes at p: q restricted to p's span is q(p)*s^2."""
-        return not any(restrict_terms(terms, (point,)) for terms in self.terms)
+        """Whether every quadric vanishes at p: q(p) is the sum of c*p_i*p_j
+        over q's terms.  One pass marks p's zero coordinates, and every term
+        at one of them is skipped."""
+        live = [not v.is_zero() for v in point]
+        for terms in self.terms:
+            values = [c * point[i] * point[j] for i, j, c in terms if live[i] and live[j]]
+            if values and not sum(values[1:], values[0]).is_zero():
+                return False
+        return True
 
     def jacobian(self, point: Sequence[CyclotomicNumber]) -> ExactMatrix:
         """The 4x8 Jacobian at p: a term c*x_i*x_j adds c*p_j at i and c*p_i at j."""
@@ -485,9 +485,8 @@ def _examine_component(component: EigenspaceComponent, context: ODPContext) -> C
             return ComponentOutcome(eigentext, 1, "fixed-point", witness)
         return ComponentOutcome(eigentext, 1, "no-fixed-point", None)
 
-    svars = s_variables(dim)
-    live = [form_polynomial(r, svars) for t in context.terms if (r := restrict_terms(t, basis))]
-    if live and projective_zero_set_empty(live):
+    live = [r for terms in context.terms if (r := restrict_terms(terms, basis))]
+    if live and projective_zero_set_empty(live, dim):
         return ComponentOutcome(eigentext, dim, "no-fixed-point", None)
 
     zero = CyclotomicNumber.zero()

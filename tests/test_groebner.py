@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quadcert import groebner
-from quadcert.cyclotomic import MAX_LEVEL, CyclotomicNumber, degree_at, root_of_unity
+from quadcert.cyclotomic import MAX_LEVEL, CyclotomicNumber, as_cyclotomic, degree_at, root_of_unity
 from quadcert.groebner import (
     PRIME,
     buchberger,
@@ -16,7 +17,15 @@ from quadcert.groebner import (
     s_polynomial,
 )
 from quadcert.linalg import ExactMatrix, MonomialMatrix
-from quadcert.polynomials import Polynomial, s_variables
+from quadcert.polynomials import Polynomial
+from quadcert.groups import standard_group
+from quadcert.variety import (
+    ODPContext,
+    build_quadrics,
+    fixed_locus_components,
+    quadric_terms,
+    restrict_terms,
+)
 
 
 def poly2(terms):
@@ -25,6 +34,25 @@ def poly2(terms):
 
 X = poly2({(1, 0): 1})
 Y = poly2({(0, 1): 1})
+
+
+def s_variables(count):
+    return tuple(f"s{i}" for i in range(count))
+
+
+def form(*terms):
+    """A quadratic form as its terms (a, b, c), one per monomial c*s_a*s_b."""
+    return [(a, b, as_cyclotomic(c)) for a, b, c in terms]
+
+
+def form_polynomial(terms, variables):
+    """The form sum c*s_a*s_b of restricted terms (a, b, c)."""
+    n = len(variables)
+    monomials = {tuple((k == a) + (k == b) for k in range(n)): c for a, b, c in terms}
+    return Polynomial(variables, monomials)
+
+
+XX, XY, YY = form((0, 0, 1)), form((0, 1, 1)), form((1, 1, 1))
 
 
 class TestDivision:
@@ -109,40 +137,30 @@ class TestBuchberger:
 
 class TestProjectiveEmptiness:
     def test_pure_powers(self):
-        assert projective_zero_set_empty([X ** 2, Y ** 2])
+        assert projective_zero_set_empty([XX, YY], 2)
 
     def test_single_cross_term(self):
-        assert not projective_zero_set_empty([X * Y])
+        assert not projective_zero_set_empty([XY], 2)
 
     def test_needs_new_pure_power(self):
         # x^2 + y^2 and xy force y^3 into the leading ideal
-        assert projective_zero_set_empty([X ** 2 + Y ** 2, X * Y])
+        assert projective_zero_set_empty([form((0, 0, 1), (1, 1, 1)), XY], 2)
 
     def test_zero_system(self):
-        assert not projective_zero_set_empty([poly2({}), poly2({})])
-
-    def test_rejects_inhomogeneous(self):
-        with pytest.raises(ValueError):
-            projective_zero_set_empty([X + poly2({(0, 0): 1})])
+        assert not projective_zero_set_empty([[], []], 2)
 
     def test_restriction_shapes(self):
         # the pairwise-product system restricted two ways
-        svars = s_variables(4)
-        s = [Polynomial.monomial(svars, [int(k == i) for k in range(4)]) for i in range(4)]
-        zero = Polynomial.zero(svars)
-        xvars = tuple(f"x{i}" for i in range(8))
-        pairs = []
-        for i in range(4):
-            e = [0] * 8
-            e[i] = 1
-            e[i + 4] = 1
-            pairs.append(Polynomial.monomial(xvars, e))
+        one, zero = CyclotomicNumber.one(), CyclotomicNumber.zero()
+        pairs = [form((i, i + 4, 1)) for i in range(4)]
         # span of e0..e3: every product vanishes, locus is the whole subspace
-        flat = [p.substitute([s[0], s[1], s[2], s[3], zero, zero, zero, zero]) for p in pairs]
-        assert not projective_zero_set_empty(flat)
+        units = [[one if k == i else zero for k in range(8)] for i in range(4)]
+        flat = [restrict_terms(p, units) for p in pairs]
+        assert not projective_zero_set_empty(flat, 4)
         # span of e_i + e_{i+4}: products become squares, locus is empty
-        diag = [p.substitute([s[0], s[1], s[2], s[3], s[0], s[1], s[2], s[3]]) for p in pairs]
-        assert projective_zero_set_empty(diag)
+        sums = [[one if k % 4 == i else zero for k in range(8)] for i in range(4)]
+        diag = [restrict_terms(p, sums) for p in pairs]
+        assert projective_zero_set_empty(diag, 4)
 
     def test_invariant_under_monomial_change(self):
         rng = random.Random(11)
@@ -161,8 +179,9 @@ class TestProjectiveEmptiness:
             perm = list(range(4))
             rng.shuffle(perm)
             g = MonomialMatrix(tuple(perm), tuple(rng.randrange(8) for _ in range(4)))
-            moved = [p.substitute_linear(g) for p in base]
-            assert projective_zero_set_empty(moved) == projective_zero_set_empty(base)
+            moved = [quadric_terms(p.substitute_linear(g)) for p in base]
+            base = [quadric_terms(p) for p in base]
+            assert projective_zero_set_empty(moved, 4) == projective_zero_set_empty(base, 4)
 
 
 class TestMacaulayEmptiness:
@@ -176,43 +195,28 @@ class TestMacaulayEmptiness:
         return calls
 
     def test_rational_certificate_needs_no_exact_rank(self, exact_ranks):
-        assert projective_zero_set_empty([X ** 2, Y ** 2])
+        assert projective_zero_set_empty([XX, YY], 2)
         assert exact_ranks == []
 
     def test_form_vanishing_mod_prime_falls_back(self, exact_ranks):
         # P*y^2 is zero mod P, so the rank there is deficient
-        assert projective_zero_set_empty([X ** 2, Y ** 2 * PRIME])
+        assert projective_zero_set_empty([XX, form((1, 1, PRIME))], 2)
         assert exact_ranks == [4]
 
     def test_denominator_divisible_by_prime_falls_back(self, exact_ranks):
-        assert projective_zero_set_empty([X ** 2 + Y ** 2 * Fraction(1, PRIME), X * Y])
+        assert projective_zero_set_empty([form((0, 0, 1), (1, 1, Fraction(1, PRIME))), XY], 2)
         assert exact_ranks == [4]
 
     def test_common_rational_point_is_nonempty(self, exact_ranks):
         # three forms through (1 : 1), k > n
-        assert not projective_zero_set_empty([X ** 2 - Y ** 2, X ** 2 - X * Y, X * Y - Y ** 2])
+        forms = [form((0, 0, 1), (1, 1, -1)), form((0, 0, 1), (0, 1, -1)), form((0, 1, 1), (1, 1, -1))]
+        assert not projective_zero_set_empty(forms, 2)
         assert exact_ranks == [4]
 
-    def test_mixed_degrees_use_the_macaulay_bound(self, exact_ranks):
-        # D = (3 - 1) + (2 - 1) + 1 = 4: at degree 3 the multiples x^3, x*y^2,
-        # y^3 miss x^2*y, so only the full bound proves emptiness
-        assert projective_zero_set_empty([X ** 3, Y ** 2])
-        assert exact_ranks == []
-        assert not projective_zero_set_empty([X ** 3, X * Y])  # (0 : 1)
-        assert exact_ranks == [5]
-
     def test_fewer_forms_than_variables_are_nonempty(self, exact_ranks):
-        svars = s_variables(3)
-        squares = [Polynomial.monomial(svars, [2 * int(k == i) for k in range(3)]) for i in range(2)]
-        assert not projective_zero_set_empty(squares)
+        squares = [form((i, i, 1)) for i in range(2)]
+        assert not projective_zero_set_empty(squares, 3)
         assert exact_ranks == []
-
-    def test_nonzero_constant_is_empty(self):
-        assert projective_zero_set_empty([Polynomial.constant(s_variables(3), 2)])
-
-    def test_rejects_mixed_rings(self):
-        with pytest.raises(ValueError):
-            projective_zero_set_empty([X ** 2, Polynomial(("x",), {(2,): 1})])
 
 
 @st.composite
@@ -254,9 +258,8 @@ def buchberger_verdict(system: list[Polynomial]) -> bool:
 
 
 def test_macaulay_verdict_agrees_with_buchberger():
-    # random quadrics of 1 to 2n terms (with a cubic now and then, and
-    # Q(zeta_8) coefficients in a third of the systems), k >= n, in 2 to 4
-    # variables
+    # random quadrics of 1 to 2n terms (with Q(zeta_8) coefficients in a
+    # third of the systems), k >= n, in 2 to 4 variables
     rng = random.Random(64)
     coefficient_pool = [root_of_unity(8, k) for k in range(8)]
     empty = nonempty = 0
@@ -265,23 +268,46 @@ def test_macaulay_verdict_agrees_with_buchberger():
         variables = s_variables(nvars)
         system = []
         for _ in range(nvars + rng.randint(0, 1)):
-            degree = 3 if nvars < 4 and rng.random() < 0.2 else 2
             terms = {}
             for _ in range(rng.randint(1, 2 * nvars)):
                 c = rng.randint(-2, 2)
                 if trial % 3 == 0:
                     c = rng.choice(coefficient_pool) * c
-                terms[rng.choice(monomials_of_degree(nvars, degree))] = c
+                terms[rng.choice(monomials_of_degree(nvars, 2))] = c
             system.append(Polynomial(variables, terms))
         system = [p for p in system if not p.is_zero()]
         if len(system) < nvars:
             continue
-        verdict = projective_zero_set_empty(system)
+        verdict = projective_zero_set_empty([quadric_terms(p) for p in system], nvars)
         assert verdict == buchberger_verdict(system), [p.render() for p in system]
         empty += verdict
         nonempty += not verdict
     assert empty + nonempty >= 50
     assert empty >= 10 and nonempty >= 10
+
+
+def test_macaulay_verdict_on_restricted_pencils_agrees_with_buchberger():
+    # the systems freeness sends: the stock pencil at (1, 2, 3) restricted to
+    # every eigenspace of dimension 2 or more of a non-identity element of
+    # G u G1 u G2 that leaves at least as many live forms as coordinates,
+    # tested as the restricted terms stand and, as polynomials, by Buchberger
+    context = ODPContext.at(build_quadrics(), (1, 2, 3))
+    elements = dict.fromkeys(g for name in ("G", "G1", "G2") for g in standard_group(name).elements)
+    tested = Counter()
+    for g in elements:
+        if g.is_identity():
+            continue
+        for component in fixed_locus_components(g):
+            dim = component.multiplicity
+            live = [r for terms in context.terms if (r := restrict_terms(terms, component.basis))]
+            if dim < 2 or len(live) < dim:
+                continue
+            verdict = projective_zero_set_empty(live, dim)
+            polys = [form_polynomial(r, s_variables(dim)) for r in live]
+            assert verdict == buchberger_verdict(polys), g
+            tested[dim, verdict] += 1
+    # the groups act freely: 176 planes and 6 four-spaces, every one empty
+    assert tested == {(2, True): 176, (4, True): 6}
 
 
 # -- membership oracle agreement ---------------------------------------------
@@ -371,7 +397,7 @@ def test_membership_agrees_with_span_oracle():
                 candidate = candidate + m * g
         else:
             candidate = random_homogeneous(rng, variables, 3)
-        if candidate.is_zero() or not candidate.is_homogeneous():
+        if candidate.is_zero() or len({sum(e) for e in candidate.terms}) > 1:
             continue
         nf_zero = gb.contains(candidate)
         oracle = span_contains(candidate, gens)

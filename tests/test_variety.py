@@ -25,7 +25,6 @@ from quadcert.polynomials import (
     X_VARIABLES,
     Y_VARIABLES,
     grevlex_key,
-    s_variables,
 )
 from quadcert.variety import (
     InvarianceResult,
@@ -37,7 +36,6 @@ from quadcert.variety import (
     check_ideal_invariance,
     draw_specializations,
     fixed_locus_components,
-    form_polynomial,
     genericity_screen,
     orbit_size,
     planted_control_system,
@@ -62,6 +60,17 @@ def x_pair(i, j):
 def y_coefficient(q, x_exponents):
     """The y-polynomial multiplying one x-monomial of a pencil quadric."""
     return Polynomial(Y_VARIABLES, {e[8:]: c for e, c in q.terms.items() if e[:8] == x_exponents})
+
+
+def s_variables(count):
+    return tuple(f"s{i}" for i in range(count))
+
+
+def form_polynomial(terms, variables):
+    """The form sum c*s_a*s_b of restricted terms (a, b, c)."""
+    n = len(variables)
+    monomials = {tuple((k == a) + (k == b) for k in range(n)): c for a, b, c in terms}
+    return Polynomial(variables, monomials)
 
 
 def pencil_var(i):
@@ -541,7 +550,7 @@ def quadratic_forms(draw):
 
 @given(quadratic_forms())
 @settings(max_examples=60, deadline=None)
-def test_hessian_read_matches_second_derivatives(q):
+def test_hessian_from_terms_matches_second_derivatives(q):
     # the symmetric Hessian built from the terms, each monomial once with
     # i <= j, has the second derivatives as its nonzero entries
     zeros = [CyclotomicNumber.zero()] * 8
@@ -577,7 +586,7 @@ SCALARS = [
     st.lists(st.lists(st.sampled_from(SCALARS), min_size=8, max_size=8), min_size=1, max_size=3),
 )
 @settings(max_examples=40, deadline=None)
-def test_combined_hessian_restricts_linearly(forms, coeffs, basis):
+def test_combination_restricts_linearly(forms, coeffs, basis):
     # the fourth quadric shares its monomials with the first two, so the
     # combined terms repeat positions, which restrict_form adds
     quadrics = (*forms, forms[0] + forms[1])
@@ -593,7 +602,7 @@ def test_combined_hessian_restricts_linearly(forms, coeffs, basis):
 
 @given(quadratic_forms())
 @settings(max_examples=60, deadline=None)
-def test_form_polynomial_inverts_hessian(q):
+def test_restriction_to_unit_rows_gives_back_the_quadric(q):
     unit_rows = [[CyclotomicNumber(1, [int(i == j)]) for j in range(8)] for i in range(8)]
     assert form_polynomial(restrict_terms(quadric_terms(q), unit_rows), X_VARIABLES) == q
 
@@ -695,6 +704,17 @@ def test_vanishing_at_points_of_the_variety():
     for system, point, on in cases:
         assert all(q.evaluate(point).is_zero() for q in system.specialized(Y123)) is on
         assert ODPContext.at(system, Y123).vanishes(point) is on
+
+
+def test_vanishing_reads_each_coordinate_once(monkeypatch):
+    # one pass over the stock base point's 8 coordinates finds its zeros,
+    # then each of the 4 quadrics tests its one sum: 12 zero tests in all
+    context, point = ODPContext.at(build_quadrics(), Y123), base_point(Y123)
+    tests = []
+    is_zero = CyclotomicNumber.is_zero
+    monkeypatch.setattr(CyclotomicNumber, "is_zero", lambda c: tests.append(c) or is_zero(c))
+    assert context.vanishes(point)
+    assert len(tests) == 12
 
 
 def test_vanishing_never_evaluates_a_polynomial(monkeypatch):
@@ -954,6 +974,22 @@ class TestFreeness:
         (component,) = [c for c in fixed_locus_components(swap.elements[1]) if c.multiplicity == 7]
         context = ODPContext.at(build_quadrics(), Y123)
         assert [bool(restrict_terms(t, component.basis)) for t in context.terms] == [True] * 4
+
+    def test_all_scope_builds_no_polynomial(self, monkeypatch):
+        # with G's generators proved and the pencil held at (1, 2, 3), every
+        # element's eigenspaces are restricted and ranked through the
+        # quadrics' terms alone
+        system, group = build_quadrics(), standard_group("G")
+        for h in group.generators:
+            system.invariance(h)
+        system.context(Y123)
+        built = []
+        init, unchecked = Polynomial.__init__, Polynomial.__dict__["_unchecked"].__func__
+        monkeypatch.setattr(Polynomial, "__init__", lambda p, *a: built.append(a) or init(p, *a))
+        wrapped = classmethod(lambda cls, *a: built.append(a) or unchecked(cls, *a))
+        monkeypatch.setattr(Polynomial, "_unchecked", wrapped)
+        assert check_freeness(group, system, [Y123], scope="all").verdict == "free"
+        assert built == []
 
     def test_involution_scope_needs_two_group(self):
         # S3 on the first three coordinates: involutions and order-3 elements
