@@ -189,18 +189,6 @@ class CyclotomicNumber:
         )
         return conj * (self * conj).inverse()
 
-    def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
-
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
             return NotImplemented

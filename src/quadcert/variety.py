@@ -46,16 +46,28 @@ def _y_triple(y) -> tuple[Fraction, Fraction, Fraction]:
 class QuadricSystem:
     """Four quadrics in the flat ring x0..x7, y1..y3: every term has
     x-degree 2, and y1..y3 carry the parameters (absent for custom systems
-    with constant coefficients)."""
+    with constant coefficients).  `echelon` is the reduced echelon basis of
+    their span, eliminated once over the monomials in descending order: per
+    row its pivot monomial m_i, the row b_i and its transform row T_i, with
+    b_i = sum_j T_ij q_j."""
 
     quadrics: tuple[Polynomial, ...]
 
     def __post_init__(self):
+        if len(self.quadrics) != 4:
+            raise ValueError("need exactly 4 quadrics")
         for q in self.quadrics:
             if q.variables != PENCIL_VARIABLES:
                 raise ValueError("quadrics must live in the x0..x7, y1..y3 ring")
             if any(sum(e[:8]) != 2 for e in q.terms):
                 raise ValueError("every quadric term must have x-degree 2")
+        monomials = sorted({e for q in self.quadrics for e in q.terms}, reverse=True)
+        span = ExactMatrix([q.terms.get(m, 0) for m in monomials] for q in self.quadrics).rref()
+        echelon = tuple(
+            (monomials[c], Polynomial(PENCIL_VARIABLES, dict(zip(monomials, row))), t)
+            for c, row, t in zip(span.pivots, span.reduced, span.transform)
+        )
+        object.__setattr__(self, "echelon", echelon)
         # what is proved about this system lives exactly as long as it does
         object.__setattr__(self, "_invariance", {})
         object.__setattr__(self, "_context", {})
@@ -79,8 +91,8 @@ class QuadricSystem:
 
     @classmethod
     def from_records(cls, records: Sequence[Sequence[dict]]) -> "QuadricSystem":
-        if not isinstance(records, list) or len(records) != 4:
-            raise ValueError("need a list of exactly 4 quadrics")
+        if not isinstance(records, list):
+            raise ValueError("quadrics must be given as a list")
         quadrics = []
         for rows in records:
             if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
@@ -357,33 +369,25 @@ def check_ideal_invariance(g: MonomialMatrix, system: QuadricSystem) -> Invarian
     """Certify that pulling each quadric back through g lands in the span of
     the four quadrics, with scalar (y-independent) coefficients.
 
-    The matching is an identity of polynomials in x and y.  One elimination
-    of the quadrics' coefficient rows, over their monomials in descending
-    order, gives a reduced echelon basis b_i of the span, with pivot
-    monomial m_i and b_i = sum_j T_ij q_j for its transform T.  Row k of the
-    matrix is sum_i c_i T_i, with c_i the coefficient of m_i in q_k o g, and
-    the residual q_k o g - sum_j M_kj q_j must vanish.  Otherwise the
-    witness is the x-part of the residual's largest monomial: the residual
-    is zero at every pivot and each b_i lives at or below m_i, so every
-    combination of the quadrics leaves a monomial at or above it uncancelled.
+    The matching is an identity of polynomials in x and y, reduced against
+    the echelon basis the system eliminated once (`QuadricSystem.echelon`).
+    Each b_i is zero at every other pivot, so with c_i the coefficient of m_i
+    in q_k o g, row k of the matrix is sum_i c_i T_i, and the residual
+    q_k o g - sum_i c_i b_i = q_k o g - sum_j M_kj q_j must vanish.
+    Otherwise the witness is the x-part of the residual's largest monomial:
+    the residual is zero at every pivot and each b_i lives at or below m_i,
+    so every combination of the quadrics leaves a monomial at or above it
+    uncancelled.
     """
-    quadrics = system.quadrics
-    monomials = sorted({e for q in quadrics for e in q.terms}, reverse=True)
-    zero = CyclotomicNumber.zero()
-    span = ExactMatrix([q.terms.get(m, zero) for m in monomials] for q in quadrics).rref()
-    echelon = [(monomials[c], t) for c, t in zip(span.pivots, span.transform)]
     matrix_rows = []
-    for quadric in quadrics:
-        pullback = quadric.substitute_linear(g)
-        row = [zero] * 4
-        for pivot, combination in echelon:
-            c = pullback.terms.get(pivot)
+    for quadric in system.quadrics:
+        residual = quadric.substitute_linear(g)
+        row = [CyclotomicNumber.zero()] * 4
+        for pivot, basis_row, combination in system.echelon:
+            c = residual.terms.get(pivot)
             if c is not None:
                 row = [r + c * t for r, t in zip(row, combination)]
-        residual = pullback
-        for c, q in zip(row, quadrics):
-            if not c.is_zero():
-                residual = residual - q.scale(c)
+                residual = residual - basis_row.scale(c)
         if not residual.is_zero():
             return InvarianceResult(False, None, max(residual.terms)[:8])
         matrix_rows.append(tuple(row))

@@ -134,8 +134,7 @@ class TestInverse:
             (ZETA8 - ZETA8).inverse()
 
     def test_division(self):
-        assert (zeta(8, 3) / ZETA8) == zeta(8, 2)
-        assert 1 / ZETA8 == zeta(8, 7)
+        assert zeta(8, 3) * ZETA8.inverse() == zeta(8, 2)
 
 
 def promote(x, level):
@@ -365,7 +364,8 @@ def test_one_value_one_form(level, data, den):
         CyclotomicNumber(level, nums) * Fraction(1, den),
         CyclotomicNumber(level, [Fraction(n, den) for n in nums]),
         CyclotomicNumber(higher, _lift([Fraction(n, den) for n in nums], higher)),
-        CyclotomicNumber(higher, _lift(nums, higher)) / den,
+        CyclotomicNumber(higher, _lift(nums, higher))
+        * CyclotomicNumber.from_rational(den).inverse(),
     ]
     forms.append(CyclotomicNumber.from_text(forms[1].to_text()))
     for x in forms:

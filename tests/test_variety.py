@@ -185,6 +185,20 @@ class TestQuadricSystem:
         with pytest.raises(ValueError, match="ring"):
             QuadricSystem((x_only, x_only, x_only, x_only))
 
+    def test_exactly_four_quadrics(self):
+        # every constructor rejects another count: invariance matrices are
+        # 4x4 and the ODP ranks 3 and 4 count four quadrics
+        stock = build_quadrics()
+        records = quadric_records(stock)
+        for quadrics, rows in (
+            (stock.quadrics[:3], records[:3]),
+            (stock.quadrics + (pencil_var(0) * pencil_var(1),), records + records[:1]),
+        ):
+            with pytest.raises(ValueError, match="exactly 4"):
+                QuadricSystem(quadrics)
+            with pytest.raises(ValueError, match="exactly 4"):
+                QuadricSystem.from_records(rows)
+
 
 class TestBasePoint:
     def test_symbolic_membership(self):
@@ -211,6 +225,23 @@ class TestBasePoint:
 
 def zeta8(k):
     return root_of_unity(8, k)
+
+
+def assert_rows_by_evaluation(system, mat, matrix):
+    """Each matrix row by plain evaluation at seeded (x, y):
+    (q_k o g)(x, y) = q_k(x', y) = sum_j M_kj q_j(x, y), with
+    x'_j = zeta^phases[j] * x_perm[j]."""
+    rng = random.Random(31)
+    for _ in range(3):
+        point = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(11)]
+        x, y = point[:8], point[8:]
+        moved = [zeta8(mat.phases[j]) * x[mat.perm[j]] for j in range(8)]
+        q_values = [q.evaluate(point) for q in system.quadrics]
+        for q, row in zip(system.quadrics, matrix):
+            expected = CyclotomicNumber.zero()
+            for m, v in zip(row, q_values):
+                expected = expected + m * v
+            assert q.evaluate(moved + y) == expected
 
 
 class TestInvariance:
@@ -262,27 +293,52 @@ class TestInvariance:
 
     def test_all_group_elements_by_evaluation(self):
         # every distinct projective element of G, G1 and G2 passes, and each
-        # matrix row is re-checked by plain evaluation at seeded (x, y):
-        # (q_k o g)(x, y) = q_k(x', y) with x'_j = zeta^phases[j] * x_perm[j]
+        # matrix row is re-checked by plain evaluation at seeded (x, y)
         system = build_quadrics()
         elements = {g: None for name in ("G", "G1", "G2") for g in standard_group(name).elements}
         assert len(elements) == 128
-        rng = random.Random(31)
-        points = [
-            [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(11)] for _ in range(3)
-        ]
-        values = [[q.evaluate(p) for q in system.quadrics] for p in points]
         for mat in elements:
             result = check_ideal_invariance(mat, system)
             assert result.ok, mat
-            for point, q_values in zip(points, values):
-                x, y = point[:8], point[8:]
-                moved = [zeta8(mat.phases[j]) * x[mat.perm[j]] for j in range(8)]
-                for q, row in zip(system.quadrics, result.matrix):
-                    expected = CyclotomicNumber.zero()
-                    for m, v in zip(row, q_values):
-                        expected = expected + m * v
-                    assert q.evaluate(moved + y) == expected
+            assert_rows_by_evaluation(system, mat, result.matrix)
+
+    def test_one_elimination_per_system(self, monkeypatch):
+        # the system eliminates its span once, when it is built; checking the
+        # 128 distinct elements of G u G1 u G2 against it eliminates nothing
+        elements = {g: None for name in ("G", "G1", "G2") for g in standard_group(name).elements}
+        assert len(elements) == 128
+        eliminated = []
+        rref = ExactMatrix.rref
+        monkeypatch.setattr(
+            ExactMatrix, "rref", lambda m, *a, **k: eliminated.append(m) or rref(m, *a, **k)
+        )
+        system = build_quadrics()
+        for mat in elements:
+            assert check_ideal_invariance(mat, system).ok, mat
+        assert len(eliminated) == 1
+
+    def test_reduction_against_mixed_echelon_rows(self):
+        # the circulant q_k = x_k^2 + x_{k+1}^2 (indices mod 4) has rank 3,
+        # and each of its echelon rows x0^2+x3^2, x1^2-x3^2, x2^2+x3^2 mixes
+        # quadrics, so a reduction that subtracted the wrong row would show
+        def square(k):
+            return Polynomial.monomial(PENCIL_VARIABLES, x_pair(k, k) + (0, 0, 0))
+
+        system = QuadricSystem(tuple(square(k) + square((k + 1) % 4) for k in range(4)))
+        assert [(pivot, row) for pivot, row, _ in system.echelon] == [
+            (x_pair(k, k) + (0, 0, 0), square(k) + square(3).scale(-1 if k == 1 else 1))
+            for k in range(3)
+        ]
+        cycle = MonomialMatrix((1, 2, 3, 0, 4, 5, 6, 7), (0,) * 8)
+        result = check_ideal_invariance(cycle, system)
+        assert result.ok
+        assert_rows_by_evaluation(system, cycle, result.matrix)
+        # x0 <-> x1 pulls q1 back to x0^2 + x2^2, which leaves -2*x3^2
+        swap = MonomialMatrix((1, 0, 2, 3, 4, 5, 6, 7), (0,) * 8)
+        result = check_ideal_invariance(swap, system)
+        assert not result.ok
+        assert result.witness_monomial == x_pair(3, 3)
+        assert result.witness_text() == "x3^2"
 
     def test_composition_is_antihomomorphism(self):
         # pullback composes in reverse: M(g*h) = M(h)*M(g), exactly
@@ -676,7 +732,7 @@ def test_vanishing_through_entries_matches_evaluation(forms, point, moved):
     assume(a is not None)
     square = Polynomial.monomial(X_VARIABLES, x_pair(a, a))
     forms = [
-        q - square.scale(q.evaluate(point) / (point[a] * point[a])) if m else q
+        q - square.scale(q.evaluate(point) * (point[a] * point[a]).inverse()) if m else q
         for q, m in zip(forms, moved)
     ]
     for q in forms:
