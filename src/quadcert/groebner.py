@@ -16,9 +16,8 @@ input generator reduce to zero against it, or it raises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .cyclotomic import MAX_LEVEL, MIN_LEVEL, ZERO, CyclotomicNumber, degree_at
 from .linalg import ExactMatrix
@@ -139,8 +138,7 @@ def _interreduce(basis: list[Polynomial]) -> list[Polynomial]:
     return monic
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
+class GroebnerBasis(NamedTuple):
     variables: tuple[str, ...]
     polys: tuple[Polynomial, ...]
 

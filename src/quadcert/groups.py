@@ -25,10 +25,9 @@ from __future__ import annotations
 
 import re
 from collections import Counter, deque
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .linalg import MonomialMatrix
 
@@ -55,15 +54,24 @@ class ProjectiveElement(MonomialMatrix):
         super().__init__(perm, [p - phases[0] for p in phases], N)
 
 
-@dataclass(frozen=True)
 class FiniteGroup:
     """Closure of a generator list, elements kept in BFS discovery order."""
 
-    projective: bool
-    names: tuple[str, ...]
-    generators: tuple[MonomialMatrix, ...]
-    elements: tuple[MonomialMatrix, ...]
-    element_set: frozenset
+    def __init__(
+        self,
+        projective: bool,
+        names: tuple[str, ...],
+        generators: tuple[MonomialMatrix, ...],
+        elements: tuple[MonomialMatrix, ...],
+    ):
+        object.__setattr__(self, "projective", projective)
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "element_set", frozenset(elements))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FiniteGroup is immutable")
 
     @property
     def order(self) -> int:
@@ -185,7 +193,7 @@ def closure(
                 seen.add(y)
                 ordered.append(y)
                 queue.append(y)
-    return FiniteGroup(projective, names, tuple(gens), tuple(ordered), frozenset(seen))
+    return FiniteGroup(projective, names, tuple(gens), tuple(ordered))
 
 
 def order_spectrum(group: FiniteGroup) -> dict[int, int]:
@@ -222,8 +230,7 @@ def conjugation_exponent(g: MonomialMatrix, t: MonomialMatrix, identity: Monomia
 # -- structure certification --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClaimResult:
+class ClaimResult(NamedTuple):
     claim: dict
     ok: bool
     witness: str | None = None
@@ -327,8 +334,7 @@ def certify_structure(group: FiniteGroup, claims: Sequence[dict]) -> tuple[Claim
     return tuple(results)
 
 
-@dataclass(frozen=True)
-class InvolutionCertificate:
+class InvolutionCertificate(NamedTuple):
     involution_count: int
     all_in_subgroup: bool
     subgroup_contained_in_ambient: bool

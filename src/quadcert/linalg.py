@@ -9,8 +9,7 @@ Jacobians and Hessians, where exact Gaussian elimination is the whole point.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .cyclotomic import (
     ONE,
@@ -97,8 +96,7 @@ class ExactMatrix:
         return self.rref().left_kernel()
 
 
-@dataclass(frozen=True)
-class Elimination:
+class Elimination(NamedTuple):
     """One elimination of a matrix M: the reduced row echelon form R, its
     pivot columns, and the invertible transform T with T*M = R (None when
     the elimination did not record it)."""
@@ -134,8 +132,7 @@ class Elimination:
 # -- monomial matrices -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EigenspaceComponent:
+class EigenspaceComponent(NamedTuple):
     """One eigenvalue of a monomial matrix with a basis for its eigenspace."""
 
     eigenvalue: CyclotomicNumber

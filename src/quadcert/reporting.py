@@ -7,7 +7,7 @@ import json
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, get_args, get_origin
+from typing import NamedTuple, Sequence, get_args, get_origin
 
 from . import __version__
 from .groups import (
@@ -93,8 +93,7 @@ class VerificationConfig:
         }
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(NamedTuple):
     check_id: str
     target: str
     witnesses: tuple[str, ...] = ()
@@ -119,8 +118,7 @@ class CheckRecord:
         }
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     version: str
     config: VerificationConfig
     checks: tuple[CheckRecord, ...]
@@ -173,8 +171,7 @@ def write_report(report: VerificationReport, path: str) -> None:
 # -- custom input files -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GroupSelection:
+class GroupSelection(NamedTuple):
     """One group to run checks against, with its certification claims; its
     named generators are `group.names` and `group.generators`."""
 

@@ -17,9 +17,8 @@ there is nonzero); otherwise the exact rank decides.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .cyclotomic import CyclotomicNumber, root_of_unity
 from .groups import FiniteGroup, conjugacy_classes
@@ -42,7 +41,6 @@ def _y_triple(y) -> tuple[Fraction, Fraction, Fraction]:
 # -- the quadric system -------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class QuadricSystem:
     """Four quadrics in the flat ring x0..x7, y1..y3: every term has
     x-degree 2, and y1..y3 carry the parameters (absent for custom systems
@@ -51,26 +49,28 @@ class QuadricSystem:
     row its pivot monomial m_i, the row b_i and its transform row T_i, with
     b_i = sum_j T_ij q_j."""
 
-    quadrics: tuple[Polynomial, ...]
-
-    def __post_init__(self):
-        if len(self.quadrics) != 4:
+    def __init__(self, quadrics: tuple[Polynomial, ...]):
+        if len(quadrics) != 4:
             raise ValueError("need exactly 4 quadrics")
-        for q in self.quadrics:
+        for q in quadrics:
             if q.variables != PENCIL_VARIABLES:
                 raise ValueError("quadrics must live in the x0..x7, y1..y3 ring")
             if any(sum(e[:8]) != 2 for e in q.terms):
                 raise ValueError("every quadric term must have x-degree 2")
-        monomials = sorted({e for q in self.quadrics for e in q.terms}, reverse=True)
-        span = ExactMatrix([q.terms.get(m, 0) for m in monomials] for q in self.quadrics).rref()
+        monomials = sorted({e for q in quadrics for e in q.terms}, reverse=True)
+        span = ExactMatrix([q.terms.get(m, 0) for m in monomials] for q in quadrics).rref()
         echelon = tuple(
             (monomials[c], Polynomial(PENCIL_VARIABLES, dict(zip(monomials, row))), t)
             for c, row, t in zip(span.pivots, span.reduced, span.transform)
         )
+        object.__setattr__(self, "quadrics", quadrics)
         object.__setattr__(self, "echelon", echelon)
         # what is proved about this system lives exactly as long as it does
         object.__setattr__(self, "_invariance", {})
         object.__setattr__(self, "_context", {})
+
+    def __setattr__(self, name, value):
+        raise AttributeError("QuadricSystem is immutable")
 
     def invariance(self, g: MonomialMatrix) -> "InvarianceResult":
         """`check_ideal_invariance(g, self)`, proved once per element."""
@@ -182,8 +182,7 @@ def projective_point_key(coords: Sequence[CyclotomicNumber]) -> tuple:
     return tuple((c * inv).sort_key() for c in coords)
 
 
-@dataclass(frozen=True)
-class OrbitPoint:
+class OrbitPoint(NamedTuple):
     coordinates: tuple[CyclotomicNumber, ...]
     group_element: MonomialMatrix
     key: tuple  # projective_point_key(coordinates)
@@ -264,18 +263,19 @@ def restrict_form(terms: Sequence, basis: Sequence[Sequence[CyclotomicNumber]]) 
     return ExactMatrix(gram)
 
 
-@dataclass(frozen=True)
 class ODPContext:
     """The pencil specialized at one parameter triple, held only as each
     quadric's coefficients (i, j, c), i <= j (`quadric_terms`).  Built once
     per triple by `QuadricSystem.context`; it keeps what is proved there, by
-    point key and by element, outside its field: `certificates`, `freeness`."""
+    point key and by element, beside its terms: `certificates`, `freeness`."""
 
-    terms: tuple[tuple[tuple[int, int, CyclotomicNumber], ...], ...]
-
-    def __post_init__(self):
+    def __init__(self, terms: tuple[tuple[tuple[int, int, CyclotomicNumber], ...], ...]):
+        object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "certificates", {})
         object.__setattr__(self, "freeness", {})
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ODPContext is immutable")
 
     @classmethod
     def at(cls, system: QuadricSystem, y) -> "ODPContext":
@@ -309,8 +309,7 @@ class ODPContext:
         return [(i, j, c * v) for c, terms in scaled for i, j, v in terms]
 
 
-@dataclass(frozen=True)
-class ODPCertificate:
+class ODPCertificate(NamedTuple):
     on_variety: bool
     jacobian_rank: int
     hessian_restricted_rank: int
@@ -348,8 +347,7 @@ def verify_odp(point: Sequence[CyclotomicNumber], context: ODPContext) -> ODPCer
 # -- ideal invariance ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InvarianceResult:
+class InvarianceResult(NamedTuple):
     ok: bool
     matrix: tuple[tuple[CyclotomicNumber, ...], ...] | None
     witness_monomial: tuple[int, ...] | None
@@ -405,16 +403,14 @@ def fixed_locus_components(g: MonomialMatrix) -> list[EigenspaceComponent]:
     return g.point_matrix().eigenspaces()
 
 
-@dataclass(frozen=True)
-class ComponentOutcome:
+class ComponentOutcome(NamedTuple):
     eigenvalue: str
     multiplicity: int
     verdict: str  # "no-fixed-point" | "fixed-point" | "fixed-locus-no-witness"
     witness: tuple[str, ...] | None
 
 
-@dataclass(frozen=True)
-class ElementOutcome:
+class ElementOutcome(NamedTuple):
     element: dict
     components: tuple[ComponentOutcome, ...]
 
@@ -423,8 +419,7 @@ class ElementOutcome:
         return any(c.verdict != "no-fixed-point" for c in self.components)
 
 
-@dataclass(frozen=True)
-class SpecializationOutcome:
+class SpecializationOutcome(NamedTuple):
     status: str  # "complete" | "inconclusive"
     reason: str | None
     elements: tuple[ElementOutcome, ...]
@@ -434,8 +429,7 @@ class SpecializationOutcome:
         return any(e.has_fixed_point for e in self.elements)
 
 
-@dataclass(frozen=True)
-class FreenessReport:
+class FreenessReport(NamedTuple):
     group_name: str
     specializations: tuple[SpecializationOutcome, ...]
 

@@ -310,6 +310,6 @@ class TestEigenspaces:
         with pytest.raises(ValueError):
             three_cycle.eigenvalues()
 
-    def test_component_dataclass(self):
+    def test_component_record(self):
         comp = EigenspaceComponent(ONE, ((ONE, ZERO),))
         assert comp.multiplicity == 1

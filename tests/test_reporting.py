@@ -302,7 +302,7 @@ class TestCustomFiles:
     def test_quadrics_loader_round_trip(self, tmp_path):
         path = tmp_path / "q.json"
         path.write_text(json.dumps({"quadrics": quadric_records(build_quadrics())}))
-        assert load_custom_quadrics(str(path)) == build_quadrics()
+        assert load_custom_quadrics(str(path)).quadrics == build_quadrics().quadrics
 
     def test_missing_file_raises_oserror(self):
         with pytest.raises(OSError):

@@ -1,5 +1,7 @@
-import dataclasses
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -27,6 +29,7 @@ from quadcert.polynomials import (
     grevlex_key,
 )
 from quadcert.variety import (
+    ComponentOutcome,
     InvarianceResult,
     ODPContext,
     QuadricSystem,
@@ -150,7 +153,7 @@ class TestQuadricSystem:
 
     def test_records_one_row_per_term(self):
         records = quadric_records(build_quadrics())
-        assert QuadricSystem.from_records(records) == build_quadrics()
+        assert QuadricSystem.from_records(records).quadrics == build_quadrics().quadrics
         assert [len(rows) for rows in records] == [6, 6, 6, 6]
         # descending grevlex in x, then descending y: x0^2, x4^2, x3*x5,
         # x2*x6 (y1^2 before y3^2), x1*x7
@@ -198,6 +201,37 @@ class TestQuadricSystem:
                 QuadricSystem(quadrics)
             with pytest.raises(ValueError, match="exactly 4"):
                 QuadricSystem.from_records(rows)
+
+    def test_systems_contexts_groups_and_records_are_immutable(self):
+        # the memos rely on it: a reassigned `quadrics` would leave `echelon`
+        # and the proved invariance verdicts stale
+        system = build_quadrics()
+        context = system.context(Y123)
+        group = standard_group("G")
+        for target, name in (
+            (system, "quadrics"),
+            (system, "echelon"),
+            (context, "terms"),
+            (context, "freeness"),
+            (group, "elements"),
+            (group, "element_set"),
+            (ComponentOutcome("1", 1, "no-fixed-point", None), "verdict"),
+            (system.invariance(make_tau()), "ok"),
+        ):
+            before = getattr(target, name)
+            with pytest.raises(AttributeError):
+                setattr(target, name, ())
+            assert getattr(target, name) is before
+
+
+def test_groups_and_variety_import_without_dataclasses():
+    # what `bench/run.py`'s set-up probe imports; no record type needs the
+    # dataclasses module, which takes milliseconds to import
+    src = os.path.dirname(os.path.dirname(variety.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, quadcert.groups, quadcert.variety; print('dataclasses' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stdout) == (0, "False\n"), run.stderr
 
 
 class TestBasePoint:
@@ -689,10 +723,11 @@ def test_restriction_matches_substitution_and_dense_gram(q, basis):
 
 
 def test_restriction_to_a_point_takes_two_products_per_term(monkeypatch):
-    # the context holds one term per monomial, 5 per stock quadric; q(p) at
-    # the all-ones point multiplies each coefficient by two coordinates
-    assert [f.name for f in dataclasses.fields(ODPContext)] == ["terms"]
+    # the context holds the quadrics only as terms, one per monomial, 5 per
+    # stock quadric, beside its two memos; q(p) at the all-ones point
+    # multiplies each coefficient by two coordinates
     context = ODPContext.at(build_quadrics(), Y123)
+    assert list(vars(context)) == ["terms", "certificates", "freeness"]
     assert [len(terms) for terms in context.terms] == [5, 5, 5, 5]
     products = []
     multiply = CyclotomicNumber.__mul__
@@ -913,7 +948,7 @@ class TestFreeness:
         second = QuadricSystem(
             tuple(Polynomial(PENCIL_VARIABLES, dict(q.terms)) for q in first.quadrics)
         )
-        assert second == first and second is not first
+        assert second.quadrics == first.quadrics and second is not first
         flip = closure([make_tau() ** 4])
         examined = record_direct_examinations(monkeypatch)
         first_report = check_freeness(flip, first, [Y123], scope="all", screen=False)
