@@ -26,17 +26,12 @@ from .groups import (
 )
 from .linalg import MonomialMatrix
 from .variety import (
-    OrbitPoint,
     QuadricSystem,
-    base_point,
     build_quadrics,
     check_freeness,
+    check_orbit,
     draw_specializations,
     genericity_screen,
-    orbit_size,
-    projective_point_key,
-    singular_orbit,
-    verify_odp,
 )
 
 CHECK_IDS = ("groups", "invariance", "orbit", "freeness")
@@ -378,60 +373,27 @@ def _orbit_records(
 ) -> list[CheckRecord]:
     """One record per (group, triple), in that order; `screened` pairs each
     triple with its screen reasons, and a screened-out triple's record is
-    inconclusive.
-
-    When every generator of a group passes `check_ideal_invariance`, the
-    group preserves the variety and maps ordinary double points to ordinary
-    double points (README gives the argument), so only the base point is
-    certified and the orbit is counted by its stabilizer.  A group with a
-    failing generator certifies every point of `singular_orbit` instead.
-    Invariance is an identity in x and y: the system proves it once per
-    generator matrix (`system.invariance`), in the invariance layer when that
-    ran, and keeps one context per triple (`system.context`).  Each distinct
-    projective point is certified once per triple and system: the triple's
-    context keeps its certificate, which serves every group and every later
-    call."""
+    inconclusive.  Any other triple's record fails when `check_orbit` counts
+    the wrong orbit size or returns a failing certificate."""
     records = []
     for sel in selections:
         for y, reasons in screened:
             start = time.perf_counter()
             witnesses = [f"screen: {r}" for r in reasons]
             if not reasons:
-                witnesses = _orbit_witnesses(sel.group, system, y)
+                size, failure = check_orbit(sel.group, system, y)
+                if size != sel.group.order:
+                    witnesses.append(f"{size} distinct orbit points, expected {sel.group.order}")
+                if failure:
+                    point, cert = failure
+                    witnesses.append(
+                        f"point {point.render()}: on_variety={cert.on_variety} "
+                        f"jacobian_rank={cert.jacobian_rank} "
+                        f"hessian_rank={cert.hessian_restricted_rank}"
+                    )
             target, timing = f"{sel.label} @ ({_render_triple(y)})", time.perf_counter() - start
-            inconclusive = bool(reasons)
-            records.append(CheckRecord("orbit", target, tuple(witnesses), timing, inconclusive))
+            records.append(CheckRecord("orbit", target, tuple(witnesses), timing, bool(reasons)))
     return records
-
-
-def _orbit_witnesses(group: FiniteGroup, system: QuadricSystem, y) -> list[str]:
-    """What fails in the group's orbit record at a triple that passed the
-    screen; no witnesses means the record passes."""
-    base = base_point(y)
-    if all(system.invariance(g).ok for g in group.generators):
-        size = orbit_size(group, base)
-        points = [OrbitPoint(base, group.identity(), projective_point_key(base))]
-    else:
-        points = singular_orbit(system, group, y)
-        size = len(points)
-    context = system.context(y)
-    witnesses = []
-    if size != group.order:
-        witnesses.append(f"{size} distinct orbit points, expected {group.order}")
-    for point in points:
-        cert = context.certificates.get(point.key)
-        if cert is None:
-            cert = context.certificates[point.key] = verify_odp(point.coordinates, context)
-        if not cert.passes:
-            # rendered from this group's own orbit, whichever group computed
-            # the certificate
-            witnesses.append(
-                f"point {point.render()}: on_variety={cert.on_variety} "
-                f"jacobian_rank={cert.jacobian_rank} "
-                f"hessian_rank={cert.hessian_restricted_rank}"
-            )
-            break
-    return witnesses
 
 
 def _freeness_records(

@@ -344,6 +344,35 @@ def verify_odp(point: Sequence[CyclotomicNumber], context: ODPContext) -> ODPCer
     return ODPCertificate(True, 3, restricted.rank(), combo)
 
 
+def check_orbit(
+    group: FiniteGroup, system: QuadricSystem, y
+) -> tuple[int, tuple[OrbitPoint, ODPCertificate] | None]:
+    """The size (`orbit_size`) of the group's singular orbit at a triple,
+    and the first certified orbit point whose certificate fails, with that
+    certificate, or None.
+
+    A group whose generators all pass `check_ideal_invariance` preserves the
+    variety and maps ordinary double points to ordinary double points (README
+    gives the argument), so only the base point is certified; a group with a
+    failing generator certifies every point of `singular_orbit`.  The
+    triple's context (`system.context`) keeps each projective point's
+    certificate, for every group and every later call."""
+    base = base_point(y)
+    if all(system.invariance(g).ok for g in group.generators):
+        points = [OrbitPoint(base, group.identity(), projective_point_key(base))]
+    else:
+        points = singular_orbit(system, group, y)
+    size = orbit_size(group, base)
+    context = system.context(y)
+    for point in points:
+        cert = context.certificates.get(point.key)
+        if cert is None:
+            cert = context.certificates[point.key] = verify_odp(point.coordinates, context)
+        if not cert.passes:
+            return size, (point, cert)
+    return size, None
+
+
 # -- ideal invariance ---------------------------------------------------------
 
 

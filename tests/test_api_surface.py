@@ -1,12 +1,12 @@
 """No public function or method in src/quadcert that only the tests call.
 
 Every module function and class method whose name has no leading underscore
-must be referenced by name outside its own def: anywhere in src/, in
-bench/*.py or scripts/*.py, or as an identifier string in bench/*.py (the
-tracer's hook tables name what they wrap as "module", "function" or
-"Class.method").  The scan is name-based: a test-only method whose name
-collides with another identifier, such as `coeffs`, which also names an
-attribute, slips through.
+must be referenced outside its own def, in src/, bench/*.py or scripts/*.py.
+A module function counts wherever its name appears.  A class method or
+property counts only where it is read as an attribute (`x.name`), or named in
+an identifier string in bench/*.py (the tracer's hook tables name what they
+wrap as "module", "function" or "Class.method"): a local variable that
+shares its name, such as `coeffs`, does not count.
 """
 
 import ast
@@ -22,6 +22,8 @@ ALLOWED = {
     "which stays while bench/tracer.py hooks it",
     "GroebnerBasis.is_trivial": "reads out buchberger, the tests' reference engine, "
     "which stays while bench/tracer.py hooks it",
+    "CyclotomicNumber.coeffs": "acceptance criterion 9 reads it, in its span-membership "
+    "reference, and tests/test_acceptance.py stays as it is",
 }
 
 
@@ -43,7 +45,8 @@ def public_definitions():
 
 
 def references():
-    """Identifier -> the (file, line) places that read it outside tests/."""
+    """Identifier -> the (file, line, kind) places that name it outside
+    tests/; kind is "name", "attribute" or "hook" (a bench/*.py string)."""
     places: dict[str, list] = {}
     paths = [
         *sorted((ROOT / "src").rglob("*.py")),
@@ -54,15 +57,16 @@ def references():
         hooks = path.parent.name == "bench"
         for node in ast.walk(parse(path)):
             if isinstance(node, ast.Name):
-                names = [node.id]
+                names, kind = [node.id], "name"
             elif isinstance(node, ast.Attribute):
-                names = [node.attr]
+                names, kind = [node.attr], "attribute"
             elif hooks and isinstance(node, ast.Constant) and isinstance(node.value, str):
                 names = node.value.split(".") if IDENTIFIER.fullmatch(node.value) else []
+                kind = "hook"
             else:
                 continue
             for name in names:
-                places.setdefault(name, []).append((path, node.lineno))
+                places.setdefault(name, []).append((path, node.lineno, kind))
     return places
 
 
@@ -70,10 +74,12 @@ def test_every_public_name_is_used_outside_the_tests():
     places = references()
     unused = set()
     for qualified, path, node in public_definitions():
+        method = "." in qualified
         outside = [
             (where, line)
-            for where, line in places.get(node.name, [])
-            if where != path or not node.lineno <= line <= node.end_lineno
+            for where, line, kind in places.get(node.name, [])
+            if not (method and kind == "name")
+            and (where != path or not node.lineno <= line <= node.end_lineno)
         ]
         if not outside:
             unused.add(qualified)

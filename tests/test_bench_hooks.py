@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from quadcert.cli import main
+from quadcert.groups import standard_generators
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 TRACER = BENCH / "tracer.py"
@@ -111,3 +112,38 @@ def test_canonical_report_passes_benchmark_checker(tmp_path, capsys, workload):
         assert checkers.campaign_failures(report, 0, checkers.standard_groups()) == (0, [])
     else:
         assert checkers.crossval_failures(report, 0) == (0, [])
+
+
+def readme_tables() -> list[list[list[str]]]:
+    """The body rows of each table in the README's "The pencil and the
+    groups" section, each cell with its backticks kept."""
+    text = (BENCH.parent / "README.md").read_text(encoding="utf-8")
+    section = text.split("## The pencil and the groups\n", 1)[1].split("\n## ", 1)[0]
+    tables = []
+    for block in section.split("\n\n"):
+        lines = block.strip().splitlines()
+        if lines and all(line.startswith("|") for line in lines):
+            rows = [line.strip("|").split("|") for line in lines[2:]]  # past the header
+            tables.append([[cell.strip() for cell in row] for row in rows])
+    return tables
+
+
+def test_readme_generators_match_the_package_and_the_checkers():
+    # bench/checkers.py rebuilds the groups from the README's generator
+    # table: the table, the package and the checkers must agree entry for entry
+    generator_rows, group_rows = readme_tables()
+    readme = {
+        name.strip("`"): (tuple(json.loads(perm.strip("`"))), tuple(json.loads(phases.strip("`"))))
+        for name, perm, phases in generator_rows
+    }
+    groups = {
+        label.strip("`"): tuple(n.strip(" `") for n in names.split(","))
+        for label, names in group_rows
+    }
+    checkers = bench_module("checkers")
+    assert readme == checkers.GENERATORS
+    assert groups == checkers.GROUP_GENERATORS
+    for label, names in groups.items():
+        package_names, matrices = standard_generators(label)
+        assert package_names == names
+        assert [(g.perm, g.phases, g.N) for g in matrices] == [(*readme[n], 8) for n in names]

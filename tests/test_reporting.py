@@ -431,13 +431,13 @@ class TestGroupsRecords:
 class TestOrbitRecords:
     def test_shared_certificate_failures_name_own_orbit_points(self, monkeypatch):
         calls = []
-        original = reporting.verify_odp
+        original = variety.verify_odp
 
         def counting_verify_odp(point, context):
             calls.append(point)
             return original(point, context)
 
-        monkeypatch.setattr(reporting, "verify_odp", counting_verify_odp)
+        monkeypatch.setattr(variety, "verify_odp", counting_verify_odp)
         selections = resolve_selections(VerificationConfig(checks=("orbit",), group="all"))
         control = planted_control_system()
         y = (Fraction(1), Fraction(2), Fraction(3))
@@ -479,13 +479,13 @@ class TestOrbitRecords:
     @pytest.fixture
     def odp_calls(self, monkeypatch):
         calls = []
-        original = reporting.verify_odp
+        original = variety.verify_odp
 
         def counting_verify_odp(point, context):
             calls.append(point)
             return original(point, context)
 
-        monkeypatch.setattr(reporting, "verify_odp", counting_verify_odp)
+        monkeypatch.setattr(variety, "verify_odp", counting_verify_odp)
         return calls
 
     def test_invariant_groups_certify_base_point_once_per_triple(self, odp_calls):

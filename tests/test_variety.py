@@ -37,6 +37,7 @@ from quadcert.variety import (
     build_quadrics,
     check_freeness,
     check_ideal_invariance,
+    check_orbit,
     draw_specializations,
     fixed_locus_components,
     genericity_screen,
@@ -410,6 +411,18 @@ class TestOrbit:
         for p in orbit:
             image = mover.apply(list(p.coordinates))
             assert projective_point_key(image) in keys
+
+    def test_check_orbit_gives_size_and_first_failing_certificate(self):
+        # every generator of G preserves both systems, so only the base point
+        # is certified: an ordinary double point of the stock pencil, off the
+        # planted control
+        group = standard_group("G")
+        assert check_orbit(group, build_quadrics(), Y123) == (64, None)
+        size, (point, cert) = check_orbit(group, planted_control_system(), Y123)
+        assert size == 64
+        assert point.coordinates == base_point(Y123) and point.group_element.is_identity()
+        assert cert == verify_odp(base_point(Y123), ODPContext.at(planted_control_system(), Y123))
+        assert not cert.on_variety
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
