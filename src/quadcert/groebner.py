@@ -220,12 +220,6 @@ def _verify_basis(gb: GroebnerBasis, gens: Sequence[Polynomial]) -> None:
             raise ArithmeticError(f"input generator {n} does not reduce to zero")
 
 
-def _monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
-    """Exponent tuples of every monomial of the given degree."""
-    combos = combinations_with_replacement(range(nvars), degree)
-    return [tuple(combo.count(i) for i in range(nvars)) for combo in combos]
-
-
 def _residue(c: CyclotomicNumber) -> int | None:
     """The image of c in F_PRIME, or None when PRIME divides its denominator."""
     if c.den % PRIME == 0:
@@ -266,11 +260,12 @@ def projective_zero_set_empty(forms: Sequence, nvars: int) -> bool:
     """
     if len(forms) < nvars:
         return False
-    columns = {m: i for i, m in enumerate(_monomials(nvars, nvars + 1))}
-    shifts = _monomials(nvars, nvars - 1)
+    # a monomial is its sorted tuple of coordinate indices, as the terms write s_a*s_b
+    columns = {m: i for i, m in enumerate(combinations_with_replacement(range(nvars), nvars + 1))}
+    shifts = list(combinations_with_replacement(range(nvars), nvars - 1))
     # row layout: the form and the column of each of its terms, shifted
     layout = [
-        (k, [columns[tuple(n + (t == a) + (t == b) for t, n in enumerate(shift))] for a, b, _ in f])
+        (k, [columns[tuple(sorted((*shift, a, b)))] for a, b, _ in f])
         for k, f in enumerate(forms)
         for shift in shifts
     ]

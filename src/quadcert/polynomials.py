@@ -29,6 +29,12 @@ def grevlex_key(exponents: tuple[int, ...]):
     return (sum(exponents), tuple(-e for e in reversed(exponents)))
 
 
+def monomial_text(variables: Sequence[str], exponents: Sequence[int]) -> str:
+    """The monomial as its factors joined by "*", such as "x1*x7" or "x3^2";
+    "" for the constant monomial."""
+    return "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(variables, exponents) if e)
+
+
 def _add_term(terms: dict, exponents: tuple[int, ...], coeff: CyclotomicNumber) -> None:
     """Add coeff to the term at exponents, dropping the term if it is zero."""
     total = terms[exponents] + coeff if exponents in terms else coeff
@@ -272,10 +278,6 @@ class Polynomial:
         parts = []
         for exponents in self.sorted_exponents():
             coeff_text = self.terms[exponents].to_text()
-            factors = [
-                name if e == 1 else f"{name}^{e}"
-                for name, e in zip(self.variables, exponents)
-                if e
-            ]
-            parts.append("*".join([coeff_text] + factors) if factors else coeff_text)
+            factors = monomial_text(self.variables, exponents)
+            parts.append(f"{coeff_text}*{factors}" if factors else coeff_text)
         return " + ".join(parts)

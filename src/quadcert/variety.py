@@ -24,7 +24,7 @@ from .cyclotomic import CyclotomicNumber, root_of_unity
 from .groups import FiniteGroup, conjugacy_classes
 from .linalg import EigenspaceComponent, ExactMatrix, MonomialMatrix
 from .groebner import projective_zero_set_empty
-from .polynomials import PENCIL_VARIABLES, Polynomial, X_VARIABLES
+from .polynomials import PENCIL_VARIABLES, Polynomial, X_VARIABLES, monomial_text
 
 MAX_SPECIALIZATION_HEIGHT = 97
 #: Candidate triples draw_specializations screens before giving up.
@@ -384,12 +384,7 @@ class InvarianceResult(NamedTuple):
     def witness_text(self) -> str | None:
         if self.witness_monomial is None:
             return None
-        factors = [
-            name if e == 1 else f"{name}^{e}"
-            for name, e in zip(X_VARIABLES, self.witness_monomial)
-            if e
-        ]
-        return "*".join(factors) if factors else "1"
+        return monomial_text(X_VARIABLES, self.witness_monomial) or "1"
 
 
 def check_ideal_invariance(g: MonomialMatrix, system: QuadricSystem) -> InvarianceResult:
@@ -617,8 +612,6 @@ def genericity_screen(y, system: QuadricSystem, group: FiniteGroup) -> tuple[str
     reasons = []
     if y1 == 0 or y2 == 0 or y3 == 0:
         reasons.append(f"coordinate vanishes: y=({y1},{y2},{y3})")
-    if y1 * y1 + y3 * y3 == 0:
-        reasons.append("y1^2 + y3^2 = 0 kills the mixed terms")
     if y1 * y3 == y2 * y2 or y1 * y3 == -y2 * y2:
         reasons.append("y1*y3 = +/- y2^2 collapses coefficient ratios")
     if reasons:

@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -217,6 +218,64 @@ class TestMacaulayEmptiness:
         squares = [form((i, i, 1)) for i in range(2)]
         assert not projective_zero_set_empty(squares, 3)
         assert exact_ranks == []
+
+    def test_matrix_matches_exponent_vector_construction(self, monkeypatch):
+        # the rows handed to the mod-PRIME rank are the Macaulay matrix built
+        # from exponent vectors, row for row and column for column, with
+        # k*C(2d-2, d-1) rows and C(2d, d+1) columns
+        given = []
+        full_rank = groebner._full_rank_mod_prime
+
+        def capture(rows, ncols):
+            given.append(([dict(r) for r in rows], ncols))  # the rank reduces the rows in place
+            return full_rank(rows, ncols)
+
+        monkeypatch.setattr(groebner, "_full_rank_mod_prime", capture)
+        rng = random.Random(28)
+        shapes = {}
+        for d in range(1, 6):
+            for k in (d, d + 1):
+                raw = [random_rational_terms(rng, d) for _ in range(k)]
+                given.clear()
+                projective_zero_set_empty([form(*terms) for terms in raw], d)
+                ((rows, ncols),) = given
+                assert rows == exponent_vector_rows(raw, d), (d, k)
+                shapes[d, k] = len(rows), ncols
+                assert shapes[d, k] == (k * comb(2 * d - 2, d - 1), comb(2 * d, d + 1))
+        assert shapes[4, 4] == (80, 56)
+
+
+def random_rational_terms(rng, nvars):
+    """The terms (a, b, c), a <= b, of a random quadratic form with nonzero
+    rational coefficients."""
+    pairs = list(combinations_with_replacement(range(nvars), 2))
+    chosen = rng.sample(pairs, rng.randint(1, len(pairs)))
+    numerators = [-5, -3, -2, -1, 1, 2, 4]
+    return [(a, b, Fraction(rng.choice(numerators), rng.randint(1, 6))) for a, b in chosen]
+
+
+def exponent_vector_rows(raw, nvars):
+    """The Macaulay matrix of the forms mod PRIME, as sparse rows: one row per
+    form times an exponent vector of degree nvars - 1, and one column per
+    exponent vector of degree nvars + 1, both enumerated as
+    combinations_with_replacement gives their coordinates."""
+
+    def exponent_vectors(degree):
+        combos = combinations_with_replacement(range(nvars), degree)
+        return [tuple(combo.count(i) for i in range(nvars)) for combo in combos]
+
+    columns = {e: i for i, e in enumerate(exponent_vectors(nvars + 1))}
+    rows = []
+    for terms in raw:
+        for shift in exponent_vectors(nvars - 1):
+            row = {}
+            for a, b, c in terms:
+                e = list(shift)
+                e[a] += 1
+                e[b] += 1
+                row[columns[tuple(e)]] = c.numerator * pow(c.denominator, -1, PRIME) % PRIME
+            rows.append(row)
+    return rows
 
 
 @st.composite

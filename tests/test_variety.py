@@ -1238,6 +1238,33 @@ class TestConjugacyTransfer:
         check_freeness(group, system, [Y123, (3, 2, 1)], scope="all", screen=False)
         assert walked == [list(group.elements[1:]), [], list(group.elements[1:])]
 
+    def test_each_class_walked_once_across_groups(self, monkeypatch):
+        # with all five generators proved first, as the freeness layer does,
+        # G, G1 and G2 at the seed-0 triples walk disjoint targets: the 127
+        # non-identity elements of G u G1 u G2, each once, in 27 classes that
+        # hold nothing else, so each is conjugated once by each conjugator
+        walked = []
+
+        def record(targets, hs):
+            targets = list(targets)
+            classes = conjugacy_classes(targets, hs)
+            walked.append({g: classes[g] for g in targets})
+            return classes
+
+        monkeypatch.setattr(variety, "conjugacy_classes", record)
+        groups = [standard_group(name) for name in ("G", "G1", "G2")]
+        system = build_quadrics()
+        assert all(system.invariance(h).ok for group in groups for h in group.generators)
+        triples = draw_specializations(3, 0, system, groups[0])
+        for group in groups:
+            check_freeness(group, system, triples, scope="all", screen=False)
+        assert [len(w) for w in walked] == [63, 32, 32]
+        assert len(set().union(*walked)) == 127
+        classes = [set(w.values()) for w in walked]
+        assert [len(c) for c in classes] == [21, 4, 2]
+        assert len(set().union(*classes)) == 27
+        assert sum(len(c) for c in set().union(*classes)) == 127
+
     def test_invariant_memo_is_read_not_reproved(self, monkeypatch):
         # the system keeps its verdicts: a second call on it proves nothing,
         # and a fresh equal system proves each generator once itself
@@ -1393,6 +1420,13 @@ class TestGenericityScreen:
         reasons = genericity_screen((1, 0, 3), build_quadrics(), standard_group("G"))
         assert any("vanishes" in r for r in reasons)
         assert genericity_screen((0, 1, 0), build_quadrics(), standard_group("G"))
+
+    def test_vanishing_coordinates_give_one_reason(self):
+        # y1^2 + y3^2 vanishes over Q only when y1 = y3 = 0, which the
+        # coordinate condition already names
+        assert genericity_screen((0, 2, 0), build_quadrics(), standard_group("G")) == (
+            "coordinate vanishes: y=(0,2,0)",
+        )
 
     def test_coefficient_collision_fails(self):
         reasons = genericity_screen((1, 1, 1), build_quadrics(), standard_group("G"))
