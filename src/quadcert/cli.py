@@ -118,12 +118,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = assemble_config(args)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"quadcert: bad configuration: {exc}", file=sys.stderr)
         return 2
     try:
         report = reporting.run(config)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"quadcert: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a crash is never a verdict: 1 means a certified failure

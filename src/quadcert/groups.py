@@ -230,12 +230,6 @@ def conjugation_exponent(g: MonomialMatrix, t: MonomialMatrix, identity: Monomia
 # -- structure certification --------------------------------------------------
 
 
-class ClaimResult(NamedTuple):
-    claim: dict
-    ok: bool
-    witness: str | None = None
-
-
 def _normality_witness(group: FiniteGroup, sub: FiniteGroup) -> str | None:
     """First conjugate g n g^-1, over the group's generators g and the
     subgroup's generators n, that leaves the subgroup N, or None.
@@ -269,65 +263,47 @@ CLAIM_KEYS = {
 OPTIONAL_CLAIM_KEYS = {"semidirect_exponent": {"value": int}}
 
 
-def certify_structure(group: FiniteGroup, claims: Sequence[dict]) -> tuple[ClaimResult, ...]:
-    """Check a list of tagged claim records against the group.
+def certify_structure(group: FiniteGroup, claims: Sequence[dict]) -> tuple[str | None, ...]:
+    """Check a list of tagged claim records against the group: for each
+    claim, in order, the witness of its failure, or None when it holds.
 
     Claim types are those of CLAIM_KEYS (custom group files with any other
-    type are rejected on loading); a claim of another type does not pass.
+    type are rejected on loading); a claim of another type fails.
     Failures are reported with witnesses, never raised.
     """
-    results: list[ClaimResult] = []
+    return tuple(_claim_witness(group, claim) for claim in claims)
 
-    for claim in claims:
-        kind = claim.get("type")
-        ok = False
-        witness = None
-        if kind == "order":
-            ok = group.order == claim["value"]
-            if not ok:
-                witness = f"actual order {group.order}"
-        elif kind == "abelian":
-            abelian = is_abelian(group)
-            ok = abelian == claim["value"]
-            if not ok:
-                witness = f"group is {'abelian' if abelian else 'nonabelian'}"
-        elif kind == "relation":
-            text = claim["relation"]
-            ok = group.verify_relation(text)
-            if not ok:
-                witness = f"sides differ: {text}"
-        elif kind in ("spectrum", "spectrum_of_subgroup"):
-            sub = group.subgroup(claim["subgroup"]) if kind == "spectrum_of_subgroup" else group
-            actual = order_spectrum(sub)
-            expected = {int(k): int(v) for k, v in claim["value"].items()}
-            ok = actual == expected
-            if not ok:
-                witness = f"actual spectrum {actual}"
-        elif kind == "normal_subgroup":
-            sub = group.subgroup(claim["subgroup"])
-            witness = _normality_witness(group, sub)
-            ok = witness is None
-        elif kind == "quotient_order":
-            quotient = group.order // group.subgroup(claim["subgroup"]).order  # exact, by Lagrange
-            ok = quotient == claim["value"]
-            if not ok:
-                witness = f"actual quotient order {quotient}"
-        elif kind == "semidirect_exponent":
-            # records the conjugation exponent realizing the extension;
-            # a stated value is checked, an omitted one only has to exist
-            t = group.evaluate_word(claim["normal_generator"])
-            g = group.evaluate_word(claim["conjugator"])
-            found = conjugation_exponent(g, t, group.identity())
-            if found is None:
-                witness = "conjugate is not a power of the normal generator"
-            elif "value" in claim and claim["value"] != found:
-                witness = f"exponent found {found}"
-            else:
-                ok = True
-                witness = f"exponent {found}"
-        results.append(ClaimResult(claim, ok, witness))
 
-    return tuple(results)
+def _claim_witness(group: FiniteGroup, claim: dict) -> str | None:
+    kind = claim.get("type")
+    if kind == "order":
+        return None if group.order == claim["value"] else f"actual order {group.order}"
+    if kind == "abelian":
+        abelian = is_abelian(group)
+        if abelian == claim["value"]:
+            return None
+        return f"group is {'abelian' if abelian else 'nonabelian'}"
+    if kind == "relation":
+        text = claim["relation"]
+        return None if group.verify_relation(text) else f"sides differ: {text}"
+    if kind in ("spectrum", "spectrum_of_subgroup"):
+        sub = group.subgroup(claim["subgroup"]) if kind == "spectrum_of_subgroup" else group
+        actual = order_spectrum(sub)
+        return None if actual == claim["value"] else f"actual spectrum {actual}"
+    if kind == "normal_subgroup":
+        return _normality_witness(group, group.subgroup(claim["subgroup"]))
+    if kind == "quotient_order":
+        quotient = group.order // group.subgroup(claim["subgroup"]).order  # exact, by Lagrange
+        return None if quotient == claim["value"] else f"actual quotient order {quotient}"
+    if kind == "semidirect_exponent":
+        # an exponent realizing the extension must exist, and equal a stated value
+        t = group.evaluate_word(claim["normal_generator"])
+        g = group.evaluate_word(claim["conjugator"])
+        found = conjugation_exponent(g, t, group.identity())
+        if found is None:
+            return "conjugate is not a power of the normal generator"
+        return None if claim.get("value", found) == found else f"exponent found {found}"
+    return f"unknown claim type {kind!r}"
 
 
 class InvolutionCertificate(NamedTuple):
@@ -415,7 +391,12 @@ def standard_claims(name: str) -> list[dict]:
             {"type": "abelian", "value": False},
             {"type": "normal_subgroup", "subgroup": ["t"]},
             {"type": "quotient_order", "subgroup": ["t"], "value": 8},
-            {"type": "semidirect_exponent", "normal_generator": "t", "conjugator": "s1"},
+            {
+                "type": "semidirect_exponent",
+                "normal_generator": "t",
+                "conjugator": "s1",
+                "value": 5,
+            },
             {"type": "relation", "relation": "s1^8 = identity"},
         ]
     if name == "G2":

@@ -149,7 +149,8 @@ def render_report(report: VerificationReport, format: str = "json") -> str:
         lines.append(f"{'check':<12} {'target':<34} {'verdict':<13} {'time':>9}")
         lines.append("-" * 70)
         for r in report.checks:
-            lines.append(f"{r.check_id:<12} {r.target:<34} {r.verdict:<13} {r.timing:>8.2f}s")
+            timing = r.to_dict(report.config.canonical)["timing"]
+            lines.append(f"{r.check_id:<12} {r.target:<34} {r.verdict:<13} {timing:>8.2f}s")
             for w in r.witnesses:
                 lines.append(f"    {w}")
         lines.append("-" * 70)
@@ -335,11 +336,8 @@ def _groups_records(selections: Sequence[GroupSelection]) -> list[CheckRecord]:
     records = []
     for sel in selections:
         start = time.perf_counter()
-        witnesses = [
-            f"claim {r.claim.get('type')} failed" + (f": {r.witness}" if r.witness else "")
-            for r in certify_structure(sel.group, sel.claims)
-            if not r.ok
-        ]
+        results = zip(sel.claims, certify_structure(sel.group, sel.claims))
+        witnesses = [f"claim {c['type']} failed: {w}" for c, w in results if w is not None]
         if sel.localization_words is not None:
             loc = involution_localization(sel.group, sel.localization_words, ambient)
             witnesses += filter(None, (loc.outside_subgroup_witness, loc.outside_ambient_witness))

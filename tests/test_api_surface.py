@@ -1,4 +1,5 @@
-"""No public function or method in src/quadcert that only the tests call.
+"""No public function, method or named-tuple field in src/quadcert that
+only the tests read.
 
 Every module function and class method whose name has no leading underscore
 must be referenced outside its own def, in src/, bench/*.py or scripts/*.py.
@@ -6,7 +7,9 @@ A module function counts wherever its name appears.  A class method or
 property counts only where it is read as an attribute (`x.name`), or named in
 an identifier string in bench/*.py (the tracer's hook tables name what they
 wrap as "module", "function" or "Class.method"): a local variable that
-shares its name, such as `coeffs`, does not count.
+shares its name, such as `coeffs`, does not count.  A field of a NamedTuple
+class counts only where it is read as an attribute: a keyword argument that
+fills it, or tuple unpacking, does not.
 """
 
 import ast
@@ -24,6 +27,14 @@ ALLOWED = {
     "which stays while bench/tracer.py hooks it",
     "CyclotomicNumber.coeffs": "acceptance criterion 9 reads it, in its span-membership "
     "reference, and tests/test_acceptance.py stays as it is",
+    "InvolutionCertificate.involution_count": "acceptance criterion 4 reads it",
+    "InvolutionCertificate.all_in_subgroup": "acceptance criterion 4 reads it",
+    "InvolutionCertificate.subgroup_contained_in_ambient": "acceptance criterion 4 reads it",
+    "ODPCertificate.null_combination": "the tests re-verify each certificate with it",
+    "SpecializationOutcome.reason": "only the screen=True path fills it, and acceptance "
+    "criterion 7 uses that path",
+    "FreenessReport.group_name": "bench/sweep.py passes group_name=, and only a benchmark "
+    "change may edit bench/",
 }
 
 
@@ -31,17 +42,32 @@ def parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
 
 
+def is_named_tuple(node: ast.ClassDef) -> bool:
+    return any(isinstance(base, ast.Name) and base.id == "NamedTuple" for base in node.bases)
+
+
 def public_definitions():
-    """(qualified name, file, def node) of every public module function and
-    class method in src/quadcert."""
+    """(qualified name, kind, file, node) of every public module function
+    ("function"), class method ("method") and named-tuple field ("field")
+    in src/quadcert."""
     for path in sorted((ROOT / "src" / "quadcert").glob("*.py")):
         for node in parse(path).body:
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-                yield node.name, path, node
+                yield node.name, "function", path, node
             elif isinstance(node, ast.ClassDef):
                 for item in node.body:
-                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                        yield f"{node.name}.{item.name}", path, item
+                    if isinstance(item, ast.FunctionDef):
+                        name, kind = item.name, "method"
+                    elif (
+                        is_named_tuple(node)
+                        and isinstance(item, ast.AnnAssign)
+                        and isinstance(item.target, ast.Name)
+                    ):
+                        name, kind = item.target.id, "field"
+                    else:
+                        continue
+                    if not name.startswith("_"):
+                        yield f"{node.name}.{name}", kind, path, item
 
 
 def references():
@@ -70,15 +96,23 @@ def references():
     return places
 
 
+#: The kinds of reference that count as a use of each kind of definition.
+COUNTS = {
+    "function": {"name", "attribute", "hook"},
+    "method": {"attribute", "hook"},
+    "field": {"attribute"},
+}
+
+
 def test_every_public_name_is_used_outside_the_tests():
     places = references()
     unused = set()
-    for qualified, path, node in public_definitions():
-        method = "." in qualified
+    for qualified, kind, path, node in public_definitions():
+        name = qualified.rpartition(".")[2]
         outside = [
             (where, line)
-            for where, line, kind in places.get(node.name, [])
-            if not (method and kind == "name")
+            for where, line, ref in places.get(name, [])
+            if ref in COUNTS[kind]
             and (where != path or not node.lineno <= line <= node.end_lineno)
         ]
         if not outside:

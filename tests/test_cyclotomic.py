@@ -179,6 +179,10 @@ class TestText:
             with pytest.raises(ValueError):
                 CyclotomicNumber.from_text(text)
 
+    def test_unclosed_bracket(self):
+        with pytest.raises(ValueError, match=r"malformed cyclotomic literal: '\[1@2'"):
+            CyclotomicNumber.from_text("[1@2")
+
 
 # -- randomized field-axiom checks ------------------------------------------
 

@@ -148,6 +148,13 @@ class TestClosure:
         assert not is_abelian(standard_group("G1"))
         assert not is_abelian(standard_group("G2"))
 
+    @pytest.mark.parametrize(
+        "preset", [standard_generators, standard_claims, localization_subgroup_words]
+    )
+    def test_unknown_group_name(self, preset):
+        with pytest.raises(ValueError, match=r"unknown group name 'G3'; expected one of"):
+            preset("G3")
+
     def test_generator_order_independence(self):
         names, gens = standard_generators("G2")
         forward = closure(gens, names=names)
@@ -262,8 +269,7 @@ class TestRelations:
         results = certify_structure(
             g, [{"type": "semidirect_exponent", "normal_generator": "s1", "conjugator": "t"}]
         )
-        assert not results[0].ok
-        assert results[0].witness == "conjugate is not a power of the normal generator"
+        assert results == ("conjugate is not a power of the normal generator",)
 
     def test_quaternion_relation(self):
         g2 = standard_group("G2")
@@ -282,7 +288,7 @@ class TestCertification:
         for name in ("G", "G1", "G2"):
             group = standard_group(name)
             results = certify_structure(group, standard_claims(name))
-            failing = [r for r in results if not r.ok]
+            failing = [w for w in results if w is not None]
             assert not failing, failing
             assert group.order == 64
             assert sum(order_spectrum(group).values()) == 64
@@ -297,17 +303,23 @@ class TestCertification:
                 {"type": "mystery"},
             ],
         )
-        assert [r.ok for r in results] == [False, False, False]
-        assert "actual order 64" in results[0].witness
+        assert all(w is not None for w in results)
+        assert "actual order 64" in results[0]
+        assert results[2] == "unknown claim type 'mystery'"
 
     def test_semidirect_exponent_recorded(self):
+        # G1's standard claims state the conjugation exponent, so a wrong
+        # stated exponent fails with the one found
+        (claim,) = [c for c in standard_claims("G1") if c["type"] == "semidirect_exponent"]
+        assert claim == {
+            "type": "semidirect_exponent",
+            "normal_generator": "t",
+            "conjugator": "s1",
+            "value": 5,
+        }
         group = standard_group("G1")
-        results = certify_structure(
-            group,
-            [{"type": "semidirect_exponent", "normal_generator": "t", "conjugator": "s1"}],
-        )
-        assert results[0].ok
-        assert "5" in results[0].witness
+        assert certify_structure(group, [claim]) == (None,)
+        assert certify_structure(group, [{**claim, "value": 3}]) == ("exponent found 5",)
 
     # one valid claim of each type on a standard group; a type missing here
     # fails its parametrized case, so the table and the checker cannot drift
@@ -327,16 +339,16 @@ class TestCertification:
         name, fields = self.VALID[kind]
         allowed = {*CLAIM_KEYS[kind], *OPTIONAL_CLAIM_KEYS.get(kind, {})}
         assert set(CLAIM_KEYS[kind]) <= set(fields) <= allowed
-        (result,) = certify_structure(standard_group(name), [{"type": kind, **fields}])
-        # a claim of another type falls through with ok False and no witness
-        assert result.ok, result.witness
+        (witness,) = certify_structure(standard_group(name), [{"type": kind, **fields}])
+        # a claim of another type fails with "unknown claim type"
+        assert witness is None, witness
 
     def test_normal_subgroup_with_witness(self):
         group = standard_group("G1")
         # <s1> is not normal in G1
         results = certify_structure(group, [{"type": "normal_subgroup", "subgroup": ["s1"]}])
-        assert not results[0].ok
-        assert "leaves the subgroup" in results[0].witness
+        assert results[0] is not None
+        assert "leaves the subgroup" in results[0]
 
 
 class TestConjugacyClasses:
@@ -475,7 +487,7 @@ class TestGeneratorClaims:
         # the named conjugate re-verifies with one conjugation
         assert g * n * g.inverse() not in sub
         results = certify_structure(group, [{"type": "normal_subgroup", "subgroup": ["s1"]}])
-        assert results[0].witness == witness
+        assert results == (witness,)
 
 
 class TestOrderTable:

@@ -214,6 +214,13 @@ class TestConfigMerging:
         assert err.startswith("quadcert: bad configuration: ") and err.count("\n") == 1
         assert f"{cfg_file}: {key!r} must be" in err
 
+    def test_config_not_an_object_exit_two(self, tmp_path, capsys):
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text(json.dumps(["group", "G"]))
+        assert main(["groups", "--config", str(cfg_file)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"quadcert: bad configuration: {cfg_file}: config must be a JSON object\n"
+
     def test_all_subcommand_selects_every_check(self):
         args = build_parser().parse_args(["all"])
         config = assemble_config(args)
@@ -810,6 +817,19 @@ class TestCli:
         assert main(["groups", "--group", "G"]) == 0
         out = capsys.readouterr().out
         assert "overall: pass" in out
+
+    def test_text_report_zeroes_timings_when_canonical(self, monkeypatch, capsys):
+        # a clock that advances one second per reading gives every record a
+        # timing of at least 1 s, which --canonical must print as 0.00s
+        clock = iter(range(10**6))
+        monkeypatch.setattr(reporting.time, "perf_counter", lambda: float(next(clock)))
+        argv = ["freeness", "--group", "G", "--scope", "all", "--specializations", "1"]
+        assert main(argv) == 0
+        rows = [line for line in capsys.readouterr().out.splitlines() if line.startswith("freeness")]
+        assert rows and all(line.endswith(" 1.00s") for line in rows)
+        assert main(argv + ["--canonical"]) == 0
+        rows = [line for line in capsys.readouterr().out.splitlines() if line.startswith("freeness")]
+        assert rows and all(line.endswith(" 0.00s") for line in rows)
 
     def test_negative_control_exit_one(self, tmp_path, capsys):
         path = write_custom_group(

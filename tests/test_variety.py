@@ -131,6 +131,10 @@ class TestQuadricSystem:
             assert q.terms[x_exponents + (0, 0, 2)] == 1
             assert x_exponents + (1, 0, 1) not in q.terms
 
+    def test_context_needs_a_triple(self):
+        with pytest.raises(ValueError, match="parameter point needs exactly three values"):
+            build_quadrics().context((1, 2))
+
     def test_sign_pattern(self):
         square = Polynomial.monomial(Y_VARIABLES, (1, 0, 1))
         cross = -Polynomial.monomial(Y_VARIABLES, (0, 2, 0))
