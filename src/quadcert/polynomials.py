@@ -112,9 +112,6 @@ class Polynomial:
             return NotImplemented
         return self.variables == other.variables and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.variables, frozenset(self.terms.items())))
-
     def __repr__(self):
         return f"Polynomial({self.render()})"
 

@@ -64,8 +64,8 @@ class VerificationConfig:
             raise ValueError(f"unknown check ids {bad}; expected among {CHECK_IDS}")
         if self.group not in GROUP_CHOICES:
             raise ValueError(f"group must be one of {GROUP_CHOICES}, not {self.group!r}")
-        if self.group == "custom" and not self.custom_group_path:
-            raise ValueError("group 'custom' needs a custom group file")
+        if (self.group == "custom") != bool(self.custom_group_path):
+            raise ValueError("group 'custom' and a custom group file must be given together")
         if self.scope not in ("involutions", "all"):
             raise ValueError(f"scope must be 'involutions' or 'all', not {self.scope!r}")
         if not self.y_triples and self.specializations < 1:
@@ -255,6 +255,8 @@ def _custom_group(data) -> GroupSelection:
         for key, expected in {**required, **OPTIONAL_CLAIM_KEYS.get(kind, {})}.items():
             if key in claim and not _has_type(claim[key], expected):
                 raise ValueError(f"{kind} claim value of {key!r} must be {_TYPE_NAMES[expected]}")
+        if "subgroup" in required and not claim["subgroup"]:
+            raise ValueError(f"{kind} claim value of 'subgroup' must name at least one word")
         if kind in ("spectrum", "spectrum_of_subgroup"):
             value = claim["value"]
             if not all(str(k).isdigit() and _has_type(v, int) for k, v in value.items()):
@@ -263,9 +265,9 @@ def _custom_group(data) -> GroupSelection:
         claims.append(claim)
     words = data.get("localization")
     if words is not None and not (
-        isinstance(words, list) and all(isinstance(w, str) for w in words)
+        isinstance(words, list) and words and all(isinstance(w, str) for w in words)
     ):
-        raise ValueError("localization must be a list of words")
+        raise ValueError("localization must be a non-empty list of words")
     if words and matrices[0].N != 8:  # G's modulus: elements with another N never compare equal
         raise ValueError(f"localization needs phase modulus N = 8, not N = {matrices[0].N}")
     label = data.get("name", "custom")

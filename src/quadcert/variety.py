@@ -444,13 +444,7 @@ class ElementOutcome(NamedTuple):
 
 
 class SpecializationOutcome(NamedTuple):
-    status: str  # "complete" | "inconclusive"
-    reason: str | None
     elements: tuple[ElementOutcome, ...]
-
-    @property
-    def found_fixed_point(self) -> bool:
-        return any(e.has_fixed_point for e in self.elements)
 
 
 class FreenessReport(NamedTuple):
@@ -459,9 +453,7 @@ class FreenessReport(NamedTuple):
 
     @property
     def verdict(self) -> str:
-        if any(s.status == "inconclusive" for s in self.specializations):
-            return "inconclusive"
-        if any(s.found_fixed_point for s in self.specializations):
+        if any(e.has_fixed_point for s in self.specializations for e in s.elements):
             return "fixed-point-found"
         return "free"
 
@@ -536,7 +528,9 @@ def check_freeness(
     any element is a fixed point of one of its order-2 powers) and is
     rejected for groups with non-2-power element orders; scope "all"
     examines every non-identity element and doubles as a validation of the
-    reduction.  Each triple that passes the screen has the system's context
+    reduction.  With `screen` (the default) a triple failing the genericity
+    screen is refused, before any element is examined, by a ValueError
+    naming it and every reason.  Each triple has the system's context
     (`system.context`), which keeps each element's outcome there, so
     overlapping groups and repeated calls do not recompute.
 
@@ -555,12 +549,14 @@ def check_freeness(
     bad = [k for k in orders.values() if k & (k - 1)]
     if scope == "involutions" and bad:
         raise ValueError(f"involutions-only scope needs a 2-group; found element order {bad[0]}")
+    for y in specializations if screen else ():
+        if reasons := genericity_screen(y, system, group):
+            text = ",".join(map(str, _y_triple(y)))
+            raise ValueError(f"triple {text} fails the screen: {'; '.join(reasons)}")
     targets = [g for g, k in orders.items() if scope == "all" or k == 2]
     for h in group.generators:
         system.invariance(h)
-    triples = [_y_triple(y) for y in specializations]
-    reasons = [genericity_screen(t, system, group) if screen else () for t in triples]
-    contexts = [system.context(t) for t, r in zip(triples, reasons) if not r]
+    contexts = [system.context(y) for y in specializations]
     unsettled = [g for g in targets if any(g not in c.freeness for c in contexts)]
     one = group.identity()
     kind = type(one)  # recast, so that conjugates stay normalized like the group's elements
@@ -588,16 +584,8 @@ def check_freeness(
                 components = fixed_locus_components(g)
             context.freeness[g] = tuple(_examine_component(c, context) for c in components)
 
-    settled = iter(contexts)
-    spec_outcomes = []
-    for r in reasons:
-        if r:
-            spec_outcomes.append(SpecializationOutcome("inconclusive", "; ".join(r), ()))
-        else:
-            freeness = next(settled).freeness
-            elements = tuple(ElementOutcome(g.to_dict(), freeness[g]) for g in targets)
-            spec_outcomes.append(SpecializationOutcome("complete", None, elements))
-    return FreenessReport(group_name, tuple(spec_outcomes))
+    outcomes = (tuple(ElementOutcome(g.to_dict(), c.freeness[g]) for g in targets) for c in contexts)
+    return FreenessReport(group_name, tuple(map(SpecializationOutcome, outcomes)))
 
 
 # -- genericity ---------------------------------------------------------------

@@ -31,8 +31,6 @@ ALLOWED = {
     "InvolutionCertificate.all_in_subgroup": "acceptance criterion 4 reads it",
     "InvolutionCertificate.subgroup_contained_in_ambient": "acceptance criterion 4 reads it",
     "ODPCertificate.null_combination": "the tests re-verify each certificate with it",
-    "SpecializationOutcome.reason": "only the screen=True path fills it, and acceptance "
-    "criterion 7 uses that path",
     "FreenessReport.group_name": "bench/sweep.py passes group_name=, and only a benchmark "
     "change may edit bench/",
 }

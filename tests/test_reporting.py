@@ -59,6 +59,17 @@ class TestConfig:
         with pytest.raises(ValueError, match="custom"):
             make_config(group="custom")
 
+    def test_custom_group_path_needs_group_custom(self, tmp_path, capsys):
+        # a group file with any other --group would go unread while the
+        # report's config names it
+        path = write_custom_group(tmp_path / "g.json", list(range(8)), [0] * 8)
+        with pytest.raises(ValueError, match="given together"):
+            make_config(group="all", custom_group_path=path)
+        out = tmp_path / "r.json"
+        assert main(["groups", "--custom-group", path, "--json", str(out)]) == 2
+        assert "bad configuration" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_scope_rejected(self):
         with pytest.raises(ValueError, match="scope"):
             make_config(scope="everything")
@@ -1089,6 +1100,29 @@ class TestCli:
                 "--custom-group",
                 {"generators": [{"perm": list(range(8)), "phases": [0] * 8, "N": 3}]},
                 "input.json: phase order N=3 not in supported tower",
+            ),
+            *(
+                (
+                    "--custom-group",
+                    {
+                        "generators": [{"perm": list(range(8)), "phases": [0] * 8}],
+                        "claims": [claim],
+                    },
+                    f"input.json: {claim['type']} claim value of 'subgroup' must name"
+                    " at least one word",
+                )
+                for claim in [
+                    {"type": "normal_subgroup", "subgroup": []},
+                    {"type": "quotient_order", "subgroup": [], "value": 1},
+                    {"type": "spectrum_of_subgroup", "subgroup": [], "value": {}},
+                ]
+            ),
+            (
+                # an empty list would read as no localization, and the check
+                # it asks for would never run
+                "--custom-group",
+                {"generators": [{"name": "t", **make_tau().to_dict()}], "localization": []},
+                "input.json: localization must be a non-empty list of words",
             ),
         ],
     )

@@ -892,7 +892,6 @@ class TestFreeness:
             )
             assert report.verdict == "free", name
             (outcome,) = report.specializations
-            assert outcome.status == "complete"
             assert len(outcome.elements) == 3
         # the three groups share their involutions, and the system keeps each
         # outcome, so each involution is examined exactly once
@@ -1113,15 +1112,14 @@ class TestFreeness:
         with pytest.raises(ValueError):
             check_freeness(standard_group("G"), build_quadrics(), [Y123], scope="some")
 
-    def test_non_generic_specialization_inconclusive(self):
-        report = check_freeness(
-            standard_group("G"), build_quadrics(), [(1, 0, 3)], scope="involutions",
-            group_name="G",
-        )
-        assert report.verdict == "inconclusive"
-        (outcome,) = report.specializations
-        assert outcome.status == "inconclusive"
-        assert "vanishes" in outcome.reason
+    def test_non_generic_specialization_refused(self, monkeypatch):
+        # the whole call is refused before any element is examined, even
+        # when a passing triple comes first
+        examined = record_direct_examinations(monkeypatch)
+        for triples in ([(1, 0, 3)], [Y123, (1, 0, 3)]):
+            with pytest.raises(ValueError, match=r"triple 1,0,3 .*coordinate vanishes"):
+                check_freeness(standard_group("G"), build_quadrics(), triples)
+        assert examined == []
 
 
 def record_direct_examinations(monkeypatch):
@@ -1436,6 +1434,30 @@ class TestGenericityScreen:
         reasons = genericity_screen((1, 1, 1), build_quadrics(), standard_group("G"))
         assert any("collapses" in r for r in reasons)
         assert genericity_screen((1, 2, -4), build_quadrics(), standard_group("G"))
+
+    def test_draws_skip_a_repeated_candidate(self, monkeypatch):
+        # a candidate drawn again is dropped unscreened: A, A, B gives [A, B]
+        # from two screens
+        class Scripted:
+            def __init__(self, seed):
+                # numerator, then denominator, of each coordinate in turn
+                self.values = iter([1, 1, 2, 1, 3, 1] * 2 + [2, 1, 3, 1, 5, 1])
+
+            def randint(self, low, high):
+                return next(self.values)
+
+            def choice(self, signs):
+                return signs[0]
+
+        screened = []
+        screen = variety.genericity_screen
+        monkeypatch.setattr(variety.random, "Random", Scripted)
+        monkeypatch.setattr(
+            variety, "genericity_screen", lambda y, *rest: screened.append(y) or screen(y, *rest)
+        )
+        drawn = draw_specializations(2, 0, build_quadrics(), standard_group("G"))
+        assert drawn == [(1, 2, 3), (2, 3, 5)]
+        assert screened == drawn
 
     def test_draws_are_deterministic_and_generic(self):
         system = build_quadrics()
