@@ -1,22 +1,20 @@
 """Projective emptiness by one Macaulay-matrix rank, and Groebner bases over
 the cyclotomic coefficient field.
 
-`projective_zero_set_empty` decides emptiness of fixed-locus systems, each
-restricted quadric given by its terms as they stand, by a rank taken mod
-PRIME first: reduction mod PRIME is a ring homomorphism, so a maximal minor
-nonzero mod PRIME is nonzero and full rank there proves full rank over
-Q(zeta_64); otherwise the exact rank of the same matrix decides.
+`projective_zero_set_empty` decides emptiness of restricted quadrics, given
+by their terms, by a rank taken mod PRIME first: reduction mod PRIME is a
+ring homomorphism, so full rank there proves full rank over Q(zeta_64), and
+only a deficient rank, or a denominator PRIME divides, takes the exact rank.
 
-`buchberger` is only the tests' reference now, so its MAX_BASIS error cannot
-be reached from the CLI.  It is deterministic (pair selection, divisor
-lookup and basis order depend only on the input list), uses the product and
-chain criteria, and post-verifies every basis: all S-polynomials and every
-input generator reduce to zero against it, or it raises.
+`buchberger` is only the tests' reference now.  It is deterministic, uses
+the product and chain criteria, and post-verifies every basis, or raises.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations_with_replacement
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .cyclotomic import MAX_LEVEL, MIN_LEVEL, ZERO, CyclotomicNumber, degree_at
@@ -224,30 +222,43 @@ def _residue(c: CyclotomicNumber) -> int | None:
     """The image of c in F_PRIME, or None when PRIME divides its denominator."""
     if c.den % PRIME == 0:
         return None
-    value = sum(n * w for n, w in zip(c.num, _OMEGA_POWERS[c.level]))
-    return value * pow(c.den, -1, PRIME) % PRIME
+    return sum(map(mul, c.num, _OMEGA_POWERS[c.level])) * pow(c.den, -1, PRIME) % PRIME
 
 
 def _full_rank_mod_prime(rows: list[dict[int, int]], ncols: int) -> bool:
     """Whether sparse rows over F_PRIME (column -> nonzero residue) span all
-    ncols columns.  Each row is reduced against the pivot rows found so far,
-    leftmost column first, and becomes a new pivot row if anything is left."""
-    pivots: dict[int, dict[int, int]] = {}
+    ncols columns.  Each row is reduced in place by the pivot rows so far,
+    leftmost column first; a remainder becomes one, scaled to 1 at its pivot."""
+    pivots: dict[int, list[tuple[int, int]]] = {}
     for row in rows:
         while row and (c := min(row)) in pivots:
-            f = row[c]
-            for k, v in pivots[c].items():
+            f = row.pop(c)
+            for k, v in pivots[c]:
                 row[k] = (row.get(k, 0) - f * v) % PRIME
-            row = {k: v for k, v in row.items() if v}
+                if not row[k]:
+                    del row[k]
         if row:
-            inv = pow(row[c], -1, PRIME)
-            pivots[c] = {k: v * inv % PRIME for k, v in row.items()}
+            inv = pow(row.pop(c), -1, PRIME)
+            pivots[c] = [(k, v * inv % PRIME) for k, v in row.items()]
             if len(pivots) == ncols:
                 return True
     return False
 
 
-def projective_zero_set_empty(forms: Sequence, nvars: int) -> bool:
+@cache
+def _macaulay_layout(nvars: int) -> tuple[int, list[dict[tuple[int, int], int]]]:
+    """The Macaulay matrix's column count and, per shift (a monomial of degree
+    nvars - 1), the column of its product with each monomial s_a*s_b, a <= b.
+    A monomial is its sorted tuple of coordinate indices, as the terms write it."""
+    columns = {m: i for i, m in enumerate(combinations_with_replacement(range(nvars), nvars + 1))}
+    pairs = list(combinations_with_replacement(range(nvars), 2))
+    return len(columns), [
+        {(a, b): columns[tuple(sorted((*shift, a, b)))] for a, b in pairs}
+        for shift in combinations_with_replacement(range(nvars), nvars - 1)
+    ]
+
+
+def projective_zero_set_empty(forms, nvars: int, residues: Sequence | None = None) -> bool:
     """Whether quadratic forms in nvars coordinates, each given by its terms
     (a, b, c), a <= b, one per monomial c*s_a*s_b (as `restrict_terms`
     returns them), have no common projective zero over any extension field.
@@ -256,27 +267,20 @@ def projective_zero_set_empty(forms: Sequence, nvars: int) -> bool:
     nvars + 1 span every monomial of that degree (Macaulay's bound for
     quadrics; Lazard 1983): the Macaulay matrix, one row per form times a
     monomial of degree nvars - 1 and one column per monomial, has full
-    column rank.  Fewer forms always meet.
+    column rank.  Fewer forms always meet.  Full rank mod PRIME of the forms'
+    nonzero `residues` (taken from the forms when not given) proves it; else
+    the exact rank decides, of the forms or of what `forms()` returns.
     """
+    if residues is None:
+        residues = [[(a, b, r) for a, b, c in form if (r := _residue(c)) != 0] for form in forms]
+    if sum(map(bool, residues)) >= nvars and all(r is not None for f in residues for *_, r in f):
+        ncols, layout = _macaulay_layout(nvars)
+        rows = [{shift[a, b]: r for a, b, r in form} for form in residues for shift in layout]
+        if _full_rank_mod_prime(rows, ncols):
+            return True
+    forms = forms() if callable(forms) else forms
     if len(forms) < nvars:
         return False
-    # a monomial is its sorted tuple of coordinate indices, as the terms write s_a*s_b
-    columns = {m: i for i, m in enumerate(combinations_with_replacement(range(nvars), nvars + 1))}
-    shifts = list(combinations_with_replacement(range(nvars), nvars - 1))
-    # row layout: the form and the column of each of its terms, shifted
-    layout = [
-        (k, [columns[tuple(sorted((*shift, a, b)))] for a, b, _ in f])
-        for k, f in enumerate(forms)
-        for shift in shifts
-    ]
-    # mod PRIME only full rank certifies; the exact rank decides the rest
-    residues = [[_residue(c) for _, _, c in form] for form in forms]
-    if not any(None in r for r in residues):
-        rows = [{c: v for c, v in zip(cols, residues[k]) if v} for k, cols in layout]
-        if _full_rank_mod_prime(rows, len(columns)):
-            return True
-    exact = [[ZERO] * len(columns) for _ in layout]
-    for row, (k, cols) in zip(exact, layout):
-        for c, (_, _, v) in zip(cols, forms[k]):
-            row[c] = v
-    return ExactMatrix(exact).rank() == len(columns)
+    ncols, layout = _macaulay_layout(nvars)
+    rows = [{shift[a, b]: c for a, b, c in form} for form in forms for shift in layout]
+    return ExactMatrix([[row.get(j, ZERO) for j in range(ncols)] for row in rows]).rank() == ncols

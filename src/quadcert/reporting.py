@@ -203,8 +203,8 @@ def load_custom_group(path: str) -> GroupSelection:
 
     Expected shape: {"name": str?, "generators": [{"name": str?, "perm": [..],
     "phases": [..], "N": int}, ..], "claims": [..]?, "localization": [word, ..]?}.
-    Claim records follow the same tagged format the built-in groups use;
-    spectrum values arrive with string keys (JSON) and are coerced to int.
+    Claim records take the built-in groups' tagged format, and any other key
+    is refused; spectrum values arrive with string keys and become ints.
     """
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
@@ -219,6 +219,8 @@ def load_custom_group(path: str) -> GroupSelection:
 def _custom_group(data) -> GroupSelection:
     if not isinstance(data, dict):
         raise ValueError("custom group must be a JSON object")
+    if unknown := set(data) - {"name", "generators", "claims", "localization"}:
+        raise ValueError(f"unknown top-level key {min(unknown)!r}")
     raw_gens = data.get("generators")
     if not raw_gens:
         raise ValueError("no generators")
@@ -227,6 +229,8 @@ def _custom_group(data) -> GroupSelection:
     names = []
     matrices = []
     for i, rec in enumerate(raw_gens):
+        if unknown := set(rec) - {"name", "perm", "phases", "N"}:
+            raise ValueError(f"generators[{i}] has the unknown key {min(unknown)!r}")
         name = rec.get("name", f"g{i}")
         if not (isinstance(name, str) and GENERATOR_NAME.fullmatch(name)) or name in IDENTITY_WORDS:
             raise ValueError(
@@ -248,14 +252,16 @@ def _custom_group(data) -> GroupSelection:
         kind = claim.get("type")
         if not isinstance(kind, str) or kind not in CLAIM_KEYS:
             raise ValueError(f"unknown claim type {kind!r}")
-        required = CLAIM_KEYS[kind]
-        for key in required:
+        keys = {**CLAIM_KEYS[kind], **OPTIONAL_CLAIM_KEYS.get(kind, {})}
+        if unknown := set(claim) - {"type", *keys}:
+            raise ValueError(f"{kind} claim has the unknown key {min(unknown)!r}")
+        for key in CLAIM_KEYS[kind]:
             if key not in claim:
                 raise ValueError(f"{kind} claim lacks the key {key!r}")
-        for key, expected in {**required, **OPTIONAL_CLAIM_KEYS.get(kind, {})}.items():
+        for key, expected in keys.items():
             if key in claim and not _has_type(claim[key], expected):
                 raise ValueError(f"{kind} claim value of {key!r} must be {_TYPE_NAMES[expected]}")
-        if "subgroup" in required and not claim["subgroup"]:
+        if "subgroup" in keys and not claim["subgroup"]:
             raise ValueError(f"{kind} claim value of 'subgroup' must name at least one word")
         if kind in ("spectrum", "spectrum_of_subgroup"):
             value = claim["value"]

@@ -5,13 +5,10 @@ The variety is cut out by four quadrics in x0..x7 with coefficients in three
 rational parameters y1, y2, y3; each is one polynomial in the flat ring x0..x7,
 y1..y3 of x-degree 2, held at a triple as its coefficients (i, j, c), one per
 monomial c*x_i*x_j, and restricted to a subspace as a form of the same kind.
-Everything proved here is proved exactly: ideal invariance as a polynomial
-identity in x and y, the 64-point singular orbit and its ordinary-double-point
-certificates at chosen rational parameter values, and fixed-point-freeness
-element by element via exact eigenspace analysis plus one Macaulay-matrix rank
-per restricted fixed-locus system: full rank modulo a 64-bit prime certifies
-emptiness, as reduction mod the prime is a ring homomorphism (a minor nonzero
-there is nonzero); otherwise the exact rank decides.
+Everything proved here is proved exactly.  Freeness is proved element by
+element on each eigenspace, absence of a fixed point mod a 64-bit prime and
+presence exactly: reduction mod the prime is a ring homomorphism, so a
+restricted value or a Macaulay rank nonzero there is nonzero.
 """
 
 from __future__ import annotations
@@ -23,7 +20,7 @@ from typing import NamedTuple, Sequence
 from .cyclotomic import CyclotomicNumber, root_of_unity
 from .groups import FiniteGroup, conjugacy_classes
 from .linalg import EigenspaceComponent, ExactMatrix, MonomialMatrix
-from .groebner import projective_zero_set_empty
+from .groebner import PRIME, _residue, projective_zero_set_empty
 from .polynomials import PENCIL_VARIABLES, Polynomial, X_VARIABLES, monomial_text
 
 MAX_SPECIALIZATION_HEIGHT = 97
@@ -238,19 +235,22 @@ def quadric_terms(quadric: Polynomial) -> tuple[tuple[int, int, CyclotomicNumber
     )
 
 
-def restrict_terms(terms: Sequence, basis: Sequence[Sequence[CyclotomicNumber]]) -> list:
+def restrict_terms(terms: Sequence, basis: Sequence[Sequence], prime: int | None = None) -> list:
     """The nonzero coefficients (a, b, c), a <= b, of the form q o B^T in one
     coordinate s_a per row B_a of basis, for q given by its terms: c*x_i*x_j
     gives c*B_a[i]*B_b[j] on s_a*s_b, and c*B_a[j]*B_b[i] too when a < b, as
-    the rows are taken in both orders.  Terms at one position add."""
-    support = [[(a, v) for a, v in enumerate(column) if not v.is_zero()] for column in zip(*basis)]
-    sums: dict[tuple[int, int], CyclotomicNumber] = {}
+    the rows are taken in both orders.  Terms at one position add.  With a
+    prime, terms and basis hold residues (ints), and the sums are reduced."""
+    nonzero = bool if prime else (lambda v: not v.is_zero())
+    support = [[(a, v) for a, v in enumerate(column) if nonzero(v)] for column in zip(*basis)]
+    sums: dict = {}
     for i, j, c in terms:
         for a, u in support[i]:
             for b, v in support[j]:
                 key = (a, b) if a <= b else (b, a)
                 sums[key] = sums[key] + c * u * v if key in sums else c * u * v
-    return [(a, b, total) for (a, b), total in sorted(sums.items()) if not total.is_zero()]
+    sums = {key: total % prime for key, total in sums.items()} if prime else sums
+    return [(a, b, total) for (a, b), total in sorted(sums.items()) if nonzero(total)]
 
 
 def restrict_form(terms: Sequence, basis: Sequence[Sequence[CyclotomicNumber]]) -> ExactMatrix:
@@ -265,12 +265,16 @@ def restrict_form(terms: Sequence, basis: Sequence[Sequence[CyclotomicNumber]]) 
 
 class ODPContext:
     """The pencil specialized at one parameter triple, held only as each
-    quadric's coefficients (i, j, c), i <= j (`quadric_terms`).  Built once
+    quadric's coefficients (i, j, c), i <= j (`quadric_terms`), and their
+    `residues` mod PRIME, None when PRIME divides a denominator.  Built once
     per triple by `QuadricSystem.context`; it keeps what is proved there, by
-    point key and by element, beside its terms: `certificates`, `freeness`."""
+    point key and by element: `certificates`, `freeness`."""
 
     def __init__(self, terms: tuple[tuple[tuple[int, int, CyclotomicNumber], ...], ...]):
         object.__setattr__(self, "terms", terms)
+        residues = tuple(tuple((i, j, _residue(c)) for i, j, c in q) for q in terms)
+        known = all(r is not None for q in residues for *_, r in q)
+        object.__setattr__(self, "residues", residues if known else None)
         object.__setattr__(self, "certificates", {})
         object.__setattr__(self, "freeness", {})
 
@@ -483,7 +487,9 @@ def _component_witness_candidates(dimension: int):
 
 
 def _examine_component(component: EigenspaceComponent, context: ODPContext) -> ComponentOutcome:
-    """A line is its own point; a larger eigenspace is free when its live
+    """A component is free when its quadrics restricted mod PRIME leave a
+    line's value or a larger eigenspace's Macaulay rank nonzero.  Otherwise a
+    line is its own point, and a larger eigenspace is free when its live
     restricted forms have no common zero, else a ladder of its points hunts
     for a witness.  A component the ladder misses is `fixed-locus-no-witness`:
     it meets the variety by the exact Macaulay rank or, with fewer live forms
@@ -491,16 +497,20 @@ def _examine_component(component: EigenspaceComponent, context: ODPContext) -> C
     eigentext = component.eigenvalue.to_text()
     basis = component.basis
     dim = component.multiplicity
+    images = [[0 if v.is_zero() else _residue(v) for v in row] for row in basis]  # OMEGA powers
+    residues = (restrict_terms(terms, images, PRIME) for terms in context.residues or ())
 
     if dim == 1:
         vec = basis[0]
-        if context.vanishes(vec):
+        if not any(residues) and context.vanishes(vec):
             witness = tuple(c.to_text() for c in vec)
             return ComponentOutcome(eigentext, 1, "fixed-point", witness)
         return ComponentOutcome(eigentext, 1, "no-fixed-point", None)
 
-    live = [r for terms in context.terms if (r := restrict_terms(terms, basis))]
-    if live and projective_zero_set_empty(live, dim):
+    residues = list(residues) if context.residues else None
+    restricted = lambda: [r for terms in context.terms if (r := restrict_terms(terms, basis))]
+    live = restricted if any(residues or ()) else restricted()  # restricted exactly only if needed
+    if live and projective_zero_set_empty(live, dim, residues):
         return ComponentOutcome(eigentext, dim, "no-fixed-point", None)
 
     zero = CyclotomicNumber.zero()

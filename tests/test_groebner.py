@@ -8,8 +8,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quadcert import groebner
-from quadcert.cyclotomic import MAX_LEVEL, CyclotomicNumber, as_cyclotomic, degree_at, root_of_unity
+from quadcert.cyclotomic import (
+    MAX_LEVEL,
+    MIN_LEVEL,
+    CyclotomicNumber,
+    as_cyclotomic,
+    degree_at,
+    root_of_unity,
+)
 from quadcert.groebner import (
+    OMEGA,
     PRIME,
     buchberger,
     leading_term,
@@ -300,6 +308,49 @@ def test_reduction_mod_prime_is_a_ring_homomorphism(pair):
     ra, rb = groebner._residue(a), groebner._residue(b)
     assert groebner._residue(a + b) == (ra + rb) % PRIME
     assert groebner._residue(a * b) == ra * rb % PRIME
+
+
+def coefficients_at(level, denominators):
+    """Strategy: the rational coefficients of a number written at `level`."""
+    fractions = st.builds(Fraction, st.integers(-50, 50), st.sampled_from(denominators))
+    return st.lists(fractions, min_size=degree_at(level), max_size=degree_at(level))
+
+
+def residue_by_definition(coeffs, level):
+    """sum c_i * zeta_{2^level}^i mod PRIME, each zeta sent to its OMEGA power."""
+    step = 64 >> level
+    return sum(
+        c.numerator * pow(c.denominator, -1, PRIME) * pow(OMEGA, step * i, PRIME)
+        for i, c in enumerate(coeffs)
+    ) % PRIME
+
+
+@pytest.mark.parametrize("level", range(MIN_LEVEL, MAX_LEVEL + 1))
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_residue_is_a_ring_homomorphism_at_every_level(level, data):
+    # every mod-PRIME verdict rests on this: at each level of the tower,
+    # whatever level the number is stored at, the residue is the number's
+    # image with zeta_{2^level} sent to OMEGA^(64 / 2^level), sums and
+    # products map to sums and products, and the residue is None exactly
+    # when PRIME divides the denominator
+    coeffs = [data.draw(coefficients_at(level, [1, 2, 9, 97])) for _ in range(2)]
+    a, b = (CyclotomicNumber(level, c) for c in coeffs)
+    ra, rb = groebner._residue(a), groebner._residue(b)
+    assert (ra, rb) == tuple(residue_by_definition(c, level) for c in coeffs)
+    assert groebner._residue(a + b) == (ra + rb) % PRIME
+    assert groebner._residue(a * b) == ra * rb % PRIME
+    n, k = 1 << level, data.draw(st.integers(-200, 200))
+    assert groebner._residue(root_of_unity(n, k)) == pow(OMEGA, 64 // n * k, PRIME)
+    # a coefficient m/P with P dividing m cancels to an integer, so only the
+    # reduced denominator decides
+    raw = data.draw(coefficients_at(level, [1, 3, PRIME, 2 * PRIME]))
+    raw = [c * PRIME if data.draw(st.booleans()) else c for c in raw]
+    c = CyclotomicNumber(level, raw)
+    unknown = any(f.denominator % PRIME == 0 for f in raw)
+    assert (groebner._residue(c) is None) == unknown
+    if not unknown:
+        assert groebner._residue(c) == residue_by_definition(raw, level)
 
 
 def buchberger_verdict(system: list[Polynomial]) -> bool:

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from quadcert import reporting, variety
+from quadcert import groebner, reporting, variety
 from quadcert.cli import assemble_config, build_parser, main, parse_triple
 from quadcert.reporting import (
     CheckRecord,
@@ -27,8 +27,9 @@ from quadcert.reporting import (
 )
 from quadcert.cyclotomic import SUPPORTED_ORDERS
 from quadcert.groups import CLAIM_KEYS, closure, make_sigma, make_tau, standard_group
-from quadcert.linalg import MonomialMatrix
+from quadcert.linalg import ExactMatrix, MonomialMatrix
 from quadcert.variety import (
+    ODPContext,
     base_point,
     build_quadrics,
     check_ideal_invariance,
@@ -260,6 +261,12 @@ def write_custom_group(path, perm, phases, claims=None, name="d"):
         )
     )
     return str(path)
+
+
+TAU_RECORD = {"name": "t", **make_tau().to_dict()}
+SIGMA_RECORD = {"name": "s", **make_sigma().to_dict()}
+G_FILE = {"generators": [TAU_RECORD, SIGMA_RECORD]}
+EXPONENT = {"type": "semidirect_exponent", "normal_generator": "t", "conjugator": "s"}
 
 
 def malformed_input_argv(tmp_path, flag, content):
@@ -1167,6 +1174,48 @@ class TestCli:
         first, rest = err.split("\n", 1)
         assert first == "quadcert: internal error: KeyError: 'internal'"
         assert rest.startswith("Traceback (most recent call last):")
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({**G_FILE, "claim": [{**EXPONENT, "value": 3}]}, "unknown top-level key 'claim'"),
+            ({**G_FILE, "localisation": ["zz"]}, "unknown top-level key 'localisation'"),
+            (
+                {**G_FILE, "claims": [{**EXPONENT, "valu": 3}]},
+                "semidirect_exponent claim has the unknown key 'valu'",
+            ),
+            (
+                {"generators": [TAU_RECORD, {**SIGMA_RECORD, "phase": [0] * 8}]},
+                "generators[1] has the unknown key 'phase'",
+            ),
+        ],
+    )
+    def test_unknown_key_exit_two(self, tmp_path, capsys, doc, message):
+        # each file exited 0 with `groups custom pass`, its misspelled key
+        # unread: the exponent claim it drops fails (t^s = t, not t^3), and
+        # "zz" is no word
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(doc))
+        assert main(["groups", "--group", "custom", "--custom-group", str(path)]) == 2
+        assert capsys.readouterr().err == f"quadcert: {path}: {message}\n"
+
+    def test_denominator_divisible_by_prime_takes_the_exact_path(self, tmp_path, monkeypatch):
+        # at y1 = 1/PRIME the coefficients y1*y3 and y1^2 + y3^2 have PRIME in
+        # their denominators, so the triple keeps no residues: every component
+        # takes the exact path, and the report is the one with every residue
+        # unknown, byte for byte
+        prime = groebner.PRIME
+        assert ODPContext.at(build_quadrics(), (Fraction(1, prime), 2, 3)).residues is None
+        argv = ["freeness", "--group", "G", "--scope", "all", "--y", f"1/{prime},2,3", "--canonical"]
+        ranks = []
+        rank = ExactMatrix.rank
+        monkeypatch.setattr(ExactMatrix, "rank", lambda m: ranks.append(m) or rank(m))
+        assert main([*argv, "--json", str(tmp_path / "first.json")]) == 0
+        assert any(m.cols == 56 for m in ranks)  # a 4-dimensional eigenspace, ranked exactly
+        for module in (variety, groebner):
+            monkeypatch.setattr(module, "_residue", lambda c: None)
+        assert main([*argv, "--json", str(tmp_path / "exact.json")]) == 0
+        assert (tmp_path / "first.json").read_bytes() == (tmp_path / "exact.json").read_bytes()
 
     def test_unknown_word_exit_two_under_freeness(self, tmp_path, capsys):
         # words are checked when the file loads, not only by `groups`

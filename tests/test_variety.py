@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from quadcert import groebner, variety
 from quadcert.cyclotomic import CyclotomicNumber, degree_at, root_of_unity
@@ -739,12 +739,33 @@ def test_restriction_matches_substitution_and_dense_gram(q, basis):
     assert restrict_form(terms, basis) == dense
 
 
+@given(
+    quadratic_forms(),
+    st.lists(st.lists(st.sampled_from(SCALARS), min_size=8, max_size=8), min_size=1, max_size=2)
+    .flatmap(lambda rows: st.lists(st.sampled_from(rows), min_size=1, max_size=3)),
+)
+@example(
+    Polynomial(X_VARIABLES, {x_pair(0, 0): 1, x_pair(1, 1): -1}),
+    [[SCALARS[1], SCALARS[1]] + [SCALARS[0]] * 6],
+)
+@settings(max_examples=60, deadline=None)
+def test_restriction_commutes_with_reduction_mod_prime(q, basis):
+    # every verdict mod PRIME restricts residues: the residues of q's terms
+    # restricted to the residues of B are the residues of q o B^T, the ones
+    # that vanish mod PRIME left out; x0^2 - x1^2 at (1, 1, 0, ...) cancels
+    residue, terms = groebner._residue, quadric_terms(q)
+    images = [[residue(v) for v in row] for row in basis]
+    expected = [(a, b, r) for a, b, c in restrict_terms(terms, basis) if (r := residue(c))]
+    reduced = [(i, j, residue(c)) for i, j, c in terms]
+    assert restrict_terms(reduced, images, groebner.PRIME) == expected
+
+
 def test_restriction_to_a_point_takes_two_products_per_term(monkeypatch):
     # the context holds the quadrics only as terms, one per monomial, 5 per
-    # stock quadric, beside its two memos; q(p) at the all-ones point
-    # multiplies each coefficient by two coordinates
+    # stock quadric, and their residues mod PRIME, beside its two memos; q(p)
+    # at the all-ones point multiplies each coefficient by two coordinates
     context = ODPContext.at(build_quadrics(), Y123)
-    assert list(vars(context)) == ["terms", "certificates", "freeness"]
+    assert list(vars(context)) == ["terms", "residues", "certificates", "freeness"]
     assert [len(terms) for terms in context.terms] == [5, 5, 5, 5]
     products = []
     multiply = CyclotomicNumber.__mul__
@@ -1120,6 +1141,76 @@ class TestFreeness:
             with pytest.raises(ValueError, match=r"triple 1,0,3 .*coordinate vanishes"):
                 check_freeness(standard_group("G"), build_quadrics(), triples)
         assert examined == []
+
+
+class TestAbsenceModPrime:
+    """Absence of a fixed point is proved mod PRIME first, presence exactly."""
+
+    def test_verdicts_equal_the_exact_only_verdicts(self, monkeypatch):
+        # at the three seed-0 triples, every eigenspace of the 127 non-identity
+        # elements of G u G1 u G2, on the stock pencil and on the planted
+        # control, gets the same outcome as when every residue is unknown and
+        # each component takes the exact path; on the stock pencil, which the
+        # groups act on freely, no component needs exact arithmetic at all
+        stock, control = build_quadrics(), planted_control_system()
+        triples = draw_specializations(3, 0, stock, standard_group("G"))
+        elements = dict.fromkeys(
+            g for name in ("G", "G1", "G2") for g in standard_group(name).elements
+        )
+        components = [fixed_locus_components(g) for g in elements if not g.is_identity()]
+        assert len(components) == 127
+
+        def outcomes(system):
+            contexts = [ODPContext.at(system, y) for y in triples]
+            examine = variety._examine_component
+            return [examine(c, x) for x in contexts for found in components for c in found]
+
+        exact = []
+        vanishes, rank = ODPContext.vanishes, ExactMatrix.rank
+        monkeypatch.setattr(ODPContext, "vanishes", lambda x, p: exact.append(p) or vanishes(x, p))
+        monkeypatch.setattr(ExactMatrix, "rank", lambda m: exact.append(m) or rank(m))
+        first = {"stock": outcomes(stock)}
+        assert exact == []
+        first["control"] = outcomes(control)
+        assert exact != []
+        assert {o.verdict for o in first["stock"]} == {"no-fixed-point"}
+        assert "fixed-point" in {o.verdict for o in first["control"]}
+        for module in (variety, groebner):
+            monkeypatch.setattr(module, "_residue", lambda c: None)
+        assert ODPContext.at(stock, triples[0]).residues is None
+        assert {"stock": outcomes(stock), "control": outcomes(control)} == first
+
+    @pytest.mark.parametrize(
+        "coefficient, verdict", [(groebner.PRIME, "no-fixed-point"), (0, "fixed-point")]
+    )
+    def test_line_zero_mod_prime_reaches_the_exact_path(self, monkeypatch, coefficient, verdict):
+        # the coordinate line e0 is an eigenspace of diag(1, -1, ..., -1); all
+        # four quadrics are 0 mod PRIME there, and the first is PRIME*x0^2 + x1^2
+        # or x1^2: only the exact value at e0 tells a free line from a fixed one
+        flip = closure([MonomialMatrix.diagonal((0,) + (4,) * 7)], names=("d",))
+
+        def quadric(terms):
+            return Polynomial(PENCIL_VARIABLES, {x_pair(i, j) + (0, 0, 0): c for i, j, c in terms})
+
+        system = QuadricSystem((
+            quadric([(0, 0, coefficient), (1, 1, 1)]),
+            quadric([(2, 2, 1)]),
+            quadric([(3, 3, 1)]),
+            quadric([(4, 4, 1)]),
+        ))
+        one, zero = CyclotomicNumber.one(), CyclotomicNumber.zero()
+        e0 = (one,) + (zero,) * 7
+        tested = []
+        vanishes = ODPContext.vanishes
+        monkeypatch.setattr(ODPContext, "vanishes", lambda x, p: tested.append(p) or vanishes(x, p))
+        report = check_freeness(flip, system, [Y123], scope="all", screen=False)
+        assert tuple(e0) in map(tuple, tested)
+        (outcome,) = report.specializations
+        (element,) = outcome.elements
+        (line,) = [c for c in element.components if c.multiplicity == 1]
+        assert line.eigenvalue == one.to_text()
+        witness = tuple(c.to_text() for c in e0) if verdict == "fixed-point" else None
+        assert (line.verdict, line.witness) == (verdict, witness)
 
 
 def record_direct_examinations(monkeypatch):
