@@ -23,8 +23,8 @@ _SUBCOMMANDS = (
     ("all", "run every check in dependency order"),
 )
 
-# config-file keys mirror the flag names and take the flags' value types; the
-# subcommand itself is not a key
+# the config file's shape (`reporting.check_shape`), every key optional: the
+# flag names with the flags' value types; the subcommand itself is not a key
 _CONFIG_KEYS = {
     "group": str,
     "y": list[str],
@@ -91,15 +91,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config_file(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
-    unknown = [k for k in data if k not in _CONFIG_KEYS]
-    if unknown:
-        raise ValueError(f"{path}: unknown config keys {unknown}")
-    for key, value in data.items():
-        expected = _CONFIG_KEYS[key]
-        if not reporting._has_type(value, expected):
-            raise ValueError(f"{path}: {key!r} must be {reporting._TYPE_NAMES[expected]}")
+    try:
+        reporting.check_shape(data, {f"{k}?": v for k, v in _CONFIG_KEYS.items()}, "config")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return data
 
 

@@ -249,13 +249,13 @@ def _normality_witness(group: FiniteGroup, sub: FiniteGroup) -> str | None:
 
 #: The keys certify_structure reads from each claim type, with the type of
 #: each value: a word is a str, a subgroup a list of words, a spectrum maps
-#: orders to counts.  OPTIONAL_CLAIM_KEYS may be left out.
+#: orders (digit strings in a file) to counts.  OPTIONAL_CLAIM_KEYS may be left out.
 CLAIM_KEYS = {
     "order": {"value": int},
     "abelian": {"value": bool},
     "relation": {"relation": str},
-    "spectrum": {"value": dict},
-    "spectrum_of_subgroup": {"subgroup": list[str], "value": dict},
+    "spectrum": {"value": dict[str, int]},
+    "spectrum_of_subgroup": {"subgroup": list[str], "value": dict[str, int]},
     "normal_subgroup": {"subgroup": list[str]},
     "quotient_order": {"subgroup": list[str], "value": int},
     "semidirect_exponent": {"normal_generator": str, "conjugator": str},

@@ -330,15 +330,3 @@ class MonomialMatrix:
 
     def to_dict(self) -> dict:
         return {"perm": list(self.perm), "phases": list(self.phases), "N": self.N}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MonomialMatrix":
-        try:
-            perm, phases, N = data["perm"], data["phases"], data.get("N", 8)
-        except KeyError as missing:
-            raise ValueError(f"monomial matrix serialization missing key {missing}") from None
-        if not (isinstance(perm, (list, tuple)) and isinstance(phases, (list, tuple))) or not all(
-            type(v) is int for v in (*perm, *phases, N)  # a bool is not an int
-        ):
-            raise ValueError(f"monomial matrix needs integer perm, phases and N, got {data!r}")
-        return cls(perm, phases, N)

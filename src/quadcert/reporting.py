@@ -7,6 +7,7 @@ import json
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from types import FunctionType, GenericAlias
 from typing import NamedTuple, Sequence, get_args, get_origin
 
 from . import __version__
@@ -182,33 +183,81 @@ _TYPE_NAMES = {
     bool: "true or false",
     str: "a string",
     str | None: "a string or null",
-    dict: "an object mapping orders to counts",
-    list[str]: "a list of words",
+    dict: "a JSON object",
+    list: "a list",
 }
 
 
-def _has_type(value, expected) -> bool:
-    """isinstance for the value types of CLAIM_KEYS: list[T] checks every
-    item, and a bool is not an int."""
-    if get_origin(expected) is list:
-        (item,) = get_args(expected)
-        return isinstance(value, list) and all(_has_type(v, item) for v in value)
-    if expected is int and isinstance(value, bool):
-        return False
-    return isinstance(value, expected)
+def check_shape(value, shape, where: str, path: str = "") -> None:
+    """Refuse `value` unless it has `shape`, with a ValueError naming the
+    offending value by its path, such as `claims[0].value` (`where` names
+    the top).  A shape is a type (a bool is not an int), `list[T]`,
+    `dict[str, T]` (any keys), a dict from each key to its shape, where a
+    key marked with a trailing "?" may be left out and any other key is
+    refused, or a function of the value that returns its shape."""
+    name = path or where
+    if isinstance(shape, FunctionType):
+        try:
+            shape = shape(value)
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
+    origin = get_origin(shape) if isinstance(shape, GenericAlias) else None
+    expected = origin or (dict if isinstance(shape, dict) else shape)
+    if not isinstance(value, expected) or (type(value) is bool and expected is not bool):
+        raise ValueError(f"{name} must be {_TYPE_NAMES[expected]}")
+    if origin is list:
+        for i, item in enumerate(value):
+            check_shape(item, get_args(shape)[0], where, f"{name}[{i}]")
+    elif origin is dict:
+        for key, item in value.items():
+            check_shape(item, get_args(shape)[1], where, f"{name}[{key!r}]")
+    elif isinstance(shape, dict):
+        prefix = f"{path}." if path else ""
+        keys = {k.removesuffix("?"): k for k in shape}
+        if unknown := set(value) - set(keys):
+            raise ValueError(f"unknown key {prefix + min(unknown)!r}")
+        for key, marked in keys.items():
+            if key in value:
+                check_shape(value[key], shape[marked], where, prefix + key)
+            elif marked == key:
+                raise ValueError(f"missing key {prefix + key!r}")
+
+
+def _claim_shape(claim):
+    """A claim's keys are "type" and the keys its type reads."""
+    if not isinstance(claim, dict):
+        return dict
+    kind = claim.get("type")
+    if kind not in tuple(CLAIM_KEYS):  # compares, never hashes: a JSON list is unhashable
+        raise ValueError(f"unknown claim type {kind!r}")
+    optional = OPTIONAL_CLAIM_KEYS.get(kind, {})
+    return {"type": str, **CLAIM_KEYS[kind], **{f"{k}?": v for k, v in optional.items()}}
+
+
+# the shape of each custom input, for `check_shape`
+_GENERATOR_SHAPE = {"name?": str, "perm": list[int], "phases": list[int], "N?": int}
+_GROUP_SHAPE = {
+    "name?": str,
+    "generators": list[_GENERATOR_SHAPE],
+    "claims?": list[_claim_shape],
+    "localization?": list[str],
+}
+_TERM_SHAPE = {"x_exponents": list[int], "y_exponents": list[int], "coefficient": str}
+
+
+def _quadrics_shape(data):
+    """A quadrics file holds four lists of term rows, bare or as `quadrics`."""
+    quadrics = list[list[_TERM_SHAPE]]
+    return {"quadrics": quadrics} if isinstance(data, dict) else quadrics
 
 
 def load_custom_group(path: str) -> GroupSelection:
-    """Read a group description: generator matrices plus optional claims.
-
-    Expected shape: {"name": str?, "generators": [{"name": str?, "perm": [..],
-    "phases": [..], "N": int}, ..], "claims": [..]?, "localization": [word, ..]?}.
-    Claim records take the built-in groups' tagged format, and any other key
-    is refused; spectrum values arrive with string keys and become ints.
-    """
+    """Read a custom group file of _GROUP_SHAPE: generators and optional claims
+    in the built-in groups' tagged format (spectrum orders become ints)."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     try:
+        check_shape(data, _GROUP_SHAPE, "custom group")
         return _custom_group(data)
     except (RuntimeError, ValueError) as exc:
         # the element cap, generators of different phase moduli, or any
@@ -216,69 +265,41 @@ def load_custom_group(path: str) -> GroupSelection:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _custom_group(data) -> GroupSelection:
-    if not isinstance(data, dict):
-        raise ValueError("custom group must be a JSON object")
-    if unknown := set(data) - {"name", "generators", "claims", "localization"}:
-        raise ValueError(f"unknown top-level key {min(unknown)!r}")
-    raw_gens = data.get("generators")
-    if not raw_gens:
+def _custom_group(data: dict) -> GroupSelection:
+    """The group a file of _GROUP_SHAPE describes, checking what needs meaning."""
+    if not data["generators"]:
         raise ValueError("no generators")
-    if not isinstance(raw_gens, list) or not all(isinstance(rec, dict) for rec in raw_gens):
-        raise ValueError("generators must be a list of objects")
     names = []
     matrices = []
-    for i, rec in enumerate(raw_gens):
-        if unknown := set(rec) - {"name", "perm", "phases", "N"}:
-            raise ValueError(f"generators[{i}] has the unknown key {min(unknown)!r}")
+    for i, rec in enumerate(data["generators"]):
         name = rec.get("name", f"g{i}")
-        if not (isinstance(name, str) and GENERATOR_NAME.fullmatch(name)) or name in IDENTITY_WORDS:
+        if not GENERATOR_NAME.fullmatch(name) or name in IDENTITY_WORDS:
             raise ValueError(
                 f"generator name {name!r} must match {GENERATOR_NAME.pattern}"
                 f" and not be one of {sorted(IDENTITY_WORDS)}"
             )
         names.append(name)
-        matrices.append(MonomialMatrix.from_dict(rec))
+        matrices.append(MonomialMatrix(rec["perm"], rec["phases"], rec.get("N", 8)))
         if matrices[-1].size != 8:
             raise ValueError(f"generator {name!r} must permute 8 coordinates")
     if len(set(names)) != len(names):
         raise ValueError("duplicate generator names")
-    raw_claims = data.get("claims", [])
-    if not isinstance(raw_claims, list) or not all(isinstance(c, dict) for c in raw_claims):
-        raise ValueError("claims must be a list of objects")
     claims = []
-    for claim in raw_claims:
+    for i, claim in enumerate(data.get("claims", [])):
         claim = dict(claim)
-        kind = claim.get("type")
-        if not isinstance(kind, str) or kind not in CLAIM_KEYS:
-            raise ValueError(f"unknown claim type {kind!r}")
-        keys = {**CLAIM_KEYS[kind], **OPTIONAL_CLAIM_KEYS.get(kind, {})}
-        if unknown := set(claim) - {"type", *keys}:
-            raise ValueError(f"{kind} claim has the unknown key {min(unknown)!r}")
-        for key in CLAIM_KEYS[kind]:
-            if key not in claim:
-                raise ValueError(f"{kind} claim lacks the key {key!r}")
-        for key, expected in keys.items():
-            if key in claim and not _has_type(claim[key], expected):
-                raise ValueError(f"{kind} claim value of {key!r} must be {_TYPE_NAMES[expected]}")
-        if "subgroup" in keys and not claim["subgroup"]:
+        kind = claim["type"]
+        if "subgroup" in claim and not claim["subgroup"]:
             raise ValueError(f"{kind} claim value of 'subgroup' must name at least one word")
         if kind in ("spectrum", "spectrum_of_subgroup"):
-            value = claim["value"]
-            if not all(str(k).isdigit() and _has_type(v, int) for k, v in value.items()):
-                raise ValueError(f"{kind} claim value must map orders to counts")
-            claim["value"] = {int(k): v for k, v in value.items()}
+            if bad := [k for k in claim["value"] if not (k.isascii() and k.isdigit())]:
+                raise ValueError(f"claims[{i}].value key {bad[0]!r} must be an order in digits 0-9")
+            claim["value"] = {int(k): v for k, v in claim["value"].items()}
         claims.append(claim)
     words = data.get("localization")
-    if words is not None and not (
-        isinstance(words, list) and words and all(isinstance(w, str) for w in words)
-    ):
+    if words == []:
         raise ValueError("localization must be a non-empty list of words")
     if words and matrices[0].N != 8:  # G's modulus: elements with another N never compare equal
         raise ValueError(f"localization needs phase modulus N = 8, not N = {matrices[0].N}")
-    label = data.get("name", "custom")
-    if not isinstance(label, str):
-        raise ValueError("name must be a string")
     group = closure(matrices, projective=True, names=tuple(names))
     # every word is evaluated here, so no subcommand meets a bad one later
     checked = list(words or ())
@@ -290,7 +311,7 @@ def _custom_group(data) -> GroupSelection:
     for word in checked:
         group.evaluate_word(word)
     return GroupSelection(
-        label=label,
+        label=data.get("name", "custom"),
         group=group,
         claims=tuple(claims),
         localization_words=tuple(words) if words else None,
@@ -300,10 +321,9 @@ def _custom_group(data) -> GroupSelection:
 def load_custom_quadrics(path: str) -> QuadricSystem:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    if isinstance(data, dict):
-        data = data.get("quadrics", data)
     try:
-        return QuadricSystem.from_records(data)
+        check_shape(data, _quadrics_shape, "quadrics")
+        return QuadricSystem.from_records(data["quadrics"] if isinstance(data, dict) else data)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

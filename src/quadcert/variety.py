@@ -88,33 +88,19 @@ class QuadricSystem:
 
     @classmethod
     def from_records(cls, records: Sequence[Sequence[dict]]) -> "QuadricSystem":
-        if not isinstance(records, list):
-            raise ValueError("quadrics must be given as a list")
+        """The system of four lists of term rows, as `load_custom_quadrics` checks them."""
         quadrics = []
         for rows in records:
-            if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
-                raise ValueError("each quadric must be a list of term objects")
             terms: dict[tuple[int, ...], CyclotomicNumber] = {}
             for row in rows:
-                for key in ("x_exponents", "y_exponents", "coefficient"):
-                    if key not in row:
-                        raise ValueError(f"a term row lacks the key {key!r}")
                 x_exp, y_exp = row["x_exponents"], row["y_exponents"]
-                if not (_int_list(x_exp, 8) and _int_list(y_exp, 3)):
+                if len(x_exp) != 8 or len(y_exp) != 3:
                     raise ValueError("records need lists of 8 x-exponents and 3 y-exponents")
-                coeff = CyclotomicNumber.from_text(str(row["coefficient"]))
+                coeff = CyclotomicNumber.from_text(row["coefficient"])
                 key = tuple(x_exp + y_exp)
                 terms[key] = terms[key] + coeff if key in terms else coeff
             quadrics.append(Polynomial(PENCIL_VARIABLES, terms))
         return cls(tuple(quadrics))
-
-
-def _int_list(value, length: int) -> bool:
-    return (
-        isinstance(value, list)
-        and len(value) == length
-        and all(type(v) is int for v in value)  # a bool is not an int
-    )
 
 
 def _pencil_monomial(x_indices, y_exponents=(0, 0, 0)) -> tuple[int, ...]:

@@ -114,11 +114,11 @@ def test_canonical_report_passes_benchmark_checker(tmp_path, capsys, workload):
         assert checkers.crossval_failures(report, 0) == (0, [])
 
 
-def readme_tables() -> list[list[list[str]]]:
-    """The body rows of each table in the README's "The pencil and the
-    groups" section, each cell with its backticks kept."""
+def readme_tables(title: str = "The pencil and the groups") -> list[list[list[str]]]:
+    """The body rows of each table in a section of the README, each cell
+    with its backticks kept."""
     text = (BENCH.parent / "README.md").read_text(encoding="utf-8")
-    section = text.split("## The pencil and the groups\n", 1)[1].split("\n## ", 1)[0]
+    section = text.split(f"## {title}\n", 1)[1].split("\n## ", 1)[0]
     tables = []
     for block in section.split("\n\n"):
         lines = block.strip().splitlines()

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -5,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quadcert.cyclotomic import CyclotomicNumber, root_of_unity
+from quadcert.groups import ProjectiveElement
 from quadcert.linalg import EigenspaceComponent, ExactMatrix, MonomialMatrix
+from quadcert.reporting import load_custom_group
 
 ZERO = CyclotomicNumber.zero()
 ONE = CyclotomicNumber.one()
@@ -209,11 +212,17 @@ class TestMonomialBasics:
         with pytest.raises(ValueError):
             a * b
 
-    def test_serialization_round_trip(self):
+    def test_serialization_round_trip(self, tmp_path):
+        # a generator record of a custom group file reads back the matrix
+        # (as a group element, up to a scalar)
         g = tau() * sigma1()
-        assert MonomialMatrix.from_dict(g.to_dict()) == g
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"generators": [g.to_dict()]}))
+        expected = ProjectiveElement(g.perm, g.phases, g.N)
+        assert load_custom_group(str(path)).group.generators == (expected,)
+        path.write_text(json.dumps({"generators": [{"perm": [0]}]}))
         with pytest.raises(ValueError):
-            MonomialMatrix.from_dict({"perm": [0]})
+            load_custom_group(str(path))
 
 
 class TestPointAction:

@@ -1,16 +1,22 @@
 """Report assembly, config merging, custom input files, exit codes, and the
 byte-identical serialization guarantee."""
 
+import copy
 import hashlib
 import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from quadcert import groebner, reporting, variety
-from quadcert.cli import assemble_config, build_parser, main, parse_triple
+from quadcert.cli import _CONFIG_KEYS, assemble_config, build_parser, main, parse_triple
 from quadcert.reporting import (
+    _GENERATOR_SHAPE,
+    _GROUP_SHAPE,
+    _TERM_SHAPE,
     CheckRecord,
     GroupSelection,
     VerificationConfig,
@@ -18,6 +24,7 @@ from quadcert.reporting import (
     _freeness_records,
     _groups_records,
     _orbit_records,
+    _quadrics_shape,
     load_custom_group,
     load_custom_quadrics,
     render_report,
@@ -26,7 +33,18 @@ from quadcert.reporting import (
     write_report,
 )
 from quadcert.cyclotomic import SUPPORTED_ORDERS
-from quadcert.groups import CLAIM_KEYS, closure, make_sigma, make_tau, standard_group
+from quadcert.groups import (
+    CLAIM_KEYS,
+    OPTIONAL_CLAIM_KEYS,
+    closure,
+    localization_subgroup_words,
+    make_sigma,
+    make_tau,
+    order_spectrum,
+    standard_claims,
+    standard_generators,
+    standard_group,
+)
 from quadcert.linalg import ExactMatrix, MonomialMatrix
 from quadcert.variety import (
     ODPContext,
@@ -37,6 +55,7 @@ from quadcert.variety import (
     planted_control_system,
     singular_orbit,
 )
+from test_bench_hooks import readme_tables
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -207,7 +226,7 @@ class TestConfigMerging:
         cfg_file = tmp_path / "c.json"
         cfg_file.write_text(json.dumps({"groups": "G"}))
         args = build_parser().parse_args(["groups", "--config", str(cfg_file)])
-        with pytest.raises(ValueError, match="unknown config keys"):
+        with pytest.raises(ValueError, match="unknown key 'groups'"):
             assemble_config(args)
 
     @pytest.mark.parametrize(
@@ -224,7 +243,7 @@ class TestConfigMerging:
         assert main(["groups", "--config", str(cfg_file)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("quadcert: bad configuration: ") and err.count("\n") == 1
-        assert f"{cfg_file}: {key!r} must be" in err
+        assert f"{cfg_file}: {key} must be" in err
 
     def test_config_not_an_object_exit_two(self, tmp_path, capsys):
         cfg_file = tmp_path / "c.json"
@@ -250,6 +269,9 @@ def quadric_records(system):
     ]
 
 
+STOCK_ROWS = quadric_records(build_quadrics())
+
+
 def write_custom_group(path, perm, phases, claims=None, name="d"):
     path.write_text(
         json.dumps(
@@ -269,13 +291,50 @@ G_FILE = {"generators": [TAU_RECORD, SIGMA_RECORD]}
 EXPONENT = {"type": "semidirect_exponent", "normal_generator": "t", "conjugator": "s"}
 
 
+# the message each reworded case expected from the hand-written checks, by
+# the walker's message it expects now: the old message stays the case's id,
+# so it remains the same test
+FORMER_WORDING = {
+    "input.json: generators[0] must be a JSON object": "list of objects",
+    "input.json: claims[0].value must be a JSON object": "claim value",
+    "input.json: claims[0].value['1'] must be an integer": "claim value",
+    "input.json: quadrics[0][0] must be a JSON object": "term objects",
+    "input.json: missing key 'quadrics[0][0].x_exponents'":
+        "input.json: a term row lacks the key 'x_exponents'",
+    "input.json: missing key 'claims[0].value'": "input.json: order claim lacks the key 'value'",
+    "input.json: claims[0].relation must be a string":
+        "input.json: relation claim value of 'relation' must be a string",
+    "input.json: claims[0].subgroup must be a list":
+        "input.json: normal_subgroup claim value of 'subgroup' must be a list of words",
+    **{
+        f"input.json: claims[0]: unknown claim type {kind}":
+            f"input.json: unknown claim type {kind}"
+        for kind in ("'contained_in'", "['x']", "'ordr'", "'involutions_in_subgroup'")
+    },
+    "input.json: generators[0].name must be a string": "input.json: generator name None must match",
+    "input.json: generators[0].phases[0] must be an integer":
+        "input.json: monomial matrix needs integer perm, phases and N",
+    "unknown key 'claim'": "unknown top-level key 'claim'",
+    "unknown key 'localisation'": "unknown top-level key 'localisation'",
+    "unknown key 'claims[0].valu'": "semidirect_exponent claim has the unknown key 'valu'",
+    "unknown key 'generators[1].phase'": "generators[1] has the unknown key 'phase'",
+}
+
+
+def former_wording(value):
+    return FORMER_WORDING.get(value) if isinstance(value, str) else None
+
+
 def malformed_input_argv(tmp_path, flag, content):
     """Write content to input.json and return the argv that loads it: a
-    custom group for `groups`, custom quadrics for `invariance`."""
+    custom group for `groups`, custom quadrics for `invariance`, a config
+    file for `groups`."""
     path = tmp_path / "input.json"
     path.write_text(json.dumps(content))
     if flag == "--custom-group":
         return ["groups", "--group", "custom", "--custom-group", str(path)]
+    if flag == "--config":
+        return ["groups", "--config", str(path)]
     return ["invariance", "--group", "G", "--custom-quadrics", str(path)]
 
 
@@ -923,14 +982,18 @@ class TestCli:
         "flag, content, message",
         [
             ("--custom-group", [{"name": "a"}], "JSON object"),
-            ("--custom-group", {"generators": [1]}, "list of objects"),
+            (
+                "--custom-group",
+                {"generators": [1]},
+                "input.json: generators[0] must be a JSON object",
+            ),
             (
                 "--custom-group",
                 {
                     "generators": [{"perm": list(range(8)), "phases": [0] * 8}],
                     "claims": [{"type": "spectrum", "value": [1, 2]}],
                 },
-                "claim value",
+                "input.json: claims[0].value must be a JSON object",
             ),
             (
                 "--custom-group",
@@ -938,14 +1001,18 @@ class TestCli:
                     "generators": [{"perm": list(range(8)), "phases": [0] * 8}],
                     "claims": [{"type": "spectrum", "value": {"1": [1]}}],
                 },
-                "claim value",
+                "input.json: claims[0].value['1'] must be an integer",
             ),
             (
                 "--custom-group",
                 {"generators": [{"perm": list(range(8)), "phases": [0] * 8}], "localization": 5},
                 "localization",
             ),
-            ("--custom-quadrics", [[1], [], [], []], "term objects"),
+            (
+                "--custom-quadrics",
+                [[1], [], [], []],
+                "input.json: quadrics[0][0] must be a JSON object",
+            ),
             (
                 "--custom-quadrics",
                 [[{"x_exponents": 5, "y_exponents": [0, 0, 0], "coefficient": "[1]@2"}]]
@@ -955,7 +1022,7 @@ class TestCli:
             (
                 "--custom-quadrics",
                 [[{"y_exponents": [0, 0, 0], "coefficient": "[1]@2"}]] + [[]] * 3,
-                "input.json: a term row lacks the key 'x_exponents'",
+                "input.json: missing key 'quadrics[0][0].x_exponents'",
             ),
             (
                 "--custom-quadrics",
@@ -969,7 +1036,7 @@ class TestCli:
                     "generators": [{"perm": list(range(8)), "phases": [0] * 8}],
                     "claims": [{"type": "order"}],
                 },
-                "input.json: order claim lacks the key 'value'",
+                "input.json: missing key 'claims[0].value'",
             ),
             (
                 "--custom-group",
@@ -977,7 +1044,7 @@ class TestCli:
                     "generators": [{"perm": list(range(8)), "phases": [0] * 8}],
                     "claims": [{"type": "relation", "relation": 5}],
                 },
-                "input.json: relation claim value of 'relation' must be a string",
+                "input.json: claims[0].relation must be a string",
             ),
             (
                 "--custom-group",
@@ -985,7 +1052,7 @@ class TestCli:
                     "generators": [{"perm": list(range(8)), "phases": [0] * 8}],
                     "claims": [{"type": "normal_subgroup", "subgroup": 5}],
                 },
-                "input.json: normal_subgroup claim value of 'subgroup' must be a list of words",
+                "input.json: claims[0].subgroup must be a list",
             ),
             (
                 "--custom-group",
@@ -993,7 +1060,7 @@ class TestCli:
                     "generators": [{"perm": list(range(8)), "phases": [0] * 8}],
                     "claims": [{"type": "contained_in", "ambient_generators": [5]}],
                 },
-                "input.json: unknown claim type 'contained_in'",
+                "input.json: claims[0]: unknown claim type 'contained_in'",
             ),
             (
                 "--custom-group",
@@ -1001,7 +1068,7 @@ class TestCli:
                     "generators": [{"perm": list(range(8)), "phases": [0] * 8}],
                     "claims": [{"type": ["x"]}],
                 },
-                "input.json: unknown claim type ['x']",
+                "input.json: claims[0]: unknown claim type ['x']",
             ),
             (
                 "--custom-group",
@@ -1009,7 +1076,7 @@ class TestCli:
                     "generators": [{"perm": list(range(8)), "phases": [0] * 8}],
                     "claims": [{"type": "ordr"}],
                 },
-                "input.json: unknown claim type 'ordr'",
+                "input.json: claims[0]: unknown claim type 'ordr'",
             ),
             (
                 "--custom-group",
@@ -1022,7 +1089,7 @@ class TestCli:
                     "generators": [{"perm": list(range(8)), "phases": [0] * 8}],
                     "claims": [{"type": "involutions_in_subgroup", "subgroup": ["g0"]}],
                 },
-                "input.json: unknown claim type 'involutions_in_subgroup'",
+                "input.json: claims[0]: unknown claim type 'involutions_in_subgroup'",
             ),
             (
                 # words read e as the identity, so "e = identity" would pass
@@ -1070,7 +1137,7 @@ class TestCli:
                 # str(None) would be a generator called None
                 "--custom-group",
                 {"generators": [{"name": None, "perm": list(range(8)), "phases": [0] * 8}]},
-                "input.json: generator name None must match",
+                "input.json: generators[0].name must be a string",
             ),
             (
                 "--custom-group",
@@ -1101,7 +1168,7 @@ class TestCli:
             (
                 "--custom-group",
                 {"generators": [{"perm": list(range(8)), "phases": ["a"] + [0] * 7}]},
-                "input.json: monomial matrix needs integer perm, phases and N",
+                "input.json: generators[0].phases[0] must be an integer",
             ),
             (
                 "--custom-group",
@@ -1131,7 +1198,21 @@ class TestCli:
                 {"generators": [{"name": "t", **make_tau().to_dict()}], "localization": []},
                 "input.json: localization must be a non-empty list of words",
             ),
+            *(
+                # an order spelled in other digits: int() reads "١" as 1 and
+                # refuses "²" with a message naming neither claim nor key
+                (
+                    "--custom-group",
+                    {
+                        "generators": [{"perm": list(range(8)), "phases": [0] * 8}],
+                        "claims": [{"type": "spectrum", "value": {order: 1}}],
+                    },
+                    f"input.json: claims[0].value key '{order}' must be an order in digits 0-9",
+                )
+                for order in ("²", "١")
+            ),
         ],
+        ids=former_wording,
     )
     def test_malformed_input_exit_two(self, tmp_path, capsys, flag, content, message):
         assert main(malformed_input_argv(tmp_path, flag, content)) == 2
@@ -1178,17 +1259,15 @@ class TestCli:
     @pytest.mark.parametrize(
         "doc, message",
         [
-            ({**G_FILE, "claim": [{**EXPONENT, "value": 3}]}, "unknown top-level key 'claim'"),
-            ({**G_FILE, "localisation": ["zz"]}, "unknown top-level key 'localisation'"),
-            (
-                {**G_FILE, "claims": [{**EXPONENT, "valu": 3}]},
-                "semidirect_exponent claim has the unknown key 'valu'",
-            ),
+            ({**G_FILE, "claim": [{**EXPONENT, "value": 3}]}, "unknown key 'claim'"),
+            ({**G_FILE, "localisation": ["zz"]}, "unknown key 'localisation'"),
+            ({**G_FILE, "claims": [{**EXPONENT, "valu": 3}]}, "unknown key 'claims[0].valu'"),
             (
                 {"generators": [TAU_RECORD, {**SIGMA_RECORD, "phase": [0] * 8}]},
-                "generators[1] has the unknown key 'phase'",
+                "unknown key 'generators[1].phase'",
             ),
         ],
+        ids=former_wording,
     )
     def test_unknown_key_exit_two(self, tmp_path, capsys, doc, message):
         # each file exited 0 with `groups custom pass`, its misspelled key
@@ -1198,6 +1277,33 @@ class TestCli:
         path.write_text(json.dumps(doc))
         assert main(["groups", "--group", "custom", "--custom-group", str(path)]) == 2
         assert capsys.readouterr().err == f"quadcert: {path}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "flag, doc, message",
+        [
+            (
+                "--custom-quadrics",
+                [
+                    [{**STOCK_ROWS[0][0], "coefficent_scale": 5}, *STOCK_ROWS[0][1:]],
+                    *STOCK_ROWS[1:],
+                ],
+                "unknown key 'quadrics[0][0].coefficent_scale'",
+            ),
+            (
+                "--custom-quadrics",
+                {"comment": "the stock pencil", "quadrics": STOCK_ROWS},
+                "unknown key 'comment'",
+            ),
+            ("--config", {"seed": 0, "sed": 3}, "unknown key 'sed'"),
+        ],
+    )
+    def test_unknown_key_in_other_inputs_exit_two(self, tmp_path, capsys, flag, doc, message):
+        # each quadrics file exited 0 with `invariance G pass`, its
+        # misspelled key unread
+        assert main(malformed_input_argv(tmp_path, flag, doc)) == 2
+        bad = "bad configuration: " if flag == "--config" else ""
+        path = tmp_path / "input.json"
+        assert capsys.readouterr().err == f"quadcert: {bad}{path}: {message}\n"
 
     def test_denominator_divisible_by_prime_takes_the_exact_path(self, tmp_path, monkeypatch):
         # at y1 = 1/PRIME the coefficients y1*y3 and y1^2 + y3^2 have PRIME in
@@ -1364,3 +1470,126 @@ def test_malformed_input_fuzz_exit_two(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert code == 2, (content, err)
     assert err.startswith("quadcert: ") and err.count("\n") == 1, err
+
+
+# -- every key read or refused ------------------------------------------------
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+
+
+def readme_section(title):
+    return README.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def readme_json(title):
+    """The JSON examples of a README section, parsed."""
+    blocks = readme_section(title).split("```json\n")[1:]
+    return [json.loads(block.split("```", 1)[0]) for block in blocks]
+
+
+def standard_group_file(name):
+    """A custom group file restating a built-in group and its claims, with a
+    spectrum claim added and spectrum orders written as JSON keys."""
+    names, matrices = standard_generators(name)
+    spectrum = {"type": "spectrum", "value": order_spectrum(standard_group(name))}
+    claims = [
+        {**c, "value": {str(k): v for k, v in c["value"].items()}}
+        if isinstance(c.get("value"), dict)
+        else c
+        for c in [*standard_claims(name), spectrum]
+    ]
+    return {
+        "name": name,
+        "generators": [{"name": n, **m.to_dict()} for n, m in zip(names, matrices)],
+        "claims": claims,
+        "localization": list(localization_subgroup_words(name)),
+    }
+
+
+(README_CONFIG,) = readme_json("Command line")
+README_GROUP, README_QUADRICS = readme_json("Custom inputs")
+VALID_INPUTS = [
+    *(("--custom-group", standard_group_file(name)) for name in ("G", "G1", "G2")),
+    ("--custom-group", {**G_FILE, "claims": [{**EXPONENT, "value": 1}]}),
+    ("--custom-group", README_GROUP),
+    ("--custom-quadrics", STOCK_ROWS),
+    ("--custom-quadrics", {"quadrics": quadric_records(planted_control_system())}),
+    ("--custom-quadrics", README_QUADRICS),
+    ("--config", {"group": "G2", "seed": 7, "scope": "all"}),
+    ("--config", {"y": ["1/2,1/3,1/5"], "specializations": 1, "custom_group": None}),
+    ("--config", README_CONFIG),
+]
+# keys some shape declares: inserting one is not inserting an unknown key
+DECLARED = {
+    *(k.removesuffix("?") for s in (_GROUP_SHAPE, _GENERATOR_SHAPE, _TERM_SHAPE) for k in s),
+    *(k for keys in (*CLAIM_KEYS.values(), *OPTIONAL_CLAIM_KEYS.values()) for k in keys),
+    *_CONFIG_KEYS,
+    "type",
+    "quadrics",
+}
+
+
+def json_objects(value):
+    """Every JSON object in a document, the document itself included."""
+    if isinstance(value, dict):
+        yield value
+        value = list(value.values())
+    if isinstance(value, list):
+        for item in value:
+            yield from json_objects(item)
+
+
+@pytest.mark.parametrize("flag, doc", VALID_INPUTS)
+def test_valid_inputs_are_usable(tmp_path, capsys, flag, doc):
+    # the documents the next test corrupts are usable as they stand
+    assert main(malformed_input_argv(tmp_path, flag, doc)) in (0, 1), capsys.readouterr().err
+
+
+@given(st.sampled_from(VALID_INPUTS), st.data())
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+def test_unknown_key_anywhere_exit_two(tmp_path, capsys, case, data):
+    # one unknown key in any object of a valid input is refused by name; in a
+    # spectrum, keys are orders, and an order in the digits 0-9 is no
+    # unknown key
+    flag, doc = case
+    doc = copy.deepcopy(doc)
+    target = data.draw(st.sampled_from(list(json_objects(doc))))
+    key = data.draw(
+        st.text(max_size=6).filter(
+            lambda k: k not in target and k not in DECLARED and not (k.isascii() and k.isdigit())
+        )
+    )
+    target[key] = data.draw(st.sampled_from([0, "x", None, True, [], {}]))
+    code = main(malformed_input_argv(tmp_path, flag, doc))
+    err = capsys.readouterr().err
+    assert code == 2, (doc, err)
+    assert err.startswith("quadcert: ") and err.count("\n") == 1, err
+    assert repr(key)[1:-1] in err, err
+
+
+def test_readme_keys_match_the_shape_tables():
+    # README lists the keys of every input object and of every claim type;
+    # the tables that check them agree key for key, "?" marking a key that
+    # may be left out
+    objects, claims = readme_tables("Custom inputs")
+    shapes = {
+        "custom group file": _GROUP_SHAPE,
+        "generator": _GENERATOR_SHAPE,
+        "claim": {"type": str},
+        "custom quadrics file": _quadrics_shape({}),
+        "term row": _TERM_SHAPE,
+        "config file": {f"{k}?": v for k, v in _CONFIG_KEYS.items()},
+    }
+    assert {name: code_spans(keys) for name, keys in objects} == {
+        name: list(shape) for name, shape in shapes.items()
+    }
+    assert [(kind, code_spans(keys)) for kind, keys, _ in claims] == [
+        (f"`{kind}`", [*keys, *(f"{k}?" for k in OPTIONAL_CLAIM_KEYS.get(kind, {}))])
+        for kind, keys in CLAIM_KEYS.items()
+    ]
+
+
+def code_spans(text):
+    return re.findall(r"`([^`]+)`", text)

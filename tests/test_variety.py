@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -28,6 +29,7 @@ from quadcert.polynomials import (
     Y_VARIABLES,
     grevlex_key,
 )
+from quadcert.reporting import load_custom_quadrics
 from quadcert.variety import (
     ComponentOutcome,
     InvarianceResult,
@@ -171,14 +173,18 @@ class TestQuadricSystem:
             (list(x_pair(1, 7)), [0, 2, 0]),
         ]
 
-    def test_record_validation(self):
-        with pytest.raises(ValueError):
-            QuadricSystem.from_records([[], [], []])
+    def test_record_validation(self, tmp_path):
+        # the loader checks each row; the count of quadrics is the system's
+        path = tmp_path / "q.json"
         bad_row = [{"x_exponents": [1] * 7, "y_exponents": [0, 0, 0], "coefficient": "[1]@2"}]
-        with pytest.raises(ValueError):
-            QuadricSystem.from_records([bad_row, bad_row, bad_row, bad_row])
-        with pytest.raises(ValueError, match="term objects"):
-            QuadricSystem.from_records([[1], [], [], []])
+        for records, message in (
+            ([[], [], []], "exactly 4"),
+            ([bad_row, bad_row, bad_row, bad_row], "8 x-exponents"),
+            ([[1], [], [], []], r"quadrics\[0\]\[0\] must be a JSON object"),
+        ):
+            path.write_text(json.dumps(records))
+            with pytest.raises(ValueError, match=message):
+                load_custom_quadrics(str(path))
 
     def test_rejects_inhomogeneous(self):
         linear = pencil_var(0)
