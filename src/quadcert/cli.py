@@ -8,7 +8,6 @@ fields as the flags, with explicit flags taking precedence.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
@@ -24,7 +23,8 @@ _SUBCOMMANDS = (
 )
 
 # the config file's shape (`reporting.check_shape`), every key optional: the
-# flag names with the flags' value types; the subcommand itself is not a key
+# flag names with the flags' value types; each key is also the flag's dest and
+# the VerificationConfig field it sets, and the subcommand itself is not a key
 _CONFIG_KEYS = {
     "group": str,
     "y": list[str],
@@ -36,19 +36,13 @@ _CONFIG_KEYS = {
     "custom_quadrics": str | None,
     "canonical": bool,
 }
-# the config keys whose VerificationConfig field has another name
-_FIELDS = {
-    "y": "y_triples",
-    "json": "output_path",
-    "custom_group": "custom_group_path",
-    "custom_quadrics": "custom_quadrics_path",
-}
-
 
 def parse_triple(text: str) -> tuple[Fraction, Fraction, Fraction]:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 3:
         raise ValueError(f"expected three comma-separated rationals, got {text!r}")
+    if not text.isascii():  # Fraction would read other scripts' digits
+        raise ValueError(f"bad rational in {text!r}: numbers are written in ASCII digits")
     try:
         return tuple(Fraction(p) for p in parts)
     except (ValueError, ZeroDivisionError) as exc:
@@ -88,25 +82,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config_file(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    try:
-        reporting.check_shape(data, {f"{k}?": v for k, v in _CONFIG_KEYS.items()}, "config")
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    return data
-
-
 def assemble_config(args: argparse.Namespace) -> VerificationConfig:
     """Merge precedence: explicit flag, then config file, then the
-    defaults of VerificationConfig.  A flag's dest is its config key."""
-    values = _load_config_file(args.config) if args.config else {}
+    defaults of VerificationConfig."""
+    shape = {f"{k}?": v for k, v in _CONFIG_KEYS.items()}
+    values = reporting.read_input(args.config, shape, "config", dict) if args.config else {}
     values.update((k, getattr(args, k)) for k in _CONFIG_KEYS if getattr(args, k) is not None)
     if "y" in values:
         values["y"] = tuple(parse_triple(t) for t in values["y"])
     checks = CHECK_IDS if args.command == "all" else (args.command,)
-    return VerificationConfig(checks, **{_FIELDS.get(k, k): v for k, v in values.items()})
+    return VerificationConfig(checks, **values)
 
 
 def main(argv=None) -> int:

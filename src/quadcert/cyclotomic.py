@@ -230,8 +230,9 @@ class CyclotomicNumber:
 
     @classmethod
     def from_text(cls, text: str) -> "CyclotomicNumber":
+        """Read the form `to_text` writes; digits outside ASCII are refused."""
         text = text.strip()
-        if not (text.startswith("[") and "@" in text):
+        if not (text.isascii() and text.startswith("[") and "@" in text):
             raise ValueError(f"malformed cyclotomic literal: {text!r}")
         body, _, order = text.rpartition("@")
         body = body.strip()

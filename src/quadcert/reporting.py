@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from types import FunctionType, GenericAlias
 from typing import NamedTuple, Sequence, get_args, get_origin
@@ -43,50 +43,41 @@ def _render_triple(y) -> str:
     return ",".join(str(Fraction(c)) for c in y)
 
 
-@dataclass(frozen=True)
-class VerificationConfig:
-    """Everything a campaign needs; the report echoes it back verbatim so a
-    reader can reproduce the run."""
+class VerificationConfig(
+    namedtuple(
+        "VerificationConfig",
+        "checks group y specializations seed scope json custom_group custom_quadrics canonical",
+        defaults=("all", (), 3, 0, "involutions", None, None, None, False),
+    )
+):
+    """Everything a campaign needs, each field named as its config key; the
+    report echoes it back verbatim so a reader can reproduce the run."""
 
-    checks: tuple[str, ...]
-    group: str = "all"
-    y_triples: tuple[tuple[Fraction, Fraction, Fraction], ...] = ()
-    specializations: int = 3
-    seed: int = 0
-    scope: str = "involutions"
-    output_path: str | None = None
-    custom_group_path: str | None = None
-    custom_quadrics_path: str | None = None
-    canonical: bool = False
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so `_replace` checks too
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         bad = [c for c in self.checks if c not in CHECK_IDS]
         if bad:
             raise ValueError(f"unknown check ids {bad}; expected among {CHECK_IDS}")
         if self.group not in GROUP_CHOICES:
             raise ValueError(f"group must be one of {GROUP_CHOICES}, not {self.group!r}")
-        if (self.group == "custom") != bool(self.custom_group_path):
+        if (self.group == "custom") != bool(self.custom_group):
             raise ValueError("group 'custom' and a custom group file must be given together")
         if self.scope not in ("involutions", "all"):
             raise ValueError(f"scope must be 'involutions' or 'all', not {self.scope!r}")
-        if not self.y_triples and self.specializations < 1:
+        if not self.y and self.specializations < 1:
             raise ValueError("need at least one specialization when no explicit triples given")
-        for y in self.y_triples:
+        for y in self.y:
             if len(y) != 3:
                 raise ValueError(f"parameter triple needs 3 entries, got {y!r}")
+        return self
 
     def to_dict(self) -> dict:
-        return {
-            "checks": list(self.checks),
-            "group": self.group,
-            "y": [_render_triple(y) for y in self.y_triples],
-            "specializations": self.specializations,
-            "seed": self.seed,
-            "scope": self.scope,
-            "custom_group": self.custom_group_path,
-            "custom_quadrics": self.custom_quadrics_path,
-            "canonical": self.canonical,
-        }
+        """Every field but where the report goes, in field order."""
+        fields = {k: v for k, v in self._asdict().items() if k != "json"}
+        return fields | {"checks": list(self.checks), "y": [_render_triple(y) for y in self.y]}
 
 
 class CheckRecord(NamedTuple):
@@ -251,18 +242,25 @@ def _quadrics_shape(data):
     return {"quadrics": quadrics} if isinstance(data, dict) else quadrics
 
 
+def read_input(path: str, shape, where: str, build):
+    """`build` applied to the JSON file at `path` once it has `shape` (see
+    `check_shape`, where `where` names its top).  Any defect, from the
+    file's encoding and JSON syntax through the shape to what `build`
+    refuses (the element cap, say), is a ValueError naming the file: the
+    input is unusable, not a failed check.  An OSError names it already."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+        check_shape(data, shape, where)
+        return build(data)
+    except (RuntimeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def load_custom_group(path: str) -> GroupSelection:
     """Read a custom group file of _GROUP_SHAPE: generators and optional claims
     in the built-in groups' tagged format (spectrum orders become ints)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    try:
-        check_shape(data, _GROUP_SHAPE, "custom group")
-        return _custom_group(data)
-    except (RuntimeError, ValueError) as exc:
-        # the element cap, generators of different phase moduli, or any
-        # other defect: the input is unusable, not a failed check
-        raise ValueError(f"{path}: {exc}") from None
+    return read_input(path, _GROUP_SHAPE, "custom group", _custom_group)
 
 
 def _custom_group(data: dict) -> GroupSelection:
@@ -318,14 +316,13 @@ def _custom_group(data: dict) -> GroupSelection:
     )
 
 
+def _quadric_system(data) -> QuadricSystem:
+    """The pencil a file of `_quadrics_shape` describes."""
+    return QuadricSystem.from_records(data["quadrics"] if isinstance(data, dict) else data)
+
+
 def load_custom_quadrics(path: str) -> QuadricSystem:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    try:
-        check_shape(data, _quadrics_shape, "quadrics")
-        return QuadricSystem.from_records(data["quadrics"] if isinstance(data, dict) else data)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return read_input(path, _quadrics_shape, "quadrics", _quadric_system)
 
 
 def _standard_selection(name: str) -> GroupSelection:
@@ -339,15 +336,15 @@ def _standard_selection(name: str) -> GroupSelection:
 
 def resolve_selections(config: VerificationConfig) -> list[GroupSelection]:
     if config.group == "custom":
-        return [load_custom_group(config.custom_group_path)]
+        return [load_custom_group(config.custom_group)]
     if config.group == "all":
         return [_standard_selection(n) for n in ("G", "G1", "G2")]
     return [_standard_selection(config.group)]
 
 
 def resolve_system(config: VerificationConfig) -> QuadricSystem:
-    if config.custom_quadrics_path:
-        return load_custom_quadrics(config.custom_quadrics_path)
+    if config.custom_quadrics:
+        return load_custom_quadrics(config.custom_quadrics)
     return build_quadrics()
 
 
@@ -478,8 +475,8 @@ def _resolve_triples(
     kept (a failing one becomes an inconclusive record downstream, never a
     silent skip); with no explicit triples, seeded drawing only returns
     screened ones, with no reasons."""
-    if config.y_triples:
-        triples = [tuple(Fraction(c) for c in y) for y in config.y_triples]
+    if config.y:
+        triples = [tuple(Fraction(c) for c in y) for y in config.y]
         return [(y, genericity_screen(y, system, screen_group)) for y in triples]
     drawn = draw_specializations(config.specializations, config.seed, system, screen_group)
     return [(y, ()) for y in drawn]
@@ -505,6 +502,6 @@ def run(config: VerificationConfig) -> VerificationReport:
         else:
             records.extend(_freeness_records(selections, system, screened, config.scope))
     report = VerificationReport(version=__version__, config=config, checks=tuple(records))
-    if config.output_path:
-        write_report(report, config.output_path)
+    if config.json:
+        write_report(report, config.json)
     return report

@@ -183,6 +183,12 @@ class TestText:
         with pytest.raises(ValueError, match=r"malformed cyclotomic literal: '\[1@2'"):
             CyclotomicNumber.from_text("[1@2")
 
+    def test_ascii_digits_only(self):
+        # Fraction and int read other scripts' digits: this was 1/3 at order 2
+        assert CyclotomicNumber.from_text("[1, 1/2]@4") == 1 + zeta(4, 1) * Fraction(1, 2)
+        with pytest.raises(ValueError, match="malformed cyclotomic literal"):
+            CyclotomicNumber.from_text("[١/٣]@٢")
+
 
 # -- randomized field-axiom checks ------------------------------------------
 

@@ -4,7 +4,10 @@ byte-identical serialization guarantee."""
 import copy
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -84,7 +87,7 @@ class TestConfig:
         # report's config names it
         path = write_custom_group(tmp_path / "g.json", list(range(8)), [0] * 8)
         with pytest.raises(ValueError, match="given together"):
-            make_config(group="all", custom_group_path=path)
+            make_config(group="all", custom_group=path)
         out = tmp_path / "r.json"
         assert main(["groups", "--custom-group", path, "--json", str(out)]) == 2
         assert "bad configuration" in capsys.readouterr().err
@@ -96,18 +99,22 @@ class TestConfig:
 
     def test_bad_triple_length_rejected(self):
         with pytest.raises(ValueError, match="3 entries"):
-            make_config(y_triples=((Fraction(1), Fraction(2)),))
+            make_config(y=((Fraction(1), Fraction(2)),))
 
     def test_zero_specializations_need_explicit_triples(self):
         with pytest.raises(ValueError, match="specialization"):
             make_config(specializations=0)
         cfg = make_config(
-            specializations=0, y_triples=((Fraction(1), Fraction(2), Fraction(3)),)
+            specializations=0, y=((Fraction(1), Fraction(2), Fraction(3)),)
         )
         assert cfg.to_dict()["y"] == ["1,2,3"]
 
+    def test_replace_checks_too(self):
+        with pytest.raises(ValueError, match="group"):
+            make_config()._replace(group="G3")
+
     def test_echo_is_json_clean(self):
-        cfg = make_config(y_triples=((Fraction(1, 2), Fraction(-3, 4), Fraction(5)),))
+        cfg = make_config(y=((Fraction(1, 2), Fraction(-3, 4), Fraction(5)),))
         echoed = json.loads(json.dumps(cfg.to_dict()))
         assert echoed["y"] == ["1/2,-3/4,5"]
         assert echoed["group"] == "G"
@@ -201,6 +208,12 @@ class TestTripleParsing:
         with pytest.raises(ValueError, match="bad rational"):
             parse_triple("1/0,2,3")
 
+    def test_ascii_digits_only(self):
+        # Fraction reads other scripts' digits: this ran as (1/2, 3, 5)
+        assert parse_triple("1/2,-3/4,5") == (Fraction(1, 2), Fraction(-3, 4), Fraction(5))
+        with pytest.raises(ValueError, match="ASCII"):
+            parse_triple("١/٢,٣,٥")
+
 
 class TestConfigMerging:
     def test_flags_override_file(self, tmp_path):
@@ -220,7 +233,7 @@ class TestConfigMerging:
         cfg_file.write_text(json.dumps({"y": ["1/2,1/3,1/5"]}))
         args = build_parser().parse_args(["orbit", "--config", str(cfg_file)])
         config = assemble_config(args)
-        assert config.y_triples == ((Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)),)
+        assert config.y == ((Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)),)
 
     def test_unknown_file_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "c.json"
@@ -326,11 +339,11 @@ def former_wording(value):
 
 
 def malformed_input_argv(tmp_path, flag, content):
-    """Write content to input.json and return the argv that loads it: a
-    custom group for `groups`, custom quadrics for `invariance`, a config
-    file for `groups`."""
+    """Write content to input.json, as JSON unless it is bytes, and return
+    the argv that loads it: a custom group for `groups`, custom quadrics for
+    `invariance`, a config file for `groups`."""
     path = tmp_path / "input.json"
-    path.write_text(json.dumps(content))
+    path.write_bytes(content if isinstance(content, bytes) else json.dumps(content).encode())
     if flag == "--custom-group":
         return ["groups", "--group", "custom", "--custom-group", str(path)]
     if flag == "--config":
@@ -366,7 +379,7 @@ class TestCustomFiles:
         sel = load_custom_group(str(path))
         assert sel.claims[0]["value"] == {1: 1, 2: 1}
         report = run(
-            VerificationConfig(checks=("groups",), group="custom", custom_group_path=str(path))
+            VerificationConfig(checks=("groups",), group="custom", custom_group=str(path))
         )
         assert report.overall == "pass"
 
@@ -411,7 +424,7 @@ class TestRunScenarios:
         )
         report = run(
             VerificationConfig(
-                checks=("invariance",), group="custom", custom_group_path=str(path)
+                checks=("invariance",), group="custom", custom_group=str(path)
             )
         )
         assert report.overall == "fail"
@@ -430,7 +443,7 @@ class TestRunScenarios:
         records = []
         for p in (phases, normalized):
             path = write_custom_group(tmp_path / "g.json", list(range(8)), p)
-            config = VerificationConfig(checks=("invariance",), group="custom", custom_group_path=path)
+            config = VerificationConfig(checks=("invariance",), group="custom", custom_group=path)
             records.append(run(config).checks[0].to_dict(canonical=True))
         assert records[0] == records[1]
         assert records[0]["verdict"] == verdict
@@ -444,7 +457,7 @@ class TestRunScenarios:
         config = VerificationConfig(
             checks=("orbit", "freeness"),
             group="G",
-            y_triples=((Fraction(1), Fraction(0), Fraction(3)),),
+            y=((Fraction(1), Fraction(0), Fraction(3)),),
         )
         report = run(config)
         assert report.overall == "inconclusive"
@@ -465,9 +478,9 @@ class TestRunScenarios:
         config = VerificationConfig(
             checks=("freeness",),
             group="custom",
-            custom_group_path=group_path,
-            custom_quadrics_path=str(quadrics_path),
-            y_triples=((Fraction(1), Fraction(2), Fraction(3)),),
+            custom_group=group_path,
+            custom_quadrics=str(quadrics_path),
+            y=((Fraction(1), Fraction(2), Fraction(3)),),
         )
         report = run(config)
         assert report.overall == "fail"
@@ -486,7 +499,7 @@ class TestRunScenarios:
 
     def test_output_path_writes_report(self, tmp_path):
         out = tmp_path / "r.json"
-        run(VerificationConfig(checks=("groups",), group="G", output_path=str(out)))
+        run(VerificationConfig(checks=("groups",), group="G", json=str(out)))
         assert json.loads(out.read_text())["overall"] == "pass"
 
 
@@ -643,7 +656,7 @@ class TestFreenessRecords:
         monkeypatch.setattr(variety, "genericity_screen", counting_screen)
         y_bad = (Fraction(1), Fraction(0), Fraction(3))
         y_good = (Fraction(1), Fraction(2), Fraction(3))
-        config = VerificationConfig(checks=("freeness",), group="all", y_triples=(y_bad, y_good))
+        config = VerificationConfig(checks=("freeness",), group="all", y=(y_bad, y_good))
         report = run(config)
         assert calls == [y_bad, y_good]  # by _resolve_triples only, not once per group
         for record in report.checks:
@@ -672,7 +685,7 @@ class TestFreenessRecords:
         )
         contexts = self.record_contexts(monkeypatch)
         triples = ((Fraction(1), Fraction(2), Fraction(3)), (Fraction(-2), Fraction(5), Fraction(7)))
-        report = run(VerificationConfig(checks=("freeness",), group="all", y_triples=triples))
+        report = run(VerificationConfig(checks=("freeness",), group="all", y=triples))
         assert report.overall == "pass"
         assert len(proofs) == len(set(proofs)) == 5
         assert contexts == list(triples)
@@ -736,9 +749,9 @@ class TestFreenessRecords:
         config = VerificationConfig(
             checks=("freeness",),
             group="custom",
-            custom_group_path=group_path,
-            custom_quadrics_path=str(quadrics_path),
-            y_triples=(
+            custom_group=group_path,
+            custom_quadrics=str(quadrics_path),
+            y=(
                 (Fraction(1), Fraction(2), Fraction(3)),
                 (Fraction(1), Fraction(0), Fraction(3)),
             ),
@@ -952,6 +965,12 @@ class TestCli:
     def test_malformed_y_flag_exit_two(self, capsys):
         assert main(["orbit", "--group", "G", "--y", "1,2"]) == 2
         assert "three" in capsys.readouterr().err
+
+    def test_non_ascii_y_flag_exit_two(self, capsys):
+        # Fraction reads other scripts' digits: this ran as (1/2, 3, 5) to exit 0
+        assert main(["orbit", "--group", "G", "--y", "١/٢,٣,٥"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("quadcert: bad configuration: bad rational") and err.count("\n") == 1
 
     def test_json_flag_writes_file(self, tmp_path, capsys):
         out = tmp_path / "r.json"
@@ -1210,6 +1229,23 @@ class TestCli:
                     f"input.json: claims[0].value key '{order}' must be an order in digits 0-9",
                 )
                 for order in ("²", "١")
+            ),
+            *(
+                # a JSON syntax error or a byte that is not UTF-8 named no file
+                (flag, content, f"input.json: {message}")
+                for content, message in [
+                    (b'{"group": "G",}', "Expecting property name enclosed in double quotes"),
+                    (b"\xff\xfe", "'utf-8' codec can't decode byte 0xff in position 0"),
+                ]
+                for flag in ("--config", "--custom-group", "--custom-quadrics")
+            ),
+            # numbers in other scripts' digits, read as 1/2 and 1/3 before
+            ("--config", {"y": ["١/٢,٣,٥"]}, "bad rational in '١/٢,٣,٥'"),
+            (
+                "--custom-quadrics",
+                [[{"x_exponents": [2] + [0] * 7, "y_exponents": [0] * 3,
+                   "coefficient": "[١/٣]@٢"}]] + [[]] * 3,
+                "input.json: malformed cyclotomic literal: '[١/٣]@٢'",
             ),
         ],
         ids=former_wording,
@@ -1593,3 +1629,25 @@ def test_readme_keys_match_the_shape_tables():
 
 def code_spans(text):
     return re.findall(r"`([^`]+)`", text)
+
+
+# -- one name per setting, one reader per input file --------------------------
+
+
+def test_config_keys_are_the_config_fields():
+    # a setting added under one name: the key is the flag's dest and the field
+    assert set(_CONFIG_KEYS) == set(VerificationConfig._fields) - {"checks"}
+
+
+def test_every_input_file_read_in_one_place():
+    sources = Path(reporting.__file__).parent.glob("*.py")
+    assert sum(path.read_text(encoding="utf-8").count("json.load") for path in sources) == 1
+
+
+def test_cli_imports_without_dataclasses():
+    # each costs milliseconds of every CLI start, and no record type needs them
+    src = str(Path(reporting.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, quadcert.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
