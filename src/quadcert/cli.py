@@ -87,10 +87,18 @@ def assemble_config(args: argparse.Namespace) -> VerificationConfig:
     defaults of VerificationConfig."""
     shape = {f"{k}?": v for k, v in _CONFIG_KEYS.items()}
     values = reporting.read_input(args.config, shape, "config", dict) if args.config else {}
-    values.update((k, getattr(args, k)) for k in _CONFIG_KEYS if getattr(args, k) is not None)
-    if "y" in values:
-        values["y"] = tuple(parse_triple(t) for t in values["y"])
+    flags = {k: getattr(args, k) for k in _CONFIG_KEYS if getattr(args, k) is not None}
     checks = CHECK_IDS if args.command == "all" else (args.command,)
+    try:
+        return _config(checks, values | flags)
+    except ValueError as exc:
+        _config(checks, flags)  # a refusal of the flags and defaults alone names no file
+        raise ValueError(f"{args.config}: {exc}") from None
+
+
+def _config(checks: tuple[str, ...], values: dict) -> VerificationConfig:
+    if "y" in values:
+        values = values | {"y": tuple(parse_triple(t) for t in values["y"])}
     return VerificationConfig(checks, **values)
 
 

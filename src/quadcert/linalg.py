@@ -305,19 +305,19 @@ class MonomialMatrix:
         """Exact eigen-decomposition, components merged by eigenvalue, in
         the order of `eigenvalues`.
 
-        The eigenvector of eigenvalue lambda on a cycle c_0, c_1, ... is
-        pinned by the recurrence v[c_{t+1}] = v[c_t] * lambda^-1 *
-        zeta_N^phases[c_t] from v[c_0] = 1.  Multiplicities over the merged
-        components always sum to `size`.
+        The eigenvector of eigenvalue zeta_order^k on a cycle c_0, c_1, ...
+        has v[c_0] = 1 and v[c_{t+1}] = v[c_t] * zeta_order^-k *
+        zeta_N^phases[c_t]: each coordinate is a root of unity, its exponent
+        walked as an integer.  Multiplicities over the merged components
+        always sum to `size`.
         """
         by_eigenvalue: dict[CyclotomicNumber, list[tuple]] = {}
         for cycle, order, k in self._cycle_eigenvalues():
-            lam_inv = root_of_unity(order, -k)
             coords = [ZERO] * self.size
-            acc = ONE
+            e = 0
             for c in cycle:
-                coords[c] = acc
-                acc = acc * lam_inv * root_of_unity(self.N, self.phases[c])
+                coords[c] = root_of_unity(order, e)
+                e += self.phases[c] * (order // self.N) - k
             by_eigenvalue.setdefault(root_of_unity(order, k), []).append(tuple(coords))
         components = [
             EigenspaceComponent(lam, tuple(vectors))

@@ -193,7 +193,8 @@ class Polynomial:
 
         g moves the first g.size variables (x0..x7 of the pencil ring) and
         leaves the rest (y1..y3) fixed; the picked-up root of unity scales
-        the coefficient.
+        the coefficient.  Distinct exponents map to distinct exponents, and a
+        root of unity times a nonzero coefficient is nonzero: nothing merges.
         """
         n = g.size
         if len(self.variables) < n:
@@ -209,8 +210,8 @@ class Polynomial:
             phase %= g.N
             if phase:
                 coeff = coeff * root_of_unity(g.N, phase)
-            _add_term(terms, tuple(image) + exponents[n:], coeff)
-        return Polynomial(self.variables, terms)
+            terms[tuple(image) + exponents[n:]] = coeff
+        return Polynomial._unchecked(self.variables, terms)
 
     def substitute(self, images: Sequence["Polynomial"]) -> "Polynomial":
         """General composition: replace variable i by images[i].

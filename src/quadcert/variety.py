@@ -21,7 +21,7 @@ from .cyclotomic import CyclotomicNumber, root_of_unity
 from .groups import FiniteGroup, conjugacy_classes
 from .linalg import EigenspaceComponent, ExactMatrix, MonomialMatrix
 from .groebner import PRIME, _residue, projective_zero_set_empty
-from .polynomials import PENCIL_VARIABLES, Polynomial, X_VARIABLES, monomial_text
+from .polynomials import PENCIL_VARIABLES, _add_term, Polynomial, X_VARIABLES, monomial_text
 
 MAX_SPECIALIZATION_HEIGHT = 97
 #: Candidate triples draw_specializations screens before giving up.
@@ -393,15 +393,16 @@ def check_ideal_invariance(g: MonomialMatrix, system: QuadricSystem) -> Invarian
     """
     matrix_rows = []
     for quadric in system.quadrics:
-        residual = quadric.substitute_linear(g)
+        residual = dict(quadric.substitute_linear(g).terms)  # reduced in place
         row = [CyclotomicNumber.zero()] * 4
         for pivot, basis_row, combination in system.echelon:
-            c = residual.terms.get(pivot)
+            c = residual.get(pivot)
             if c is not None:
                 row = [r + c * t for r, t in zip(row, combination)]
-                residual = residual - basis_row.scale(c)
-        if not residual.is_zero():
-            return InvarianceResult(False, None, max(residual.terms)[:8])
+                for m, b in basis_row.terms.items():
+                    _add_term(residual, m, -(c * b))
+        if residual:
+            return InvarianceResult(False, None, max(residual)[:8])
         matrix_rows.append(tuple(row))
     return InvarianceResult(True, tuple(matrix_rows), None)
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadcert.cyclotomic import CyclotomicNumber, root_of_unity
+from quadcert.cyclotomic import SUPPORTED_ORDERS, CyclotomicNumber, root_of_unity
 from quadcert.groups import ProjectiveElement
 from quadcert.linalg import EigenspaceComponent, ExactMatrix, MonomialMatrix
 from quadcert.reporting import load_custom_group
@@ -311,6 +311,39 @@ class TestEigenspaces:
                     g = tau() ** a * s ** b
                     expected = [(c.eigenvalue, c.multiplicity) for c in g.eigenspaces()]
                     assert g.eigenvalues() == expected
+
+    def test_exponent_walk_across_phase_orders(self):
+        # every phase order N, with random permutations whose cycle lengths L
+        # keep N*L <= 64: each basis vector is an exact eigenvector and equals
+        # the product recurrence v[c_{t+1}] = v[c_t] * lambda^-1 *
+        # zeta_N^phases[c_t] from v[c_0] = 1, c_0 the cycle's smallest element
+        rng = random.Random(34)
+        for N in SUPPORTED_ORDERS:
+            lengths = [L for L in (1, 2, 4, 8) if N * L <= 64]
+            for _ in range(12):
+                coords = rng.sample(range(8), 8)
+                perm = [0] * 8
+                while coords:
+                    L = rng.choice([L for L in lengths if L <= len(coords)])
+                    cycle, coords = coords[:L], coords[L:]
+                    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                        perm[a] = b
+                g = MonomialMatrix(perm, [rng.randrange(N) for _ in range(8)], N)
+                matrix = dense(g)
+                comps = g.eigenspaces()
+                assert sum(c.multiplicity for c in comps) == 8
+                for comp in comps:
+                    lam_inv = comp.eigenvalue.inverse()
+                    for vec in comp.basis:
+                        assert matvec(matrix, vec) == tuple(comp.eigenvalue * v for v in vec)
+                        start = min(j for j, v in enumerate(vec) if not v.is_zero())
+                        expected = [ZERO] * 8
+                        acc, c = ONE, start
+                        while expected[c].is_zero():
+                            expected[c] = acc
+                            acc = acc * lam_inv * zeta(N, g.phases[c])
+                            c = g.perm[c]
+                        assert vec == tuple(expected)
 
     def test_unsupported_cycle_length(self):
         three_cycle = MonomialMatrix((1, 2, 0, 3, 4, 5, 6, 7), (0,) * 8)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadcert.cyclotomic import CyclotomicNumber, root_of_unity
+from quadcert.cyclotomic import SUPPORTED_ORDERS, CyclotomicNumber, root_of_unity
 from quadcert.linalg import MonomialMatrix
 from quadcert.polynomials import (
     PENCIL_VARIABLES,
@@ -289,6 +289,34 @@ def test_specialize_then_evaluate_matches_flat_evaluate(point):
     x, y = point
     for q in build_quadrics().quadrics:
         assert q.specialize(y).evaluate(x) == q.evaluate(x + y)
+
+
+@st.composite
+def pencil_pullbacks(draw):
+    """(g, p): a monomial substitution of random phase order N and a pencil-ring
+    polynomial with y in its terms and coefficients across the tower."""
+    N = draw(st.sampled_from(SUPPORTED_ORDERS))
+    perm = draw(st.permutations(range(8)))
+    g = MonomialMatrix(perm, draw(st.lists(st.integers(0, N - 1), min_size=8, max_size=8)), N)
+    exponents = st.tuples(*[st.integers(0, 2)] * 11)
+    coefficient = st.one_of(
+        st.integers(-3, 3),
+        st.builds(root_of_unity, st.sampled_from(SUPPORTED_ORDERS), st.integers(0, 63)),
+    )
+    terms = draw(st.dictionaries(exponents, coefficient, min_size=1, max_size=8))
+    return g, Polynomial(PENCIL_VARIABLES, terms)
+
+
+@given(pencil_pullbacks())
+@settings(max_examples=80, deadline=None)
+def test_pullback_terms_need_no_merging(case):
+    # distinct exponents pull back to distinct exponents, each coefficient
+    # times a root of unity: the unchecked result is the validated one
+    g, p = case
+    result = p.substitute_linear(g)
+    assert len(result) == len(p)
+    assert not any(c.is_zero() for c in result.terms.values())
+    assert result == Polynomial(PENCIL_VARIABLES, result.terms)
 
 
 # -- randomized ring laws ----------------------------------------------------

@@ -258,6 +258,32 @@ class TestConfigMerging:
         assert err.startswith("quadcert: bad configuration: ") and err.count("\n") == 1
         assert f"{cfg_file}: {key} must be" in err
 
+    @pytest.mark.parametrize(
+        "content, flags, message",
+        [
+            ({"group": "G3"}, [], "group must be one of"),
+            ({"y": ["1,2"]}, [], "expected three comma-separated rationals, got '1,2'"),
+            ({"scope": "every"}, [], "scope must be 'involutions' or 'all', not 'every'"),
+            ({"specializations": 0}, [], "need at least one specialization"),
+            ({"group": "custom"}, [], "group 'custom' and a custom group file must be given"),
+            # the flags and defaults alone are refused: the file is not named
+            ({"seed": 3}, ["--specializations", "0"], None),
+        ],
+    )
+    def test_refused_value_names_the_file(self, tmp_path, capsys, content, flags, message):
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text(json.dumps(content))
+        assert main(["groups", "--config", str(cfg_file), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        if message:
+            assert err.startswith(f"quadcert: bad configuration: {cfg_file}: {message}")
+        else:
+            assert err == (
+                "quadcert: bad configuration: "
+                "need at least one specialization when no explicit triples given\n"
+            )
+
     def test_config_not_an_object_exit_two(self, tmp_path, capsys):
         cfg_file = tmp_path / "c.json"
         cfg_file.write_text(json.dumps(["group", "G"]))

@@ -362,6 +362,29 @@ class TestInvariance:
             assert check_ideal_invariance(mat, system).ok, mat
         assert len(eliminated) == 1
 
+    def test_reduction_leaves_the_system_unchanged(self):
+        # the residual is a copy reduced in place: after the 128 elements of
+        # G u G1 u G2 and seeded signed permutations, the echelon rows and the
+        # quadrics hold the terms they were built with
+        system = build_quadrics()
+
+        def snapshot():
+            return (
+                [(pivot, dict(row.terms), t) for pivot, row, t in system.echelon],
+                [dict(q.terms) for q in system.quadrics],
+            )
+
+        before = snapshot()
+        elements = {g: None for name in ("G", "G1", "G2") for g in standard_group(name).elements}
+        rng = random.Random(34)
+        signed = [
+            MonomialMatrix(rng.sample(range(8), 8), [rng.choice((0, 4)) for _ in range(8)])
+            for _ in range(40)
+        ]
+        verdicts = [check_ideal_invariance(g, system).ok for g in [*elements, *signed]]
+        assert snapshot() == before
+        assert verdicts[:128] == [True] * 128 and not all(verdicts[128:])
+
     def test_reduction_against_mixed_echelon_rows(self):
         # the circulant q_k = x_k^2 + x_{k+1}^2 (indices mod 4) has rank 3,
         # and each of its echelon rows x0^2+x3^2, x1^2-x3^2, x2^2+x3^2 mixes
