@@ -44,14 +44,13 @@ _TOKEN = re.compile(rf"({GENERATOR_NAME.pattern})(?:\^(-?\d+))?")
 
 class ProjectiveElement(MonomialMatrix):
     """A monomial matrix up to scalar: the phases are shifted to put 0 in
-    slot 0, which absorbs exactly the root-of-unity scalars.  Products,
-    inverses and powers are built through this constructor, so they stay
-    normalized."""
+    slot 0, which absorbs exactly the root-of-unity scalars.  Every element,
+    given or derived, is normalized as it is stored."""
 
     __slots__ = ()
 
-    def __init__(self, perm: Sequence[int], phases: Sequence[int], N: int = 8):
-        super().__init__(perm, [p - phases[0] for p in phases], N)
+    def _set(self, perm: tuple[int, ...], phases: Sequence[int], N: int):
+        return super()._set(perm, [p - phases[0] for p in phases], N)
 
 
 class FiniteGroup:
@@ -131,22 +130,41 @@ class FiniteGroup:
         return closure(gens, projective=self.projective, names=tuple(words))
 
 
+def conjugate(h: MonomialMatrix, g: MonomialMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The permutation and phases, not normalized, of h*g*h^-1: with
+    i = h^-1.perm[j], that is j = h.perm[i], perm[j] = h.perm[g.perm[i]]
+    and phases[j] = g.phases[i] + h.phases[g.perm[i]] - h.phases[i] mod N."""
+    h._check_compatible(g)
+    perm, phases = [0] * g.size, [0] * g.size
+    for i, j in enumerate(h.perm):
+        k = g.perm[i]
+        perm[j], phases[j] = h.perm[k], (g.phases[i] + h.phases[k] - h.phases[i]) % g.N
+    return tuple(perm), tuple(phases)
+
+
+def centralizer_shift(h: MonomialMatrix, g: MonomialMatrix) -> int | None:
+    """The d with h*g*h^-1 = zeta_N^d * g, or None when h centralizes no
+    scalar multiple of g."""
+    perm, phases = conjugate(h, g)
+    shifts = {(p - q) % g.N for p, q in zip(phases, g.phases)}
+    return shifts.pop() if perm == g.perm and len(shifts) == 1 else None
+
+
 def conjugacy_classes(
-    elements: Iterable[MonomialMatrix], conjugators: Iterable[MonomialMatrix]
+    elements: Iterable[MonomialMatrix], conjugators: Sequence[MonomialMatrix]
 ) -> dict:
     """Map each given element, and each of its conjugates h*g*h^-1, to its
     class under the group the conjugators generate.  A class is walked once,
     by conjugating with the conjugators until nothing new appears; that group
-    is never closed."""
-    pairs = [(h, h.inverse()) for h in conjugators]
+    is never closed.  Conjugates are built as the element's own type."""
     classes: dict[MonomialMatrix, frozenset] = {}
     for g in elements:
         if g not in classes:
             members, frontier = {g}, [g]
             while frontier:
                 c = frontier.pop()
-                for h, inverse in pairs:
-                    if (d := h * c * inverse) not in members:
+                for h in conjugators:
+                    if (d := type(c)._unchecked(*conjugate(h, c), c.N)) not in members:
                         members.add(d)
                         frontier.append(d)
             classes.update(dict.fromkeys(members, frozenset(members)))
@@ -218,7 +236,7 @@ def involutions(group: FiniteGroup) -> tuple[MonomialMatrix, ...]:
 def conjugation_exponent(g: MonomialMatrix, t: MonomialMatrix, identity: MonomialMatrix) -> int | None:
     """The exponent a with g t g^-1 = t^a, if one exists: the powers of t
     are walked until they return to the identity."""
-    conj = g * t * g.inverse()
+    conj = type(t)._unchecked(*conjugate(g, t), t.N)
     power, a = identity, 0
     while conj != power:
         power, a = power * t, a + 1
@@ -240,9 +258,8 @@ def _normality_witness(group: FiniteGroup, sub: FiniteGroup) -> str | None:
     too, and so does conjugation by any product of generators: every group
     element.  A failing witness names one generator pair."""
     for g in group.generators:
-        inv = g.inverse()
         for n in sub.generators:
-            if g * n * inv not in sub:
+            if type(n)._unchecked(*conjugate(g, n), n.N) not in sub:
                 return f"conjugate of {n.to_dict()} by {g.to_dict()} leaves the subgroup"
     return None
 

@@ -152,25 +152,34 @@ class MonomialMatrix:
         e_j  ->  zeta_N^phases[j] * e_perm[j]
     The product g * h composes substitutions with h applied first, which in
     the matrix reading is the ordinary matrix product.  Products, inverses
-    and powers are built as type(self), so a subclass's normalization holds.
+    and powers are built as type(self) through `_unchecked`, so a
+    subclass's normalization (`_set`) holds.
     """
 
     __slots__ = ("size", "perm", "phases", "N")
 
     def __init__(self, perm: Sequence[int], phases: Sequence[int], N: int = 8):
-        perm = tuple(perm)
-        size = len(perm)
-        if sorted(perm) != list(range(size)):
-            raise ValueError(f"perm must be a permutation of 0..{size - 1}, got {perm}")
+        perm, phases = tuple(perm), tuple(phases)
+        if sorted(perm) != list(range(len(perm))):
+            raise ValueError(f"perm must be a permutation of 0..{len(perm) - 1}, got {perm}")
         if N not in SUPPORTED_ORDERS:
             raise ValueError(f"phase order N={N} not in supported tower {SUPPORTED_ORDERS}")
-        phases = tuple(p % N for p in phases)
-        if len(phases) != size:
+        if len(phases) != len(perm):
             raise ValueError("phases length must match perm length")
-        object.__setattr__(self, "size", size)
+        self._set(perm, phases, N)
+
+    @classmethod
+    def _unchecked(cls, perm: tuple[int, ...], phases: Sequence[int], N: int):
+        """A product, inverse, conjugate or point matrix of valid elements, unvalidated."""
+        return object.__new__(cls)._set(perm, phases, N)
+
+    def _set(self, perm: tuple[int, ...], phases: Sequence[int], N: int):
+        """Store the fields, the phases reduced mod N; a subclass normalizes here."""
+        object.__setattr__(self, "size", len(perm))
         object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "phases", phases)
+        object.__setattr__(self, "phases", tuple(p % N for p in phases))
         object.__setattr__(self, "N", N)
+        return self
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("MonomialMatrix is immutable")
@@ -213,19 +222,15 @@ class MonomialMatrix:
         if not isinstance(other, MonomialMatrix):
             return NotImplemented
         self._check_compatible(other)
-        perm = tuple(self.perm[other.perm[j]] for j in range(self.size))
-        phases = tuple(
-            (other.phases[j] + self.phases[other.perm[j]]) % self.N
-            for j in range(self.size)
-        )
-        return type(self)(perm, phases, self.N)
+        perm = tuple(self.perm[i] for i in other.perm)
+        phases = [p + self.phases[i] for p, i in zip(other.phases, other.perm)]
+        return type(self)._unchecked(perm, phases, self.N)
 
     def inverse(self) -> "MonomialMatrix":
         inv_perm = [0] * self.size
         for j, image in enumerate(self.perm):
             inv_perm[image] = j
-        phases = tuple(-self.phases[inv_perm[j]] % self.N for j in range(self.size))
-        return type(self)(tuple(inv_perm), phases, self.N)
+        return type(self)._unchecked(tuple(inv_perm), [-self.phases[i] for i in inv_perm], self.N)
 
     def __pow__(self, exponent: int) -> "MonomialMatrix":
         base = self if exponent >= 0 else self.inverse()
@@ -245,7 +250,7 @@ class MonomialMatrix:
         projective space: same permutation, negated phases (the
         inverse-transpose of the substitution matrix).  g -> g.point_matrix()
         is a group homomorphism."""
-        return MonomialMatrix(self.perm, tuple(-p % self.N for p in self.phases), self.N)
+        return MonomialMatrix._unchecked(self.perm, [-p for p in self.phases], self.N)
 
     def apply(self, point: Sequence) -> tuple:
         """Matrix reading applied to a coordinate vector."""

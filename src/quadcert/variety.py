@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple, Sequence
 
 from .cyclotomic import CyclotomicNumber, root_of_unity
-from .groups import FiniteGroup, conjugacy_classes
+from .groups import FiniteGroup, centralizer_shift, conjugacy_classes
 from .linalg import EigenspaceComponent, ExactMatrix, MonomialMatrix
 from .groebner import PRIME, _residue, projective_zero_set_empty
 from .polynomials import PENCIL_VARIABLES, _add_term, Polynomial, X_VARIABLES, monomial_text
@@ -44,7 +45,7 @@ class QuadricSystem:
     with constant coefficients).  `echelon` is the reduced echelon basis of
     their span, eliminated once over the monomials in descending order: per
     row its pivot monomial m_i, the row b_i and its transform row T_i, with
-    b_i = sum_j T_ij q_j."""
+    b_i = sum_j T_ij q_j, T_i held as its nonzero entries (j, T_ij)."""
 
     def __init__(self, quadrics: tuple[Polynomial, ...]):
         if len(quadrics) != 4:
@@ -56,9 +57,10 @@ class QuadricSystem:
                 raise ValueError("every quadric term must have x-degree 2")
         monomials = sorted({e for q in quadrics for e in q.terms}, reverse=True)
         span = ExactMatrix([q.terms.get(m, 0) for m in monomials] for q in quadrics).rref()
+        nonzero = [tuple((j, v) for j, v in enumerate(t) if not v.is_zero()) for t in span.transform]
         echelon = tuple(
             (monomials[c], Polynomial(PENCIL_VARIABLES, dict(zip(monomials, row))), t)
-            for c, row, t in zip(span.pivots, span.reduced, span.transform)
+            for c, row, t in zip(span.pivots, span.reduced, nonzero)
         )
         object.__setattr__(self, "quadrics", quadrics)
         object.__setattr__(self, "echelon", echelon)
@@ -398,7 +400,8 @@ def check_ideal_invariance(g: MonomialMatrix, system: QuadricSystem) -> Invarian
         for pivot, basis_row, combination in system.echelon:
             c = residual.get(pivot)
             if c is not None:
-                row = [r + c * t for r, t in zip(row, combination)]
+                for j, t in combination:
+                    row[j] = row[j] + c * t
                 for m, b in basis_row.terms.items():
                     _add_term(residual, m, -(c * b))
         if residual:
@@ -447,6 +450,16 @@ class FreenessReport(NamedTuple):
         if any(e.has_fixed_point for s in self.specializations for e in s.elements):
             return "fixed-point-found"
         return "free"
+
+
+def _exponent(root: CyclotomicNumber) -> int:
+    """The e with root = zeta_64^e: at level m, root is +-zeta_(2^m)^i, its one nonzero numerator."""
+    ((i, c),) = ((i, c) for i, c in enumerate(root.num) if c)
+    return (i if c > 0 else i + len(root.num)) << (6 - root.level)
+
+
+def _free(eigenvalue: CyclotomicNumber, multiplicity: int) -> ComponentOutcome:
+    return ComponentOutcome(eigenvalue.to_text(), multiplicity, "no-fixed-point", None)
 
 
 def _component_witness_candidates(dimension: int):
@@ -531,14 +544,17 @@ def check_freeness(
     (`system.context`), which keeps each element's outcome there, so
     overlapping groups and repeated calls do not recompute.
 
-    The group's generators are proved first (`system.invariance`); then an
-    element with a conjugate already settled free is recorded free
-    unexamined, its components counted off its eigenvalues.  The conjugators
-    are every element the system has proved invariant, of the group's size
-    and phase modulus, whatever group asked for the proof; README gives the
-    argument, and why fixed points never transfer.  So the outcomes do not
-    depend on the order of calls, only which elements get examined does.
-    Only the classes of elements still unsettled at some triple are walked.
+    The group's generators are proved first (`system.invariance`).  Every
+    element the system has proved invariant, of the group's size and phase
+    modulus, whatever group asked, is a conjugator h.  An element with a
+    conjugate settled free is recorded free unexamined, its components
+    counted off its eigenvalues.  Where h*g*h^-1 = zeta_N^d * g
+    (`centralizer_shift`), h maps each eigenspace of g onto another: of the
+    eigenvalues zeta_64^e alike in e mod gcd(64, every d*64/N), only the
+    first is examined unless it is free.  README gives both arguments, and
+    why fixed points never transfer; so the outcomes do not depend on the
+    order of calls, only which components get examined does.  Only the
+    classes of elements still unsettled at some triple are walked.
     """
     if scope not in ("involutions", "all"):
         raise ValueError(f"scope must be 'involutions' or 'all', not {scope!r}")
@@ -556,12 +572,8 @@ def check_freeness(
     contexts = [system.context(y) for y in specializations]
     unsettled = [g for g in targets if any(g not in c.freeness for c in contexts)]
     one = group.identity()
-    kind = type(one)  # recast, so that conjugates stay normalized like the group's elements
-    conjugators = dict.fromkeys(
-        kind(h.perm, h.phases, h.N)
-        for h, proved in system._invariance.items()
-        if proved.ok and h.size == one.size and h.N == one.N
-    )
+    proved = (h for h, result in system._invariance.items() if result.ok)
+    conjugators = [h for h in proved if h.size == one.size and h.N == one.N]
     classes = conjugacy_classes(unsettled, conjugators)
 
     for g in unsettled:
@@ -571,15 +583,21 @@ def check_freeness(
             donors = (context.freeness.get(h) for h in classes[g])
             if any(d and all(o.verdict == "no-fixed-point" for o in d) for d in donors):
                 if free is None:
-                    free = tuple(
-                        ComponentOutcome(value.to_text(), multiplicity, "no-fixed-point", None)
-                        for value, multiplicity in g.point_matrix().eigenvalues()
-                    )
+                    free = tuple(_free(*pair) for pair in g.point_matrix().eigenvalues())
                 context.freeness[g] = free
                 continue
             if components is None:
                 components = fixed_locus_components(g)
-            context.freeness[g] = tuple(_examine_component(c, context) for c in components)
+                shifts = [d * 64 // g.N for h in conjugators if (d := centralizer_shift(h, g))]
+                cosets = [_exponent(c.eigenvalue) % gcd(64, *shifts) for c in components]
+            first, outcomes = {}, []  # first: each coset's first verdict, in eigenvalue order
+            for c, coset in zip(components, cosets):
+                if first.get(coset) == "no-fixed-point":
+                    outcomes.append(_free(c.eigenvalue, c.multiplicity))
+                else:
+                    outcomes.append(_examine_component(c, context))
+                    first.setdefault(coset, outcomes[-1].verdict)
+            context.freeness[g] = tuple(outcomes)
 
     outcomes = (tuple(ElementOutcome(g.to_dict(), c.freeness[g]) for g in targets) for c in contexts)
     return FreenessReport(group_name, tuple(map(SpecializationOutcome, outcomes)))

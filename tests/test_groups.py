@@ -30,6 +30,7 @@ from quadcert.groups import (
     standard_generators,
     standard_group,
 )
+from quadcert.cyclotomic import SUPPORTED_ORDERS
 from quadcert.linalg import MonomialMatrix
 
 
@@ -103,6 +104,49 @@ class TestNormalization:
             for x in (g * h, g.inverse(), g ** 3, g ** -2, g ** 0):
                 assert type(x) is ProjectiveElement
                 assert x.phases[0] == 0
+
+
+@st.composite
+def monomial_pairs(draw):
+    """Two elements of one size and one phase order N, any N of the tower."""
+    N = draw(st.sampled_from(SUPPORTED_ORDERS))
+    size = draw(st.integers(1, 8))
+
+    def element():
+        phases = draw(st.lists(st.integers(-2 * N, 2 * N), min_size=size, max_size=size))
+        return MonomialMatrix(draw(st.permutations(range(size))), phases, N)
+
+    return element(), element()
+
+
+@given(monomial_pairs())
+@settings(max_examples=60, deadline=None)
+def test_derived_elements_equal_validated_products(pair):
+    # products, inverses, point matrices and conjugates are built without
+    # validation; each equals what the validating constructor builds from
+    # the same data, and acts on the basis as the maps it composes
+    h, g = pair
+    N = g.N
+    basis = [tuple(int(i == k) for i in range(g.size)) for k in range(g.size)]
+    validated = lambda m: type(m)(m.perm, m.phases, m.N)
+    product, inverse, point = h * g, h.inverse(), g.point_matrix()
+    for x in (product, inverse, point):
+        assert type(x) is MonomialMatrix and x == validated(x)
+        assert all(0 <= p < N for p in x.phases)
+    assert point == MonomialMatrix(g.perm, [-p for p in g.phases], N)
+    assert (h * g).point_matrix() == h.point_matrix() * point
+    assert (h * inverse).is_identity() and (inverse * h).is_identity()
+    for e in basis:
+        assert product.apply(e) == h.apply(g.apply(e))
+    # the kernel's conjugate, unnormalized and normalized
+    conjugated = MonomialMatrix(*groups.conjugate(h, g), N)
+    assert conjugated == h * g * inverse
+    for e in basis:
+        assert conjugated.apply(h.apply(e)) == h.apply(g.apply(e))
+    hp, gp = normalized(h), normalized(g)
+    assert ProjectiveElement._unchecked(*groups.conjugate(hp, gp), N) == normalized(conjugated)
+    assert normalized(conjugated) == hp * gp * hp.inverse()
+    assert (hp * gp).phases[0] == 0 and hp * gp == normalized(product)
 
 
 @given(st.integers(0, 7), st.integers(0, 1000))

@@ -745,10 +745,11 @@ class TestFreenessRecords:
         assert proved == [5] * 3
 
     def test_seed_zero_crossval_work(self, monkeypatch, tmp_path, capsys):
-        # the benchmark's crossval run examines 498 components of the 127
+        # the benchmark's crossval run examines 129 components of the 127
         # elements of G u G1 u G2 at 3 triples, decomposes 27 of them and
-        # tests 114 restricted systems for emptiness: a lost transfer or a
-        # repeated decomposition raises these counts
+        # tests 51 restricted systems for emptiness: a lost transfer, between
+        # conjugates or between the eigenspaces of one element, or a repeated
+        # decomposition raises these counts
         counts = dict.fromkeys(
             ("_examine_component", "fixed_locus_components", "projective_zero_set_empty"), 0
         )
@@ -764,7 +765,7 @@ class TestFreenessRecords:
             monkeypatch.setattr(variety, name, counting(name, getattr(variety, name)))
         argv = ["freeness", "--group", "all", "--scope", "all", "--specializations", "3"]
         assert main(argv + ["--seed", "0", "--json", str(tmp_path / "r.json")]) == 0
-        assert list(counts.values()) == [498, 27, 114]
+        assert list(counts.values()) == [129, 27, 51]
 
     def test_inconclusive_dominates_fixed_point_in_triple_order(self, tmp_path):
         group_path = write_custom_group(

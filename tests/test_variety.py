@@ -1,19 +1,24 @@
+import importlib.util
 import json
 import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from quadcert import groebner, variety
-from quadcert.cyclotomic import CyclotomicNumber, degree_at, root_of_unity
+from quadcert.cyclotomic import SUPPORTED_ORDERS, CyclotomicNumber, degree_at, root_of_unity
 from quadcert.groups import (
+    centralizer_shift,
     closure,
     conjugacy_classes,
+    conjugate,
     make_sigma,
     make_sigma1,
     make_sigma2,
@@ -54,6 +59,7 @@ from quadcert.variety import (
 )
 
 Y123 = (Fraction(1), Fraction(2), Fraction(3))
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def x_pair(i, j):
@@ -944,10 +950,23 @@ class TestFreeness:
             (outcome,) = report.specializations
             assert len(outcome.elements) == 3
         # the three groups share their involutions, and the system keeps each
-        # outcome, so each involution is examined exactly once
+        # outcome, so each involution is examined, once per component group:
+        # its eigenvalues are 1 and -1, and a proved generator h has
+        # h*g*h^-1 = -g as a linear map, so h swaps the two eigenspaces and
+        # only the first is examined
         involutions = set(examined)
         assert len(involutions) == 3
-        assert len(examined) == sum(len(fixed_locus_components(g)) for g in involutions)
+        linear = [
+            MonomialMatrix(h.perm, h.phases, h.N)
+            for name in ("G", "G1", "G2")
+            for h in standard_group(name).generators
+        ]
+        for g in involutions:
+            assert len(fixed_locus_components(g)) == 2
+            negated = MonomialMatrix(g.perm, [p + 4 for p in g.phases])
+            g_linear = MonomialMatrix(g.perm, g.phases)
+            assert any(h * g_linear * h.inverse() == negated for h in linear)
+        assert sorted(Counter(examined).values()) == [1, 1, 1]
 
     def test_planted_control_finds_witness(self):
         control = planted_control_system()
@@ -1313,10 +1332,31 @@ class TestConjugacyTransfer:
                     direct[g] = tuple(examine(c, context) for c in fixed_locus_components(g))
                 assert element.components == direct[g]
 
+        # the planted control at the seed-0 sweep triple, one system for the
+        # three groups as bench/sweep.py runs them: free and fixed-point
+        # components alike, every component equals its direct examination
+        monkeypatch.syspath_prepend(str(BENCH))
+        spec = importlib.util.spec_from_file_location("bench_sweep", BENCH / "sweep.py")
+        sweep = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sweep)
+        *_, y = sweep.make_inputs(0)
+        control = planted_control_system()
+        context = ODPContext.at(control, y)
+        verdicts = Counter()
+        for group in groups:
+            report = check_freeness(group, control, [y], scope="all", screen=False)
+            (outcome,) = report.specializations
+            for g, element in zip(group.elements[1:], outcome.elements):
+                direct = tuple(examine(c, context) for c in fixed_locus_components(g))
+                assert element.components == direct
+                verdicts.update(c.verdict for c in direct)
+        assert verdicts["no-fixed-point"] and verdicts["fixed-point"]
+
     def test_failing_generator_never_conjugates(self, monkeypatch):
         # diag(1,1,1,1,-1,-1,-1,-1) does not preserve the pencil, so in the
         # group it generates with the coordinate cycle s only s conjugates:
-        # freeness transfers along s, and every outcome is the one direct
+        # freeness transfers along s, between conjugates and between the
+        # eigenspaces that s swaps, and every outcome is the one direct
         # examination gives
         s = MonomialMatrix((1, 2, 3, 4, 5, 6, 7, 0), (0,) * 8)
         probe = MonomialMatrix.diagonal((0, 0, 0, 0, 4, 4, 4, 4))
@@ -1335,7 +1375,7 @@ class TestConjugacyTransfer:
         assert [system.invariance(g).ok for g in group.generators] == [True, False]
         assert conjugators == [group.generators[0]]
         assert set(involutions) - set(examined)
-        assert len(examined) == 28 < sum(len(fixed_locus_components(g)) for g in involutions)
+        assert len(examined) == 26 < sum(len(fixed_locus_components(g)) for g in involutions)
         context = ODPContext.at(system, Y123)
         (outcome,) = report.specializations
         for g, element in zip(involutions, outcome.elements):
@@ -1532,6 +1572,90 @@ class TestConjugacyTransfer:
         (wide,) = report.specializations
         (narrow,) = eight.specializations
         assert [e.components for e in wide.elements] == [e.components for e in narrow.elements]
+
+
+class TestEigenspaceTransfer:
+    """Freeness transfers between the eigenspaces of one element g that a
+    proved h with h*g*h^-1 = zeta_N^d * g swaps.  Each planted system below
+    makes g = diag(1,1,1,1,-1,-1,-1,-1) free on its -1-eigenspace, examined
+    first, and gives it a fixed point on its 1-eigenspace, so any transfer
+    between the two is wrong."""
+
+    G = MonomialMatrix.diagonal((0, 0, 0, 0, 4, 4, 4, 4))
+
+    @staticmethod
+    def split_system():
+        # x0^2 + x4^2, x5^2, x6^2, x7^2: on x0 = .. = x3 = 0 only the origin,
+        # on x4 = .. = x7 = 0 the plane x0 = 0
+        def square(i):
+            return Polynomial.monomial(PENCIL_VARIABLES, variety._pencil_monomial((i, i)))
+
+        return QuadricSystem((square(0) + square(4), square(5), square(6), square(7)))
+
+    def check_against_direct(self, h, monkeypatch):
+        system = self.split_system()
+        group = closure([self.G, h], names=("g", "h"))
+        assert all(system.invariance(x).ok for x in group.generators)
+        examine = variety._examine_component
+        examined = record_direct_examinations(monkeypatch)
+        report = check_freeness(group, system, [Y123], scope="all", screen=False)
+        context = ODPContext.at(system, Y123)
+        (outcome,) = report.specializations
+        by_element = dict(zip(group.elements[1:], outcome.elements))
+        for g, element in by_element.items():
+            direct = tuple(examine(c, context) for c in fixed_locus_components(g))
+            assert element.components == direct
+        minus, plus = by_element[self.G].components
+        assert minus.eigenvalue == (-CyclotomicNumber.one()).to_text()
+        assert (minus.verdict, plus.verdict) == ("no-fixed-point", "fixed-point")
+        return examined
+
+    def test_centralizer_at_scalar_one_never_transfers(self, monkeypatch):
+        # the swap of x5 and x6 preserves the system and commutes with g:
+        # h*g*h^-1 = g, so h maps each eigenspace of g onto itself
+        h = MonomialMatrix((0, 1, 2, 3, 4, 6, 5, 7), (0,) * 8)
+        assert centralizer_shift(h, self.G) == 0
+        examined = self.check_against_direct(h, monkeypatch)
+        assert examined.count(self.G) == 2
+
+    def test_non_constant_phase_shift_never_transfers(self, monkeypatch):
+        # the swap of x0 and x4 preserves the system, and h*g*h^-1 has g's
+        # permutation, but its phases exceed g's by 4 at x0 and x4 only: it is
+        # no scalar multiple of g
+        h = MonomialMatrix((4, 1, 2, 3, 0, 5, 6, 7), (0,) * 8)
+        perm, phases = conjugate(h, self.G)
+        assert perm == self.G.perm
+        assert [(p - q) % 8 for p, q in zip(phases, self.G.phases)] == [4, 0, 0, 0, 4, 0, 0, 0]
+        assert centralizer_shift(h, self.G) is None
+        examined = self.check_against_direct(h, monkeypatch)
+        assert examined.count(self.G) == 2
+
+    def test_fixed_point_component_never_donates(self, monkeypatch):
+        # on the planted control, sigma conjugates t^4 to -t^4, so it swaps
+        # t^4's two eigenspaces; both meet the variety, so each is examined
+        # and keeps a witness on its own eigenspace
+        t4 = standard_group("G").evaluate_word("t^4")
+        sigma = standard_group("G").evaluate_word("s")
+        assert centralizer_shift(sigma, t4) == 4
+        control = planted_control_system()
+        examine = variety._examine_component
+        examined = record_direct_examinations(monkeypatch)
+        report = check_freeness(closure([t4, sigma]), control, [Y123], scope="all", screen=False)
+        (outcome,) = report.specializations
+        (element,) = [e for e in outcome.elements if e.element == t4.to_dict()]
+        assert examined.count(t4) == 2
+        context = ODPContext.at(control, Y123)
+        assert element.components == tuple(examine(c, context) for c in fixed_locus_components(t4))
+        for c in element.components:
+            assert c.verdict == "fixed-point"
+            point = [CyclotomicNumber.from_text(t) for t in c.witness]
+            eigenvalue = CyclotomicNumber.from_text(c.eigenvalue)
+            assert t4.point_matrix().apply(point) == tuple(eigenvalue * v for v in point)
+
+    def test_exponents_of_every_root_of_unity(self):
+        for n in SUPPORTED_ORDERS:
+            for k in range(n):
+                assert variety._exponent(root_of_unity(n, k)) == k * 64 // n
 
 
 class TestGenericityScreen:
