@@ -109,6 +109,15 @@ class CyclotomicNumber:
             g = gcd(c, den)
             yield c // g, den // g
 
+    def polar(self) -> tuple[tuple[int, int], int]:
+        """((n, d), e) with self = (n/d)*zeta_64^e, n/d >= 0 in lowest terms
+        (zero is ((0, 1), 0)), from its one nonzero numerator, else a ValueError."""
+        terms = [(i, c) for i, c in enumerate(self.num) if c]
+        if len(terms) > 1:
+            raise ValueError(f"{self.to_text()} is not a rational times a root of unity")
+        ((i, c),) = terms or [(0, 0)]
+        return (abs(c), self.den), (i if c >= 0 else i + len(self.num)) << (MAX_LEVEL - self.level)
+
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:

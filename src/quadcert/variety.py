@@ -177,23 +177,21 @@ class OrbitPoint(NamedTuple):
 
 
 def orbit_size(group: FiniteGroup, point: Sequence[CyclotomicNumber]) -> int:
-    """The number of distinct projective points g.p, by the orbit-stabilizer
-    theorem: the group order over the count of g with g.p proportional to p.
-    If g.p is proportional to p, g's permutation maps p's zero coordinates
-    onto themselves, so any other g is skipped unapplied.  Proportionality
-    is tested by cross-multiplying against p's first nonzero coordinate, so
-    no field inverse is taken."""
-    k = next((i for i, c in enumerate(point) if not c.is_zero()), None)
-    if k is None:
+    """The number of distinct projective points g.p: the group order over the
+    count of g fixing p projectively (orbit-stabilizer).  Each coordinate is
+    read once as r_j*zeta_64^e_j (`CyclotomicNumber.polar` refuses any other
+    form), and g, with permutation sigma and phases a_j mod N, fixes p exactly
+    when sigma keeps every r_j and e_j - (64/N)*a_j - e_sigma(j) is one
+    constant mod 64 over p's nonzero coordinates (README gives the argument)."""
+    r, e = zip(*(c.polar() for c in point))
+    support = [j for j, (n, _) in enumerate(r) if n]
+    if not support:
         raise ValueError("projective point cannot be the zero vector")
-    zeros = [j for j, c in enumerate(point) if c.is_zero()]
     stabilizer = 0
     for g in group.elements:
-        if not all(point[g.perm[j]].is_zero() for j in zeros):
-            continue
-        image = g.point_matrix().apply(point)
-        if all(a * point[k] == b * image[k] for a, b in zip(image, point)):
-            stabilizer += 1
+        if all(r[i] == r_j for i, r_j in zip(g.perm, r)):
+            shifts = {(e[j] - 64 // g.N * g.phases[j] - e[g.perm[j]]) % 64 for j in support}
+            stabilizer += len(shifts) == 1
     return group.order // stabilizer
 
 
@@ -201,15 +199,13 @@ def singular_orbit(system: QuadricSystem, group: FiniteGroup, y) -> list[OrbitPo
     """Images of the base point under the inverse-transpose action of every
     group element, deduplicated projectively, in group discovery order."""
     origin = base_point(y)
-    seen = {}
-    out = []
+    orbit = {}
     for g in group.elements:
         coords = tuple(g.point_matrix().apply(origin))
         key = projective_point_key(coords)
-        if key not in seen:
-            seen[key] = True
-            out.append(OrbitPoint(coords, g, key))
-    return out
+        if key not in orbit:
+            orbit[key] = OrbitPoint(coords, g, key)
+    return list(orbit.values())
 
 
 # -- ordinary double point certification --------------------------------------
@@ -452,12 +448,6 @@ class FreenessReport(NamedTuple):
         return "free"
 
 
-def _exponent(root: CyclotomicNumber) -> int:
-    """The e with root = zeta_64^e: at level m, root is +-zeta_(2^m)^i, its one nonzero numerator."""
-    ((i, c),) = ((i, c) for i, c in enumerate(root.num) if c)
-    return (i if c > 0 else i + len(root.num)) << (6 - root.level)
-
-
 def _free(eigenvalue: CyclotomicNumber, multiplicity: int) -> ComponentOutcome:
     return ComponentOutcome(eigenvalue.to_text(), multiplicity, "no-fixed-point", None)
 
@@ -589,7 +579,7 @@ def check_freeness(
             if components is None:
                 components = fixed_locus_components(g)
                 shifts = [d * 64 // g.N for h in conjugators if (d := centralizer_shift(h, g))]
-                cosets = [_exponent(c.eigenvalue) % gcd(64, *shifts) for c in components]
+                cosets = [c.eigenvalue.polar()[1] % gcd(64, *shifts) for c in components]
             first, outcomes = {}, []  # first: each coset's first verdict, in eigenvalue order
             for c, coset in zip(components, cosets):
                 if first.get(coset) == "no-fixed-point":

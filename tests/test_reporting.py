@@ -864,6 +864,16 @@ class TestCanonicalDigests:
             == "36b92f4fa391f84ccaee0fc89b0d318928a01a27311cae150567e9f5ecbe94cf"
         )
 
+    def test_thirty_triple_all_digest(self, tmp_path, capsys):
+        # the screen and the orbit counts run on 30 draws here, not 3
+        out = tmp_path / "r.json"
+        argv = ["all", "--group", "all", "--specializations", "30", "--seed", "0"]
+        assert main(argv + ["--canonical", "--json", str(out)]) == 0
+        assert (
+            hashlib.sha256(out.read_bytes()).hexdigest()
+            == "f37aae89216387c8153ac7a78684ca6808cf42475db78c5a5b3481b41752aaaf"
+        )
+
 
 # the runs below that certify a failure; every other one passes
 CERTIFIED_FAILURES = {

@@ -484,40 +484,76 @@ class TestOrbit:
         for group in (*(standard_group(n) for n in ("G", "G1", "G2")), probe):
             assert orbit_size(group, base_point(y)) == len(singular_orbit(system, group, y))
 
-    def test_support_filter_keeps_the_stabilizer_count(self, monkeypatch):
-        # orbit_size skips elements whose permutation moves a zero coordinate
-        # onto a nonzero one; counting every element's image must agree
-        def unfiltered(group, point):
-            key = projective_point_key(point)
-            fixing = [g for g in group.elements if projective_point_key(g.point_matrix().apply(point)) == key]
-            return group.order // len(fixing)
-
-        z = root_of_unity(8, 1)
+    def test_coordinate_off_the_roots_of_unity_refused(self):
+        # 1 + zeta_8 has two nonzero numerators: it is no rational times a
+        # root of unity, so the integer stabilizer test cannot read it
         one = CyclotomicNumber.one()
-        system = build_quadrics()
-        seed_zero = draw_specializations(3, 0, system, standard_group("G"))
-        points = [base_point(y) for y in (*seed_zero, (1, 2, 1), (1, 1, 1))]
+        point = [one + root_of_unity(8, 1)] + [one] * 7
+        with pytest.raises(ValueError, match="not a rational times a root of unity"):
+            orbit_size(standard_group("G"), point)
+
+    def test_integer_count_matches_cross_multiplication(self):
+        # g fixes p projectively exactly when g.p and p cross-multiply against
+        # p's first nonzero coordinate k: (g.p)_j * p_k == p_j * (g.p)_k
+        def by_products(group, point):
+            k = next(i for i, c in enumerate(point) if not c.is_zero())
+            fixing = 0
+            for g in group.elements:
+                image = g.point_matrix().apply(point)
+                fixing += all(a * point[k] == b * image[k] for a, b in zip(image, point))
+            return group.order // fixing
+
+        rng = random.Random(0)
+
+        def draw(height):
+            return Fraction(rng.choice((1, -1)) * rng.randint(1, height), rng.randint(1, height))
+
+        triples = [(1, 1, 1), (1, 2, 1), (2, 1, 2)]
+        triples += [(a, b, c) for a in (1, -1) for b in (2, -2) for c in (3, -3)]
+        # 24 random triples; small heights repeat magnitudes
+        triples += [(draw(h), draw(h), draw(h)) for h in (3, 97) for _ in range(12)]
+        z = root_of_unity(8, 1)
+        one, zero = CyclotomicNumber.one(), CyclotomicNumber.zero()
+        points = [base_point(y) for y in triples]
         points += [
             [one] * 8,  # no zero coordinate, fixed by every permutation
             [z ** j for j in range(8)],
             [CyclotomicNumber.from_rational(j + 1) for j in range(8)],
-            [one] + [CyclotomicNumber.zero()] * 7,
-            [one, CyclotomicNumber.zero()] * 4,
+            [(1 + j % 2) * z ** (3 * j) for j in range(8)],  # magnitudes and phases both vary
+            [one] + [zero] * 7,
+            [one, zero] * 4,
+            [one, root_of_unity(16, -1)] + [zero] * 6,
         ]
+        probe = closure(
+            [make_tau(), make_sigma(), MonomialMatrix.diagonal((0, 0, 0, 0, 4, 4, 4, 4))]
+        )
+        # x0 -> zeta_8*x1, x1 -> x0 fixes (1 : zeta_16^-1 : 0 : ... : 0); its
+        # group is not closed under complex conjugation, so the phase term's
+        # sign shows in that point's orbit size
+        swap = closure([MonomialMatrix((1, 0, 2, 3, 4, 5, 6, 7), (1, 0, 0, 0, 0, 0, 0, 0))])
+        sizes = Counter()
+        for group in (*(standard_group(n) for n in ("G", "G1", "G2")), probe, swap):
+            for point in points:
+                size = orbit_size(group, point)
+                assert size == by_products(group, point)
+                sizes[size] += 1
+        assert len(sizes) > 3  # some stabilizers are nontrivial
+
+    def test_orbit_size_applies_no_element_and_makes_no_field_product(self, monkeypatch):
+        # the stabilizer is counted on integers read once off each coordinate
+        seed_zero = draw_specializations(3, 0, build_quadrics(), standard_group("G"))
+        points = [base_point(y) for y in seed_zero]
         groups = [standard_group(n) for n in ("G", "G1", "G2")]
+
+        def refuse(*args):
+            raise AssertionError("orbit_size applied an element or made a field product")
+
+        monkeypatch.setattr(MonomialMatrix, "apply", refuse)
+        for name in ("__mul__", "__rmul__", "inverse"):
+            monkeypatch.setattr(CyclotomicNumber, name, refuse)
         for group in groups:
             for point in points:
-                assert orbit_size(group, point) == unfiltered(group, point)
-
-        # at the seed-0 base points only 16 of the 64 elements are applied
-        applied = []
-        original = MonomialMatrix.apply
-        monkeypatch.setattr(MonomialMatrix, "apply", lambda g, p: applied.append(g) or original(g, p))
-        for group in groups:
-            for y in seed_zero:
-                applied.clear()
-                assert orbit_size(group, base_point(y)) == 64
-                assert len(applied) == 16
+                assert orbit_size(group, point) == 64
 
 
 def fraction_matrix_rank_by_minors(rows):
@@ -1655,7 +1691,10 @@ class TestEigenspaceTransfer:
     def test_exponents_of_every_root_of_unity(self):
         for n in SUPPORTED_ORDERS:
             for k in range(n):
-                assert variety._exponent(root_of_unity(n, k)) == k * 64 // n
+                assert root_of_unity(n, k).polar() == ((1, 1), k * 64 // n)
+                negated = (k * 64 // n + 32) % 64
+                assert (Fraction(-6, 4) * root_of_unity(n, k)).polar() == ((3, 2), negated)
+        assert CyclotomicNumber.zero().polar() == ((0, 1), 0)
 
 
 class TestGenericityScreen:
